@@ -92,7 +92,7 @@ struct SessionSpec {
   bool semijoin_filters = false;
   /// Reliability parameters, carried in the spec so every participant
   /// retransmits on the same schedule the initiator chose.
-  int64_t retransmit_timeout_us = 500'000;  // initial; doubles per retry
+  int64_t retransmit_timeout_us = 500'000;  // RTO ceiling (link_rtt.h)
   int max_retransmits = 5;                  // then the peer is unreachable
 };
 

@@ -85,8 +85,12 @@ std::vector<std::string> NeededNamesFor(const PartitionSummary& partition,
 
 }  // namespace
 
-PeerNode::PeerNode(std::string id, AttributeSet attributes)
-    : id_(std::move(id)), attributes_(std::move(attributes)) {}
+PeerNode::PeerNode(std::string id, AttributeSet attributes,
+                   std::shared_ptr<LinkRttTable> link_rtt)
+    : id_(std::move(id)),
+      attributes_(std::move(attributes)),
+      link_rtt_(link_rtt != nullptr ? std::move(link_rtt)
+                                    : std::make_shared<LinkRttTable>()) {}
 
 Status PeerNode::Attach(Network* network) {
   if (network == nullptr) {
@@ -249,20 +253,57 @@ Status PeerNode::SendReliable(SessionId session, uint8_t kind,
   OutstandingSend& out = outstanding_sends_[key];
   out.msg = msg;
   out.attempts = 1;
-  out.timeout_us = timeout_us > 0 ? timeout_us : 1;
-  out.base_timeout_us = out.timeout_us;
+  out.configured_timeout_us = timeout_us > 0 ? timeout_us : 1;
+  out.timeout_us = link_rtt_->Rto(id_, msg.to, out.configured_timeout_us);
   out.max_retransmits = max_retransmits < 0 ? 0 : max_retransmits;
   out.phase = phase;
   out.initiator = initiator;
+  out.sent_at_us = network_->now_us();
   Status sent = network_->Send(std::move(msg));
   if (!sent.ok()) {
     outstanding_sends_.erase(key);
     return sent;
   }
+  Status armed = ArmRetransmitTimer(key);
+  if (!armed.ok()) AbandonSend(key, armed);
+  return armed;
+}
+
+Status PeerNode::ArmRetransmitTimer(const SendKey& key) {
+  OutstandingSend& out = outstanding_sends_.at(key);
   auto timer = network_->ScheduleTimer(
       id_, out.timeout_us, [this, key] { HandleRetransmitTimer(key); });
-  if (timer.ok()) outstanding_sends_[key].timer = timer.value();
-  return Status::OK();
+  if (timer.ok()) {
+    out.timer = timer.value();
+    return Status::OK();
+  }
+  out.timer = 0;
+  std::string message = "cannot arm the retransmit timer for peer '";
+  message.append(std::get<3>(key))
+      .append("' during ")
+      .append(out.phase)
+      .append(" of session ")
+      .append(std::to_string(std::get<0>(key)))
+      .append(": ")
+      .append(timer.status().message());
+  return Status(timer.status().code(), std::move(message));
+}
+
+void PeerNode::AbandonSend(const SendKey& key, const Status& status) {
+  const auto& [session, kind, partition, to, seq] = key;
+  const OutstandingSend& out = outstanding_sends_.at(key);
+  const bool is_failure_report =
+      kind == kRelFinal && partition == kErrorPartition;
+  std::string initiator = out.initiator;
+  int64_t configured_timeout = out.configured_timeout_us;
+  int max_retransmits = out.max_retransmits;
+  CancelSessionSends(session);  // invalidates `out`
+  if (!is_failure_report) {
+    FailSession(session, status, initiator, configured_timeout,
+                max_retransmits);
+  }
+  // A failure report we cannot deliver dies here: the initiator's own
+  // session deadline is the backstop.
 }
 
 void PeerNode::HandleRetransmitTimer(const SendKey& key) {
@@ -279,17 +320,7 @@ void PeerNode::HandleRetransmitTimer(const SendKey& key) {
                partition == kErrorPartition ? -1
                                             : static_cast<int64_t>(partition),
                -1, static_cast<int64_t>(seq), status.ToString());
-    const bool is_failure_report =
-        kind == kRelFinal && partition == kErrorPartition;
-    std::string initiator = out.initiator;
-    int64_t base_timeout = out.base_timeout_us;
-    int max_retransmits = out.max_retransmits;
-    CancelSessionSends(session);  // invalidates `out`
-    if (!is_failure_report) {
-      FailSession(session, status, initiator, base_timeout, max_retransmits);
-    }
-    // A failure report we cannot deliver dies here: the initiator's own
-    // session deadline is the backstop.
+    AbandonSend(key, status);
     return;
   }
   out.attempts += 1;
@@ -304,9 +335,8 @@ void PeerNode::HandleRetransmitTimer(const SendKey& key) {
   // one that was lost in flight — the timer below fires again, and the
   // attempt cap turns persistent failure into a loud session error.
   IgnoreStatus(network_->Send(out.msg));
-  auto timer = network_->ScheduleTimer(
-      id_, out.timeout_us, [this, key] { HandleRetransmitTimer(key); });
-  out.timer = timer.ok() ? timer.value() : 0;
+  Status armed = ArmRetransmitTimer(key);
+  if (!armed.ok()) AbandonSend(key, armed);
 }
 
 void PeerNode::OnAck(const Message& msg) {
@@ -314,7 +344,20 @@ void PeerNode::OnAck(const Message& msg) {
   SendKey key{ack.session, ack.kind, ack.partition, msg.from, ack.seq};
   auto it = outstanding_sends_.find(key);
   if (it == outstanding_sends_.end()) return;  // late or duplicate ack
-  if (it->second.timer != 0) network_->CancelTimer(it->second.timer);
+  const OutstandingSend& out = it->second;
+  if (out.timer != 0) network_->CancelTimer(out.timer);
+  // Karn's rule: an ack after a retransmission cannot say which copy it
+  // answers, so only first-attempt sends give a round-trip sample.
+  if (out.attempts == 1) {
+    const int64_t rtt_us = network_->now_us() - out.sent_at_us;
+    link_rtt_->AddSample(id_, msg.from, rtt_us);
+    if constexpr (obs::kMetricsEnabled) {
+      static obs::Histogram* const ack_rtt =
+          obs::MetricRegistry::Default().GetHistogram(
+              "proto.ack_rtt_us", obs::LatencyBoundsUs());
+      ack_rtt->Observe(rtt_us);
+    }
+  }
   outstanding_sends_.erase(it);
 }
 
@@ -1244,6 +1287,12 @@ void PeerNode::ParkUnknownSession(const Message& msg) {
 void PeerNode::FailSession(SessionId id, const Status& status,
                            const std::string& initiator_hint,
                            int64_t timeout_us, int max_retransmits) {
+  auto part_it = participant_sessions_.find(id);
+  // Already reported (e.g. a send that could not arm its retransmit
+  // timer failed the session before its caller saw the error).
+  if (part_it != participant_sessions_.end() && part_it->second.failed) {
+    return;
+  }
   CountProto("cover.sessions_failed");
   TraceProto(network_, id_, "session.failed", id, -1, -1, 0,
              status.ToString());
@@ -1252,7 +1301,6 @@ void PeerNode::FailSession(SessionId id, const Status& status,
   // Who do we tell?  Participant state knows the spec; otherwise the
   // caller's hint (taken from the undeliverable message) is all we have.
   std::string initiator = initiator_hint;
-  auto part_it = participant_sessions_.find(id);
   if (part_it != participant_sessions_.end()) {
     part_it->second.failed = true;
     initiator = part_it->second.spec.path_peers[0];

@@ -24,6 +24,7 @@
 #include "core/constraint.h"
 #include "core/cover_engine.h"
 #include "core/schema.h"
+#include "p2p/link_rtt.h"
 #include "p2p/message.h"
 #include "p2p/network_interface.h"
 #include "p2p/protocol.h"
@@ -35,7 +36,11 @@ namespace hyperion {
 /// single-threaded event loop.
 class PeerNode {
  public:
-  PeerNode(std::string id, AttributeSet attributes);
+  /// `link_rtt` holds the round-trip estimates behind the adaptive
+  /// retransmit timeouts (link_rtt.h); pass one shared table to let
+  /// estimates outlive this peer.  Null gives the peer a private table.
+  PeerNode(std::string id, AttributeSet attributes,
+           std::shared_ptr<LinkRttTable> link_rtt = nullptr);
 
   const std::string& id() const { return id_; }
   const AttributeSet& attributes() const { return attributes_; }
@@ -110,9 +115,10 @@ class PeerNode {
   // copy, suppresses duplicates, and holds out-of-order arrivals in a
   // bounded reorder buffer so handlers always observe channel order (this
   // is what keeps covers byte-identical under loss and jitter).  The
-  // sender retransmits with exponential backoff until acked; exhausting
-  // the retries declares the destination unreachable and fails the
-  // session loudly, naming the peer and the phase.
+  // sender first waits the link's adaptive RTO (link_rtt.h), then
+  // retransmits with exponential backoff until acked; exhausting the
+  // retries, or failing to arm a retransmit timer, fails the session
+  // loudly, naming the peer and the phase.
   enum ReliableKind : uint8_t {
     kRelInit = 0,
     kRelPlan = 1,
@@ -135,8 +141,9 @@ class PeerNode {
   struct OutstandingSend {
     Message msg;  // full envelope, seq already stamped
     int attempts = 0;            // transmissions so far
+    int64_t sent_at_us = 0;      // first transmission, for the RTT sample
     int64_t timeout_us = 0;      // wait before the next retransmission
-    int64_t base_timeout_us = 0;
+    int64_t configured_timeout_us = 0;  // the session's RTO ceiling
     int max_retransmits = 0;
     Network::TimerId timer = 0;
     std::string phase;      // human-readable, for failure messages
@@ -149,11 +156,19 @@ class PeerNode {
 
   // Dispatches `msg` to the protocol handlers (post-reliability).
   void Dispatch(const Message& msg);
-  // Stamps a sequence number, sends, and arms the retransmit timer.
+  // Stamps a sequence number, sends, and arms the retransmit timer for
+  // the link's RTO (at most `timeout_us`).  A timer that cannot be armed
+  // fails the session (AbandonSend) and returns the status.
   Status SendReliable(SessionId session, uint8_t kind, uint64_t partition,
                       Message msg, int64_t timeout_us, int max_retransmits,
                       const char* phase, const std::string& initiator);
   void HandleRetransmitTimer(const SendKey& key);
+  // Arms the retransmit timer of the outstanding send `key`; the error
+  // names the peer and the phase.
+  Status ArmRetransmitTimer(const SendKey& key);
+  // Gives up on the outstanding send `key`: cancels the session's sends
+  // and fails the session with `status`.
+  void AbandonSend(const SendKey& key, const Status& status);
   void OnAck(const Message& msg);
   // Receive side: ack, dedup, reorder, then Dispatch in channel order.
   void AdmitSequenced(const Message& msg, uint8_t kind, SessionId session,
@@ -271,6 +286,7 @@ class PeerNode {
   std::string id_;
   AttributeSet attributes_;
   Network* network_ = nullptr;
+  std::shared_ptr<LinkRttTable> link_rtt_;
   std::map<std::string, std::vector<MappingConstraint>> constraints_;
   std::map<SessionId, ParticipantState> participant_sessions_;
   std::map<SessionId, InitiatorState> initiator_sessions_;

@@ -50,9 +50,11 @@ struct SessionOptions {
   /// combinatorially and consumers usually want the per-partition covers
   /// anyway (the paper's B2B experiment reports those).
   bool combine_partitions = true;
-  /// Reliability: initial ack timeout for sequenced session messages
-  /// (doubles on every retransmission).  Carried in the SessionSpec so
-  /// every participant uses the schedule the initiator chose.
+  /// Reliability: ack timeout for sequenced session messages before a
+  /// link has a round-trip sample, and the ceiling of the adaptive
+  /// timeout afterwards (p2p/link_rtt.h); doubles on every
+  /// retransmission.  Carried in the SessionSpec so every participant
+  /// uses the ceiling the initiator chose.
   int64_t retransmit_timeout_us = 500'000;
   /// Retransmissions after the first attempt before the destination is
   /// declared unreachable and the session fails with its name.

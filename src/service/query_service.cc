@@ -274,6 +274,7 @@ Result<MappingTable> QueryService::RunSession(const QueryRequest& request,
                                               const PathSnapshot& snapshot) {
   // Fresh peers and a private network per execution: protocol state never
   // crosses worker threads, and every session replays its own faults.
+  // Only the link RTT estimates (link_rtt_) carry over between sessions.
   // All three transports run to quiescence inside this frame and join
   // their threads before returning, so the peers (declared below, hence
   // destroyed first) are never touched after the run.
@@ -310,7 +311,8 @@ Result<MappingTable> QueryService::RunSession(const QueryRequest& request,
   std::vector<std::unique_ptr<PeerNode>> peers;
   peers.reserve(snapshot.specs.size());
   for (const PeerSpec* spec : snapshot.specs) {
-    peers.push_back(std::make_unique<PeerNode>(spec->id, spec->attributes));
+    peers.push_back(
+        std::make_unique<PeerNode>(spec->id, spec->attributes, link_rtt_));
     HYP_RETURN_IF_ERROR(peers.back()->Attach(net));
   }
   for (size_t hop = 0; hop + 1 < peers.size(); ++hop) {

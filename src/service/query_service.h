@@ -24,9 +24,13 @@
 //
 // Each execution builds its session's peers fresh from the TableStore
 // snapshot (constraints are shared_ptr handles onto immutable tables, so
-// this is cheap) and runs them on a private SimNetwork confined to the
+// this is cheap) and runs them on a private network confined to the
 // worker thread; workers therefore never share protocol state, and the
-// service is safe to drive from any number of client threads.
+// service is safe to drive from any number of client threads.  The one
+// thing sessions do share is the service's table of per-link round-trip
+// estimates (p2p/link_rtt.h): every session's peers read and refine it,
+// so retransmit timeouts track the links from the first message on
+// instead of restarting from the configured timeout.
 //
 // Metrics (service.*) flow into the default registry; see
 // docs/METRICS.md.
@@ -47,6 +51,7 @@
 #include "common/status.h"
 #include "common/synchronization.h"
 #include "core/schema.h"
+#include "p2p/link_rtt.h"
 #include "p2p/network.h"
 #include "p2p/protocol.h"
 #include "service/cover_cache.h"
@@ -219,6 +224,9 @@ class QueryService {
   std::map<std::string, PeerSpec> specs_;
   QueryServiceOptions options_;
   CoverCache cache_;
+  // Round-trip estimates shared by the peers of every session (internally
+  // locked; a leaf like the cache's mutex).
+  std::shared_ptr<LinkRttTable> link_rtt_ = std::make_shared<LinkRttTable>();
 
   // Lock hierarchy (DESIGN.md §12): mu_ is a leaf — no code path holds
   // it while acquiring the cache's, the store's, or a transport's mutex.

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -309,6 +311,111 @@ TEST(FaultInjectionTest, UnknownSessionParkingIsBounded) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value()->done);
   EXPECT_TRUE(result.value()->error.ok()) << result.value()->error;
+}
+
+// --- A transport that refuses retransmit timers.                   ---
+
+// SimNetwork behind a Network stub whose ScheduleTimer fails for `peer`
+// once that peer has armed `arm_ok` timers — as a transport that is
+// shutting down would refuse them.
+class TimerRefusingNetwork : public Network {
+ public:
+  TimerRefusingNetwork(std::string peer, int arm_ok)
+      : peer_(std::move(peer)), arm_ok_(arm_ok) {}
+
+  Status RegisterPeer(const std::string& id, Handler handler) override {
+    return sim_.RegisterPeer(id, std::move(handler));
+  }
+  Status Send(Message msg) override { return sim_.Send(std::move(msg)); }
+  Result<TimerId> ScheduleTimer(const std::string& peer, int64_t delay_us,
+                                TimerCallback cb) override {
+    if (peer == peer_ && arm_ok_-- <= 0) {
+      return Status::ResourceExhausted("timer table full");
+    }
+    return sim_.ScheduleTimer(peer, delay_us, std::move(cb));
+  }
+  void CancelTimer(TimerId id) override { sim_.CancelTimer(id); }
+  void SetFaultPlan(FaultPlan plan) override {
+    sim_.SetFaultPlan(std::move(plan));
+  }
+  int64_t now_us() const override { return sim_.now_us(); }
+  void ChargeCompute(int64_t micros) override { sim_.ChargeCompute(micros); }
+  NetworkStats stats() const override { return sim_.stats(); }
+  void ResetStats() override { sim_.ResetStats(); }
+  Result<int64_t> Run() { return sim_.Run(); }
+
+ private:
+  SimNetwork sim_;
+  std::string peer_;
+  int arm_ok_;
+};
+
+// Runs Hugo -> GDB -> SwissProt -> MIM on `net` under `plan`; returns the
+// initiator's final result.
+SessionResult RunWithRefusedTimers(TimerRefusingNetwork* net,
+                                   const FaultPlan& plan) {
+  BioConfig config;
+  config.num_entities = 60;
+  auto workload = BioWorkload::Generate(config);
+  EXPECT_TRUE(workload.ok());
+  auto peers = workload.value().BuildPeers();
+  EXPECT_TRUE(peers.ok());
+  PeerNode* hugo = nullptr;
+  for (auto& p : peers.value()) {
+    EXPECT_TRUE(p->Attach(net).ok());
+    if (p->id() == "Hugo") hugo = p.get();
+  }
+  net->SetFaultPlan(plan);
+  auto session = hugo->StartCoverSession(
+      {"Hugo", "GDB", "SwissProt", "MIM"}, {Attribute::String("Hugo_id")},
+      {Attribute::String("MIM_id")});
+  EXPECT_TRUE(session.ok()) << session.status();
+  if (!session.ok()) return {};
+  EXPECT_TRUE(net->Run().ok());
+  auto result = hugo->GetResult(session.value());
+  EXPECT_TRUE(result.ok());
+  return result.ok() ? *result.value() : SessionResult{};
+}
+
+TEST(FaultInjectionTest, UnarmableRetransmitTimerFailsSessionLoudly) {
+  // GDB can arm no timer, and its forward of the session init to
+  // SwissProt is lost.  Without a timer nothing would ever resend it and
+  // the session would sit until the 120 s deadline; instead GDB fails
+  // the session at once, and the report reaches Hugo with the timer's
+  // status, the peer and the phase.
+  TimerRefusingNetwork net("GDB", /*arm_ok=*/0);
+  FaultPlan plan;
+  plan.links[{"GDB", "SwissProt"}].outages_us = {{0, 1'000'000}};
+  SessionResult result = RunWithRefusedTimers(&net, plan);
+  ASSERT_TRUE(result.done);
+  EXPECT_EQ(result.error.code(), StatusCode::kResourceExhausted)
+      << result.error;
+  EXPECT_NE(result.error.message().find("'SwissProt'"), std::string::npos)
+      << result.error;
+  EXPECT_NE(result.error.message().find("information gathering"),
+            std::string::npos)
+      << result.error;
+  EXPECT_LT(result.stats.complete_us, 1'000'000);
+}
+
+TEST(FaultInjectionTest, RetransmitTimerThatCannotBeReArmedFailsLoudly) {
+  // Hugo arms its session deadline and the first retransmit timer of
+  // its init to GDB, but not the timer after the first retransmission.
+  // Both copies are lost; the session must fail when the re-arm fails,
+  // not hang until the deadline.
+  TimerRefusingNetwork net("Hugo", /*arm_ok=*/2);
+  FaultPlan plan;
+  plan.links[{"Hugo", "GDB"}].outages_us = {{0, 2'000'000}};
+  SessionResult result = RunWithRefusedTimers(&net, plan);
+  ASSERT_TRUE(result.done);
+  EXPECT_EQ(result.error.code(), StatusCode::kResourceExhausted)
+      << result.error;
+  EXPECT_NE(result.error.message().find("'GDB'"), std::string::npos)
+      << result.error;
+  EXPECT_NE(result.error.message().find("information gathering"),
+            std::string::npos)
+      << result.error;
+  EXPECT_LT(result.stats.complete_us, 1'000'000);
 }
 
 }  // namespace
