@@ -13,6 +13,15 @@
 namespace hyperion {
 namespace cluster {
 
+namespace {
+
+// The key of the one repair or handoff pull a shard may have running.
+std::string PullKey(const char* kind, uint64_t shard) {
+  return std::string(kind).append("#").append(std::to_string(shard));
+}
+
+}  // namespace
+
 Result<std::unique_ptr<ClusterNode>> ClusterNode::Create(ClusterConfig config,
                                                          std::string self,
                                                          TableStore store) {
@@ -69,6 +78,7 @@ Status ClusterNode::Bind() {
   options.listen_host = self_spec_.host;
   options.base_port = self_spec_.port;
   net_ = std::make_unique<TcpNetwork>(options);
+  calls_ = std::make_unique<CallTable>(self_spec_.id, net_.get());
   HYP_RETURN_IF_ERROR(net_->RegisterPeer(
       self_spec_.id, [this](const Message& msg) { HandleMessage(msg); }));
   MutexLock lock(mu_);
@@ -157,7 +167,7 @@ Status ClusterNode::Start() {
     opts.hedge_delay_us = static_cast<int64_t>(config_.hedge_ms) * 1000;
     opts.attempts_per_replica = static_cast<int>(config_.fetch_attempts);
     table_source_ = std::make_unique<ClusterTableSource>(
-        self_spec_.id, net_.get(), &placement_, &membership_, opts);
+        calls_.get(), &placement_, &membership_, opts);
     ClusterTableSink::Options wopts;
     wopts.write_timeout_us =
         static_cast<int64_t>(config_.write_timeout_ms) * 1000;
@@ -168,7 +178,7 @@ Status ClusterNode::Start() {
     wopts.attempts_per_replica = static_cast<int>(config_.write_attempts);
     wopts.quorum = config_.write_quorum;
     table_sink_ = std::make_unique<ClusterTableSink>(
-        self_spec_.id, net_.get(), &placement_, &membership_, wopts);
+        calls_.get(), &placement_, &membership_, wopts);
   }
   std::vector<std::pair<std::string, std::string>> routes;
   {
@@ -210,6 +220,9 @@ void ClusterNode::Stop() {
   if (heartbeat != 0) net_->CancelTimer(heartbeat);
   if (sweep != 0) net_->CancelTimer(sweep);
   if (repair != 0) net_->CancelTimer(repair);
+  // A Fetch or Apply blocked on a call must not wait on timers that a
+  // stopped loop never fires.
+  calls_->Stop();
   net_->Stop(1'000'000);
 }
 
@@ -359,13 +372,11 @@ Result<uint64_t> ClusterNode::BeginTransition(ShardRing next,
   obs::MetricRegistry::Default()
       .GetCounter("cluster.rebalance.started")
       ->Add();
-  obs::TraceEvent ev;
-  ev.peer = self_spec_.id;
-  ev.kind = "cluster.rebalance.started";
-  ev.detail = verb + " '" + subject + "' -> epoch " + std::to_string(epoch) +
-              " (" + std::to_string(moves.size()) + " moves)";
-  ev.value = static_cast<int64_t>(epoch);
-  obs::SessionTracer::Default().Record(std::move(ev));
+  obs::RecordEvent(self_spec_.id, "cluster.rebalance.started",
+                   verb + " '" + subject + "' -> epoch " +
+                       std::to_string(epoch) + " (" +
+                       std::to_string(moves.size()) + " moves)",
+                   static_cast<int64_t>(epoch));
   SendHeartbeats();
   // A transition that moves nothing (or only sheds replicas) commits as
   // soon as something notices the empty ledger.
@@ -434,17 +445,21 @@ void ClusterNode::HandleMessage(const Message& msg) {
   } else if (std::holds_alternative<ShardFetchMsg>(msg.payload)) {
     HandleShardFetch(msg);
   } else if (const auto* rows = std::get_if<ShardRowsMsg>(&msg.payload)) {
-    if (table_source_ != nullptr) table_source_->OnShardRows(*rows);
-  } else if (std::holds_alternative<WriteSliceMsg>(msg.payload)) {
-    HandleWriteSlice(msg);
+    calls_->Deliver(rows->request_id, msg);
+  } else if (const auto* slice = std::get_if<WriteSliceMsg>(&msg.payload)) {
+    if (slice->repair == 0) {
+      HandleWriteSlice(msg);
+    } else {
+      HandleRepairReply(msg, calls_->Deliver(slice->request_id, msg));
+    }
   } else if (const auto* ack = std::get_if<WriteAckMsg>(&msg.payload)) {
-    if (table_sink_ != nullptr) table_sink_->OnWriteAck(*ack);
+    calls_->Deliver(ack->request_id, msg);
   } else if (std::holds_alternative<RepairFetchMsg>(msg.payload)) {
     HandleRepairFetch(msg);
   } else if (std::holds_alternative<HandoffFetchMsg>(msg.payload)) {
     HandleHandoffFetch(msg);
-  } else if (std::holds_alternative<HandoffRowsMsg>(msg.payload)) {
-    HandleHandoffRows(msg);
+  } else if (const auto* handoff = std::get_if<HandoffRowsMsg>(&msg.payload)) {
+    HandleHandoffRows(msg, calls_->Deliver(handoff->request_id, msg));
   } else if (std::holds_alternative<HandoffAckMsg>(msg.payload)) {
     HandleHandoffAck(msg);
   }
@@ -463,22 +478,16 @@ void ClusterNode::AdoptFromHeartbeat(const HeartbeatMsg& hb) {
     if (ring.ok() &&
         placement_.Adopt(std::move(ring.value()), hb.ring_epoch)) {
       // Adoption resolves any pending transition at or below the new
-      // epoch (placement_ cleared it); drop the handoff pulls armed for
-      // it so a late reply cannot install under the committed ring.
-      if (!placement_.HasPending()) {
-        MutexLock lock(mu_);
-        handoff_inflight_.clear();
-      }
+      // epoch; a handoff pull still running for it ends on its own, and
+      // HandleHandoffRows drops its reply without a pending ring.
       SyncRosterToPlacement(/*drop_unowned=*/true);
       reg.GetCounter("cluster.epoch.adopted")->Add();
-      obs::TraceEvent ev;
-      ev.peer = self_spec_.id;
-      ev.kind = "cluster.epoch.adopted";
-      ev.detail = "epoch " + std::to_string(hb.ring_epoch) + " from " +
-                  hb.node + " (" + std::to_string(hb.ring_nodes.size()) +
-                  " storage nodes)";
-      ev.value = static_cast<int64_t>(hb.ring_epoch);
-      obs::SessionTracer::Default().Record(std::move(ev));
+      obs::RecordEvent(self_spec_.id, "cluster.epoch.adopted",
+                       "epoch " + std::to_string(hb.ring_epoch) + " from " +
+                           hb.node + " (" +
+                           std::to_string(hb.ring_nodes.size()) +
+                           " storage nodes)",
+                       static_cast<int64_t>(hb.ring_epoch));
     }
   }
   if (!hb.pending_nodes.empty() && hb.pending_epoch > placement_.epoch()) {
@@ -584,15 +593,12 @@ void ClusterNode::HandleShardFetch(const Message& msg) {
     obs::MetricRegistry::Default()
         .GetCounter("cluster.epoch.stale_rejected")
         ->Add();
-    obs::TraceEvent ev;
-    ev.peer = self_spec_.id;
-    ev.kind = "cluster.epoch.stale";
-    ev.detail = "fetch " + fetch.table_name + "#" +
-                std::to_string(fetch.shard) + " at epoch " +
-                std::to_string(fetch.ring_epoch) + " < " +
-                std::to_string(committed.epoch) + " from " + msg.from;
-    ev.value = static_cast<int64_t>(fetch.ring_epoch);
-    obs::SessionTracer::Default().Record(std::move(ev));
+    obs::RecordEvent(self_spec_.id, "cluster.epoch.stale",
+                     "fetch " + fetch.table_name + "#" +
+                         std::to_string(fetch.shard) + " at epoch " +
+                         std::to_string(fetch.ring_epoch) + " < " +
+                         std::to_string(committed.epoch) + " from " + msg.from,
+                     static_cast<int64_t>(fetch.ring_epoch));
   } else {
     auto it = slices_.find({fetch.table_name, fetch.shard});
     if (it == slices_.end()) {
@@ -644,12 +650,9 @@ void ClusterNode::SendReply(Message out, const char* context) {
   obs::MetricRegistry::Default()
       .GetCounter("cluster.reply.send_failures")
       ->Add();
-  obs::TraceEvent ev;
-  ev.peer = self_spec_.id;
-  ev.kind = "cluster.reply.send_failure";
-  ev.detail = std::string(context) + " reply to '" + to +
-              "': " + sent.ToString();
-  obs::SessionTracer::Default().Record(std::move(ev));
+  obs::RecordEvent(self_spec_.id, "cluster.reply.send_failure",
+                   std::string(context) + " reply to '" + to + "': " +
+                       sent.ToString());
 }
 
 void ClusterNode::InstallSlice(const WriteSliceMsg& slice) {
@@ -679,50 +682,41 @@ Result<ApplyOutcome> ClusterNode::ApplyWriteSlice(const WriteSliceMsg& slice) {
   return ApplyOutcome::kApplied;
 }
 
+void ClusterNode::HandleRepairReply(const Message& msg, bool matched) {
+  const auto& slice = std::get<WriteSliceMsg>(msg.payload);
+  obs::MetricRegistry& reg = obs::MetricRegistry::Default();
+  // Only the reply to the shard's live pull counts: a delayed reply from
+  // a timed-out earlier pull must not sneak its payload in.
+  if (!matched) {
+    reg.GetCounter("cluster.repair.ignored_replies")->Add();
+    return;
+  }
+  if (!slice.error.empty()) {
+    reg.GetCounter("cluster.repair.failures")->Add();
+    return;
+  }
+  Result<ApplyOutcome> outcome = ApplyWriteSlice(slice);
+  if (!outcome.ok() || outcome.value() == ApplyOutcome::kStale) {
+    reg.GetCounter("cluster.repair.failures")->Add();
+    return;
+  }
+  if (outcome.value() == ApplyOutcome::kApplied) {
+    reg.GetCounter("cluster.repair.entries_applied")->Add();
+    obs::RecordEvent(self_spec_.id, "cluster.repair.applied",
+                     slice.table_name + "#" + std::to_string(slice.shard) +
+                         " v" + std::to_string(slice.shard_version) + " from " +
+                         msg.from,
+                     static_cast<int64_t>(slice.shard_version));
+  }
+  // Chain straight into the next pull for this shard (if any): a
+  // replica many writes behind converges at network speed, not at
+  // repair_interval_ms per entry.
+  MaybeRepair(static_cast<int64_t>(slice.shard));
+}
+
 void ClusterNode::HandleWriteSlice(const Message& msg) {
   const auto& slice = std::get<WriteSliceMsg>(msg.payload);
   obs::MetricRegistry& reg = obs::MetricRegistry::Default();
-  if (slice.repair != 0) {
-    // Anti-entropy reply: it only counts if it echoes the request id of
-    // the fetch still outstanding for this shard — a delayed reply from
-    // a timed-out earlier fetch must not clear a newer fetch's slot (or
-    // sneak its payload in under it).
-    {
-      MutexLock lock(mu_);
-      auto inflight = repair_inflight_.find(slice.shard);
-      if (inflight == repair_inflight_.end() ||
-          inflight->second.request_id != slice.request_id) {
-        reg.GetCounter("cluster.repair.ignored_replies")->Add();
-        return;
-      }
-      repair_inflight_.erase(inflight);
-    }
-    if (!slice.error.empty()) {
-      reg.GetCounter("cluster.repair.failures")->Add();
-      return;
-    }
-    Result<ApplyOutcome> outcome = ApplyWriteSlice(slice);
-    if (!outcome.ok() || outcome.value() == ApplyOutcome::kStale) {
-      reg.GetCounter("cluster.repair.failures")->Add();
-      return;
-    }
-    if (outcome.value() == ApplyOutcome::kApplied) {
-      reg.GetCounter("cluster.repair.entries_applied")->Add();
-      obs::TraceEvent ev;
-      ev.peer = self_spec_.id;
-      ev.kind = "cluster.repair.applied";
-      ev.detail = slice.table_name + "#" + std::to_string(slice.shard) +
-                  " v" + std::to_string(slice.shard_version) + " from " +
-                  msg.from;
-      ev.value = static_cast<int64_t>(slice.shard_version);
-      obs::SessionTracer::Default().Record(std::move(ev));
-    }
-    // Chain straight into the next pull for this shard (if any): a
-    // replica many writes behind converges at network speed, not at
-    // repair_interval_ms per entry.
-    MaybeRepair(static_cast<int64_t>(slice.shard));
-    return;
-  }
   WriteAckMsg ack;
   ack.request_id = slice.request_id;
   ack.node = self_spec_.id;
@@ -748,15 +742,13 @@ void ClusterNode::HandleWriteSlice(const Message& msg) {
       // the gap before this slice can land.  The coordinator sees
       // applied=0 and retries (or commits on quorum without us).
       reg.GetCounter("cluster.write.stale_rejected")->Add();
-      obs::TraceEvent ev;
-      ev.peer = self_spec_.id;
-      ev.kind = "cluster.write.stale";
-      ev.detail = slice.table_name + "#" + std::to_string(slice.shard) +
-                  " offered v" + std::to_string(slice.shard_version) +
-                  " (floor v" + std::to_string(slice.committed_floor) +
-                  ") at v" + std::to_string(write_log_.VersionOf(slice.shard));
-      ev.value = static_cast<int64_t>(slice.shard);
-      obs::SessionTracer::Default().Record(std::move(ev));
+      obs::RecordEvent(self_spec_.id, "cluster.write.stale",
+                       slice.table_name + "#" + std::to_string(slice.shard) +
+                           " offered v" + std::to_string(slice.shard_version) +
+                           " (floor v" + std::to_string(slice.committed_floor) +
+                           ") at v" +
+                           std::to_string(write_log_.VersionOf(slice.shard)),
+                       static_cast<int64_t>(slice.shard));
       Status status = Status::FailedPrecondition(
           "replica '" + self_spec_.id + "' is stale on shard " +
           std::to_string(slice.shard));
@@ -829,14 +821,11 @@ void ClusterNode::HandleHandoffFetch(const Message& msg) {
     reply.error = status.message();
     reply.error_code = static_cast<int32_t>(status.code());
     reg.GetCounter("cluster.epoch.stale_rejected")->Add();
-    obs::TraceEvent ev;
-    ev.peer = self_spec_.id;
-    ev.kind = "cluster.epoch.stale";
-    ev.detail = "handoff fetch shard " + std::to_string(fetch.shard) +
-                " at epoch " + std::to_string(fetch.ring_epoch) + " < " +
-                std::to_string(epoch) + " from " + msg.from;
-    ev.value = static_cast<int64_t>(fetch.ring_epoch);
-    obs::SessionTracer::Default().Record(std::move(ev));
+    obs::RecordEvent(self_spec_.id, "cluster.epoch.stale",
+                     "handoff fetch shard " + std::to_string(fetch.shard) +
+                         " at epoch " + std::to_string(fetch.ring_epoch) +
+                         " < " + std::to_string(epoch) + " from " + msg.from,
+                     static_cast<int64_t>(fetch.ring_epoch));
   } else {
     // Full shard state: one slice per served table, all stamped with
     // this log's current version, which the receiver adopts as its
@@ -867,32 +856,24 @@ void ClusterNode::HandleHandoffFetch(const Message& msg) {
   SendReply(std::move(out), "HandleHandoffFetch");
 }
 
-void ClusterNode::HandleHandoffRows(const Message& msg) {
+void ClusterNode::HandleHandoffRows(const Message& msg, bool matched) {
   const auto& rows = std::get<HandoffRowsMsg>(msg.payload);
   obs::MetricRegistry& reg = obs::MetricRegistry::Default();
-  bool matched;
-  {
-    MutexLock lock(mu_);
-    auto inflight = handoff_inflight_.find(rows.shard);
-    matched = inflight != handoff_inflight_.end() &&
-              inflight->second.request_id == rows.request_id;
-    if (matched) handoff_inflight_.erase(inflight);
-  }
   if (!rows.error.empty()) {
-    // Only the reply the slot is waiting on may fail the pull; a late
-    // error belongs to a retry that was already re-armed.
+    // Only the reply to the live pull may fail it; a late error belongs
+    // to a pull that already ended.
     if (matched) {
       reg.GetCounter("cluster.rebalance.handoff_failures")->Add();
     }
     return;  // the next handoff pass re-pulls (possibly elsewhere)
   }
-  // Successful snapshots install even when the pull timed out and was
-  // re-armed (`matched` false): the payload is complete, version-
-  // stamped committed state, installs are idempotent, and the
-  // coordinator max-merges duplicate acks.  Dropping late replies
-  // would livelock a slow environment where every round trip exceeds
-  // replica_timeout_ms — each retry restarts the same too-small
-  // budget and no reply is ever current by the time it lands.
+  // Successful snapshots install even when their pull already timed out
+  // (`matched` false): the payload is complete, version-stamped
+  // committed state, installs are idempotent, and the coordinator
+  // max-merges duplicate acks.  Dropping late replies would livelock a
+  // slow environment where every round trip exceeds replica_timeout_ms —
+  // each retry restarts the same too-small budget and no reply is ever
+  // current by the time it lands.
   const PlacementState::Snapshot pending = placement_.Pending();
   if (pending.ring == nullptr) return;  // transition resolved meanwhile
   uint64_t installed_rows = 0;
@@ -907,15 +888,13 @@ void ClusterNode::HandleHandoffRows(const Message& msg) {
     }
     write_log_.SetFloor(rows.shard, rows.shard_version);
   }
-  obs::TraceEvent ev;
-  ev.peer = self_spec_.id;
-  ev.kind = "cluster.rebalance.handoff";
-  ev.detail = "shard " + std::to_string(rows.shard) + " v" +
-              std::to_string(rows.shard_version) + " (" +
-              std::to_string(rows.slices.size()) + " tables, " +
-              std::to_string(installed_rows) + " rows) from " + msg.from;
-  ev.value = static_cast<int64_t>(rows.shard);
-  obs::SessionTracer::Default().Record(std::move(ev));
+  obs::RecordEvent(self_spec_.id, "cluster.rebalance.handoff",
+                   "shard " + std::to_string(rows.shard) + " v" +
+                       std::to_string(rows.shard_version) + " (" +
+                       std::to_string(rows.slices.size()) + " tables, " +
+                       std::to_string(installed_rows) + " rows) from " +
+                       msg.from,
+                   static_cast<int64_t>(rows.shard));
   Result<NodeSpec> coordinator = config_.Coordinator();
   if (coordinator.ok()) {
     HandoffAckMsg ack;
@@ -1005,14 +984,11 @@ void ClusterNode::MaybeCommitEpoch() {
   reg.GetCounter("cluster.rebalance.committed")->Add();
   reg.GetHistogram("cluster.rebalance.convergence_us", obs::LatencyBoundsUs())
       ->Observe(now - started_us);
-  obs::TraceEvent ev;
-  ev.peer = self_spec_.id;
-  ev.kind = "cluster.rebalance.committed";
-  ev.detail = "epoch " + std::to_string(epoch) + " (" +
-              std::to_string(moves) + " moves, " +
-              std::to_string(now - started_us) + " us)";
-  ev.value = static_cast<int64_t>(epoch);
-  obs::SessionTracer::Default().Record(std::move(ev));
+  obs::RecordEvent(self_spec_.id, "cluster.rebalance.committed",
+                   "epoch " + std::to_string(epoch) + " (" +
+                       std::to_string(moves) + " moves, " +
+                       std::to_string(now - started_us) + " us)",
+                   static_cast<int64_t>(epoch));
   placement_.Commit();
   // Leavers drop off the roster; cached assemblies resolved under the
   // old ring are dropped so the next fetch routes to the new owners.
@@ -1047,14 +1023,11 @@ void ClusterNode::MaybeAutoDecommission(
     obs::MetricRegistry::Default()
         .GetCounter("cluster.rebalance.auto_decommissions")
         ->Add();
-    obs::TraceEvent ev;
-    ev.peer = self_spec_.id;
-    ev.kind = "cluster.rebalance.auto_decommission";
-    ev.detail = "node '" + member.node + "' silent " +
-                std::to_string((now - member.last_heard_us) / 1000) +
-                " ms -> epoch " + std::to_string(epoch.value());
-    ev.value = static_cast<int64_t>(epoch.value());
-    obs::SessionTracer::Default().Record(std::move(ev));
+    obs::RecordEvent(self_spec_.id, "cluster.rebalance.auto_decommission",
+                     "node '" + member.node + "' silent " +
+                         std::to_string((now - member.last_heard_us) / 1000) +
+                         " ms -> epoch " + std::to_string(epoch.value()),
+                     static_cast<int64_t>(epoch.value()));
     return;  // one transition at a time
   }
 }
@@ -1067,65 +1040,39 @@ void ClusterNode::MaybeHandoff() {
   std::vector<uint64_t> current =
       committed.ring->ShardsOwnedBy(self_spec_.id);
   std::set<uint64_t> have(current.begin(), current.end());
-  // Source choice happens before mu_ (membership_'s mutex is a leaf):
-  // the first committed owner the failure detector does not call down.
-  struct Pull {
-    uint64_t shard = 0;
-    std::string source;
-    uint64_t request_id = 0;
-  };
-  std::vector<Pull> candidates;
+  obs::MetricRegistry& reg = obs::MetricRegistry::Default();
   for (uint64_t shard : pending.ring->ShardsOwnedBy(self_spec_.id)) {
     if (have.find(shard) != have.end()) continue;  // already a replica
+    // One pull per shard; one that timed out has ended, so the next pass
+    // pulls again (possibly elsewhere).
+    if (calls_->Busy(PullKey("handoff", shard))) continue;
+    // The source: the first committed owner the failure detector does
+    // not call down.
+    std::string source;
     for (const std::string& owner : committed.ring->OwnersForShard(shard)) {
       if (membership_.StateOf(owner) != MemberState::kDown) {
-        candidates.push_back({shard, owner, 0});
+        source = owner;
         break;
       }
     }
-  }
-  if (candidates.empty()) return;
-  obs::MetricRegistry& reg = obs::MetricRegistry::Default();
-  const int64_t now = NowUs();
-  const int64_t inflight_timeout_us =
-      static_cast<int64_t>(config_.replica_timeout_ms) * 1000;
-  std::vector<Pull> pulls;
-  {
-    MutexLock lock(mu_);
-    for (Pull& pull : candidates) {
-      auto inflight = handoff_inflight_.find(pull.shard);
-      if (inflight != handoff_inflight_.end()) {
-        if (now - inflight->second.sent_us < inflight_timeout_us) continue;
-        // Lost reply; pull again — the late reply is dropped by the
-        // request-id check in HandleHandoffRows.
-        handoff_inflight_.erase(inflight);
-      }
-      pull.request_id = next_repair_id_++;
-      handoff_inflight_[pull.shard] = {pull.request_id, now};
-      pulls.push_back(pull);
-    }
-  }
-  for (const Pull& pull : pulls) {
+    if (source.empty()) continue;
     reg.GetCounter("cluster.rebalance.handoff_fetches")->Add();
-    Message msg;
-    msg.from = self_spec_.id;
-    msg.to = pull.source;
-    HandoffFetchMsg fetch;
-    fetch.request_id = pull.request_id;
-    fetch.node = self_spec_.id;
-    fetch.shard = pull.shard;
-    fetch.ring_epoch = pending.epoch;
-    msg.payload = std::move(fetch);
-    Status sent = net_->Send(std::move(msg));
-    if (!sent.ok()) {
-      // Free the slot only if it is still ours (mirrors MaybeRepair).
-      MutexLock lock(mu_);
-      auto inflight = handoff_inflight_.find(pull.shard);
-      if (inflight != handoff_inflight_.end() &&
-          inflight->second.request_id == pull.request_id) {
-        handoff_inflight_.erase(inflight);
-      }
-    }
+    CallSpec spec;
+    spec.phase = "handoff pull of shard " + std::to_string(shard);
+    spec.key = PullKey("handoff", shard);
+    spec.candidates = {source};
+    spec.attempt_timeout_us =
+        static_cast<int64_t>(config_.replica_timeout_ms) * 1000;
+    spec.request = [this, shard, epoch = pending.epoch](
+                       uint64_t id, const std::string& to) {
+      HandoffFetchMsg fetch;
+      fetch.request_id = id;
+      fetch.node = self_spec_.id;
+      fetch.shard = shard;
+      fetch.ring_epoch = epoch;
+      return Message{self_spec_.id, to, std::move(fetch)};
+    };
+    calls_->Start(std::move(spec));
   }
 }
 
@@ -1144,98 +1091,69 @@ void ClusterNode::MaybeRepair(int64_t chain_shard) {
     }
     owned.assign(merged.begin(), merged.end());
   }
-  // Both write_log_'s mutex and mu_ are leaves: versions first, then
-  // the peer table under mu_, never nested.
+  // Shards free to pull, with this node's version of each.  One pull per
+  // shard; a shard whose handoff snapshot is still on its way gets its
+  // state wholesale — entry-by-entry replay would race it (and the
+  // source's log may not reach below its own handoff floor).  The call
+  // table's, write_log_'s and mu_'s mutexes are all leaves: none is
+  // held while taking another.
   std::map<uint64_t, uint64_t> mine;
-  for (uint64_t shard : owned) mine[shard] = write_log_.VersionOf(shard);
-  int64_t now = NowUs();
-  int64_t inflight_timeout_us =
-      static_cast<int64_t>(config_.replica_timeout_ms) * 1000;
-  struct Pull {
-    uint64_t shard;
+  for (uint64_t shard : owned) {
+    if (chain_shard >= 0 && shard != static_cast<uint64_t>(chain_shard)) {
+      continue;
+    }
+    if (calls_->Busy(PullKey("repair", shard))) continue;
+    if (pending.ring != nullptr && calls_->Busy(PullKey("handoff", shard))) {
+      continue;
+    }
+    mine[shard] = write_log_.VersionOf(shard);
+  }
+  for (const auto& [shard, from] : mine) {
+    // The most advanced peer is the one to pull from.
     std::string peer;
-    uint64_t from;
-    uint64_t request_id;
-  };
-  std::vector<Pull> pulls;
-  bool chained_converged = false;
-  {
-    MutexLock lock(mu_);
-    for (uint64_t shard : owned) {
-      if (chain_shard >= 0 && shard != static_cast<uint64_t>(chain_shard)) {
-        continue;
-      }
-      // A shard whose handoff snapshot is still on its way gets its
-      // state wholesale; entry-by-entry replay would race it (and the
-      // source's log may not reach below its own handoff floor).
-      if (handoff_inflight_.find(shard) != handoff_inflight_.end()) continue;
-      auto inflight = repair_inflight_.find(shard);
-      if (inflight != repair_inflight_.end()) {
-        if (now - inflight->second.sent_us < inflight_timeout_us) continue;
-        // Lost reply; ask again.  The stale fetch's id stops mattering
-        // the moment the slot is re-armed below — a late reply to it is
-        // dropped by the id check in HandleWriteSlice.
-        repair_inflight_.erase(inflight);
-      }
-      // The most advanced peer is the one to pull from.
-      std::string best;
-      uint64_t best_version = mine[shard];
-      for (const auto& [peer, versions] : peer_shard_versions_) {
+    {
+      MutexLock lock(mu_);
+      uint64_t best = from;
+      for (const auto& [node, versions] : peer_shard_versions_) {
         auto it = versions.find(shard);
-        if (it != versions.end() && it->second > best_version) {
-          best = peer;
-          best_version = it->second;
+        if (it != versions.end() && it->second > best) {
+          peer = node;
+          best = it->second;
         }
       }
-      if (best.empty()) {
-        if (chain_shard >= 0) chained_converged = true;
-        continue;
-      }
-      uint64_t request_id = next_repair_id_++;
-      pulls.push_back({shard, best, mine[shard], request_id});
-      repair_inflight_[shard] = {request_id, now};
     }
-  }
-  if (chained_converged) {
-    // The repair chain for this shard just caught up with every peer.
-    reg.GetCounter("cluster.repair.converged")->Add();
-    obs::TraceEvent ev;
-    ev.peer = self_spec_.id;
-    ev.kind = "cluster.repair.converged";
-    ev.detail = "shard " + std::to_string(chain_shard) + " at v" +
-                std::to_string(mine[static_cast<uint64_t>(chain_shard)]);
-    ev.value = chain_shard;
-    obs::SessionTracer::Default().Record(std::move(ev));
-  }
-  for (const Pull& pull : pulls) {
+    if (peer.empty()) {
+      if (chain_shard < 0) continue;
+      // The repair chain for this shard just caught up with every peer.
+      reg.GetCounter("cluster.repair.converged")->Add();
+      obs::RecordEvent(self_spec_.id, "cluster.repair.converged",
+                       "shard " + std::to_string(shard) + " at v" +
+                           std::to_string(from),
+                       chain_shard);
+      continue;
+    }
     reg.GetCounter("cluster.repair.fetches")->Add();
-    obs::TraceEvent ev;
-    ev.peer = self_spec_.id;
-    ev.kind = "cluster.repair.started";
-    ev.detail = "shard " + std::to_string(pull.shard) + " v" +
-                std::to_string(pull.from) + " <- " + pull.peer;
-    ev.value = static_cast<int64_t>(pull.shard);
-    obs::SessionTracer::Default().Record(std::move(ev));
-    Message msg;
-    msg.from = self_spec_.id;
-    msg.to = pull.peer;
-    RepairFetchMsg fetch;
-    fetch.request_id = pull.request_id;
-    fetch.node = self_spec_.id;
-    fetch.shard = pull.shard;
-    fetch.from_version = pull.from;
-    msg.payload = std::move(fetch);
-    Status sent = net_->Send(std::move(msg));
-    if (!sent.ok()) {
-      // Free the slot only if it is still ours: a concurrent pass may
-      // have timed this fetch out and re-armed the shard already.
-      MutexLock lock(mu_);
-      auto inflight = repair_inflight_.find(pull.shard);
-      if (inflight != repair_inflight_.end() &&
-          inflight->second.request_id == pull.request_id) {
-        repair_inflight_.erase(inflight);
-      }
-    }
+    obs::RecordEvent(self_spec_.id, "cluster.repair.started",
+                     "shard " + std::to_string(shard) + " v" +
+                         std::to_string(from) + " <- " + peer,
+                     static_cast<int64_t>(shard));
+    CallSpec spec;
+    spec.phase = "repair pull of shard " + std::to_string(shard);
+    spec.key = PullKey("repair", shard);
+    spec.candidates = {peer};
+    spec.attempt_timeout_us =
+        static_cast<int64_t>(config_.replica_timeout_ms) * 1000;
+    spec.latest_only = true;
+    spec.request = [this, shard = shard, from = from](
+                       uint64_t id, const std::string& to) {
+      RepairFetchMsg fetch;
+      fetch.request_id = id;
+      fetch.node = self_spec_.id;
+      fetch.shard = shard;
+      fetch.from_version = from;
+      return Message{self_spec_.id, to, std::move(fetch)};
+    };
+    calls_->Start(std::move(spec));
   }
 }
 
@@ -1356,6 +1274,7 @@ void ClusterNode::ScheduleSweep() {
       for (const MemberInfo& member : changed) {
         if (member.state == MemberState::kDown) {
           table_source_->OnMemberDown(member.node);
+          table_sink_->OnMemberDown();
         }
       }
     }

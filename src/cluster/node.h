@@ -39,7 +39,7 @@
 //              report the real port, but nothing runs yet.
 //   Start()  — load shards, connect addresses, start the event loop and
 //              the heartbeat/sweep timers.
-//   Stop()   — cancel timers, stop the loop.
+//   Stop()   — cancel timers, fail every running call, stop the loop.
 //
 // The launch script (tools/run_cluster.sh) starts every storage node
 // with port 0, collects the port files, rewrites a resolved config and
@@ -55,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/call.h"
 #include "cluster/cluster_config.h"
 #include "cluster/membership.h"
 #include "cluster/placement.h"
@@ -99,7 +100,8 @@ class ClusterNode {
   /// address is known, and starts the event loop and timers.
   Status Start();
 
-  /// \brief Cancels timers and stops the event loop.  Idempotent.
+  /// \brief Cancels timers, fails every running call (a blocked Fetch or
+  /// Apply returns kUnavailable) and stops the event loop.  Idempotent.
   void Stop();
 
   /// \brief Overrides a peer's address (launch scripts with resolved
@@ -190,7 +192,9 @@ class ClusterNode {
   void HandleWriteSlice(const Message& msg);    // storage role
   void HandleRepairFetch(const Message& msg);   // storage role
   void HandleHandoffFetch(const Message& msg);  // storage role (source)
-  void HandleHandoffRows(const Message& msg);   // storage role (receiver)
+  // Replies to this node's own pulls; `matched` = a live call took it.
+  void HandleRepairReply(const Message& msg, bool matched);
+  void HandleHandoffRows(const Message& msg, bool matched);
   void HandleHandoffAck(const Message& msg);    // coordinator role
   // Offers one slice to the write log + served-slice map; loop thread
   // only (or driver thread pre-loop, during Start()'s replay).
@@ -247,6 +251,8 @@ class ClusterNode {
   PlacementState placement_;
   MembershipTracker membership_;
   std::unique_ptr<TcpNetwork> net_;
+  // Every request this node sends and the replies to them (call.h).
+  std::unique_ptr<CallTable> calls_;
   std::unique_ptr<ClusterTableSource> table_source_;  // coordinator only
   std::unique_ptr<ClusterTableSink> table_sink_;      // coordinator only
   const uint64_t incarnation_;
@@ -271,16 +277,6 @@ class ClusterNode {
   // node → (shard → write-log version), learned from heartbeats.
   std::map<std::string, std::map<uint64_t, uint64_t>> peer_shard_versions_
       GUARDED_BY(mu_);
-  // One outstanding repair (or handoff) fetch per shard.  The request
-  // id is what a reply must echo to count: a delayed reply from a
-  // timed-out earlier fetch must not clear the slot a newer fetch holds.
-  struct RepairFetch {
-    uint64_t request_id = 0;
-    int64_t sent_us = 0;  // NowUs() at send, for the in-flight timeout
-  };
-  uint64_t next_repair_id_ GUARDED_BY(mu_) = 1;
-  std::map<uint64_t, RepairFetch> repair_inflight_ GUARDED_BY(mu_);
-  std::map<uint64_t, RepairFetch> handoff_inflight_ GUARDED_BY(mu_);
   // Coordinator: the in-flight epoch transition's ledger — every
   // (shard, gained node) pair still owed a handoff ack, the write-log
   // version each ack reported (the commit gate compares it, or the

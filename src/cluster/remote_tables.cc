@@ -1,8 +1,6 @@
 #include "cluster/remote_tables.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -13,12 +11,6 @@ namespace hyperion {
 namespace cluster {
 
 namespace {
-
-int64_t SteadyNowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 ShardSlice SliceOfMsg(const ShardRowsMsg& msg) {
   ShardSlice slice;
@@ -31,17 +23,6 @@ ShardSlice SliceOfMsg(const ShardRowsMsg& msg) {
   slice.row_indices = msg.row_indices;
   slice.rows = msg.rows;
   return slice;
-}
-
-// Distinct owners tried so far, in first-tried order (the attempt cycle
-// walks candidates round-robin).
-std::vector<std::string> TriedOwners(
-    const std::vector<std::string>& candidates, size_t attempts) {
-  std::vector<std::string> tried;
-  for (size_t i = 0; i < attempts && i < candidates.size(); ++i) {
-    tried.push_back(candidates[i]);
-  }
-  return tried;
 }
 
 // "storage node 'a' unreachable, storage node 'b' unreachable" — every
@@ -63,81 +44,14 @@ std::string NameDeadReplicas(const std::vector<std::string>& unreachable,
 
 }  // namespace
 
-ClusterTableSource::ClusterTableSource(std::string self, Network* net,
+ClusterTableSource::ClusterTableSource(CallTable* calls,
                                        const PlacementState* placement,
                                        const MembershipTracker* membership,
                                        Options options)
-    : self_(std::move(self)),
-      net_(net),
+    : calls_(calls),
       placement_(placement),
       membership_(membership),
       options_(options) {}
-
-void ClusterTableSource::SendAttempt(const std::string& name,
-                                     ShardState* state, int64_t now_us,
-                                     bool hedge) const {
-  obs::MetricRegistry& reg = obs::MetricRegistry::Default();
-  const std::string& owner =
-      state->candidates[state->next_attempt % state->candidates.size()];
-  const bool first = state->next_attempt == 0;
-  uint64_t id;
-  {
-    MutexLock lock(mu_);
-    id = next_request_id_++;
-    pending_.emplace(id, state->slot);
-  }
-  state->ids.push_back(id);
-  ++state->next_attempt;
-  state->in_flight = true;
-  state->attempt_sent_us = now_us;
-  if (state->first_sent_us < 0) state->first_sent_us = now_us;
-  if (hedge) state->hedged = true;
-
-  reg.GetCounter("cluster.replica.attempts")->Add();
-  if (first) {
-    reg.GetCounter("cluster.shard_fetches")->Add();
-  } else if (hedge) {
-    reg.GetCounter("cluster.failover.hedged")->Add();
-    obs::TraceEvent ev;
-    ev.peer = self_;
-    ev.kind = "cluster.hedge";
-    ev.detail = name + "#" + std::to_string(state->shard) + " -> " + owner;
-    ev.value = static_cast<int64_t>(state->shard);
-    obs::SessionTracer::Default().Record(std::move(ev));
-  } else {
-    reg.GetCounter("cluster.failover.reroutes")->Add();
-    obs::TraceEvent ev;
-    ev.peer = self_;
-    ev.kind = "cluster.failover";
-    ev.detail = name + "#" + std::to_string(state->shard) +
-                (state->failed.empty() ? "" : " " + state->failed.back()) +
-                " -> " + owner;
-    ev.value = static_cast<int64_t>(state->shard);
-    obs::SessionTracer::Default().Record(std::move(ev));
-  }
-
-  Message msg;
-  msg.from = self_;
-  msg.to = owner;
-  ShardFetchMsg fetch;
-  fetch.request_id = id;
-  fetch.table_name = name;
-  fetch.shard = state->shard;
-  fetch.ring_epoch = state->ring_epoch;
-  msg.payload = std::move(fetch);
-  // mu_ is a leaf: the network's own lock is taken with it released.
-  Status sent = net_->Send(std::move(msg));
-  if (!sent.ok()) {
-    // A synchronous send failure (no route to the peer) is an instant
-    // failover trigger, not a timeout's worth of waiting.
-    reg.GetCounter("cluster.shard_fetch_failures")->Add();
-    state->in_flight = false;
-    if (std::find(state->failed.begin(), state->failed.end(), owner) ==
-        state->failed.end()) {
-      state->failed.push_back(owner);
-    }
-  }
-}
 
 Result<VersionedTable> ClusterTableSource::Fetch(
     const std::string& name) const {
@@ -157,14 +71,20 @@ Result<VersionedTable> ClusterTableSource::Fetch(
       return result;
     }
     reg.GetCounter("cluster.epoch.refetches")->Add();
-    obs::TraceEvent ev;
-    ev.peer = self_;
-    ev.kind = "cluster.epoch.refetch";
-    ev.detail = name + " (attempt " + std::to_string(attempt + 1) + ")";
-    obs::SessionTracer::Default().Record(std::move(ev));
-    // The adoption travels on heartbeats; give one a moment to land.
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.backoff_base_us));
+    obs::RecordEvent(calls_->self(), "cluster.epoch.refetch",
+                     name + " (attempt " + std::to_string(attempt + 1) + ")");
+    // The adoption travels on heartbeats; give one a moment to land (a
+    // zero-round call is a pure timer).
+    auto waiter = std::make_shared<CallWaiter>(1);
+    CallSpec pause;
+    pause.phase = "epoch refetch of table '" + name + "'";
+    pause.rounds = 0;
+    pause.deadline_us = std::max<int64_t>(options_.backoff_base_us, 1);
+    pause.done = CallWaiter::Recorder(waiter, 0);
+    calls_->Start(std::move(pause));
+    waiter->Wait();
+    std::optional<CallOutcome> paused = waiter->Take(0);
+    if (paused->end == CallEnd::kAborted) return paused->status;
   }
 }
 
@@ -180,207 +100,157 @@ Result<VersionedTable> ClusterTableSource::FetchOnce(
     }
   }
   reg.GetCounter("cluster.table_cache_misses")->Add();
-  const int64_t t0 = SteadyNowUs();
-  const int64_t overall_deadline = t0 + options_.fetch_timeout_us;
+  const std::string& self = calls_->self();
+  const int64_t t0 = calls_->now_us();
   // Reads are served by COMMITTED owners throughout a transition — that
   // placement is what every replica still holds slices for.
   const PlacementState::Snapshot placement = placement_->Committed();
   const ShardRing& ring = *placement.ring;
   const uint64_t shard_count = ring.shard_count();
 
-  // Build the per-shard failover plans: replicas ordered alive (or
-  // not-yet-heard) first, then suspect; members already marked down are
-  // skipped — they only reappear in the error if the live set fails too.
-  std::vector<ShardState> states(shard_count);
+  // One call per shard, all in flight at once.  Candidates: replicas
+  // ordered alive (or not-yet-heard) first, then suspect; members
+  // already marked down are skipped — they only reappear in the error if
+  // the live set fails too (a shard whose replicas are all down is
+  // exhausted at once, after 0 attempts).
+  auto waiter = std::make_shared<CallWaiter>(shard_count);
+  std::vector<CallTable::CallId> calls;
+  std::vector<std::vector<std::string>> skipped_down(shard_count);
   for (uint64_t s = 0; s < shard_count; ++s) {
-    ShardState& st = states[s];
-    st.shard = s;
-    st.ring_epoch = placement.epoch;
-    st.slot = std::make_shared<Pending>();
-    st.send_gate_us = t0;
+    CallSpec spec;
     std::vector<std::string> suspects;
     for (const std::string& owner : ring.OwnersForShard(s)) {
       MemberState state = membership_ == nullptr ? MemberState::kAlive
                                                  : membership_->StateOf(owner);
       if (state == MemberState::kDown) {
         reg.GetCounter("cluster.replica.skipped_down")->Add();
-        st.skipped_down.push_back(owner);
+        skipped_down[s].push_back(owner);
         // Member-named trace, matching the convention of every other
         // cluster event: which replica was passed over, for which shard.
-        obs::TraceEvent ev;
-        ev.peer = self_;
-        ev.kind = "cluster.replica.skipped_down";
-        ev.detail = name + "#" + std::to_string(s) + " skipped " + owner;
-        ev.value = static_cast<int64_t>(s);
-        obs::SessionTracer::Default().Record(std::move(ev));
+        obs::RecordEvent(self, "cluster.replica.skipped_down",
+                         name + "#" + std::to_string(s) + " skipped " + owner,
+                         static_cast<int64_t>(s));
       } else if (state == MemberState::kSuspect) {
         suspects.push_back(owner);
       } else {
-        st.candidates.push_back(owner);  // alive or unknown
+        spec.candidates.push_back(owner);  // alive or unknown
       }
     }
-    st.candidates.insert(st.candidates.end(), suspects.begin(),
-                         suspects.end());
+    spec.candidates.insert(spec.candidates.end(), suspects.begin(),
+                           suspects.end());
+    spec.phase = "shard fetch " + name + "#" + std::to_string(s);
+    spec.rounds = std::max(options_.attempts_per_replica, 1);
+    spec.attempt_timeout_us = options_.replica_timeout_us;
+    spec.backoff_us = options_.backoff_base_us;
+    spec.hedge_us = options_.hedge_delay_us;
+    spec.deadline_us = options_.fetch_timeout_us;
+    spec.request = [name, s, epoch = placement.epoch, self](
+                       uint64_t id, const std::string& owner) {
+      ShardFetchMsg fetch;
+      fetch.request_id = id;
+      fetch.table_name = name;
+      fetch.shard = s;
+      fetch.ring_epoch = epoch;
+      return Message{self, owner, std::move(fetch)};
+    };
+    spec.accept = [](const Message& reply) {
+      return std::holds_alternative<ShardRowsMsg>(reply.payload);
+    };
+    // Every attempt after the first that is not the hedge follows a
+    // failed one (timed out or unsendable); an exhausted call's last
+    // failure is counted when it ends.
+    spec.on_attempt = [self, target = name + "#" + std::to_string(s), s,
+                       candidates = spec.candidates](
+                          const CallAttempt& attempt) {
+      obs::MetricRegistry& reg = obs::MetricRegistry::Default();
+      reg.GetCounter("cluster.replica.attempts")->Add();
+      if (attempt.number == 1) {
+        reg.GetCounter("cluster.shard_fetches")->Add();
+      } else if (attempt.hedge) {
+        reg.GetCounter("cluster.failover.hedged")->Add();
+        obs::RecordEvent(self, "cluster.hedge", target + " -> " + attempt.peer,
+                         static_cast<int64_t>(s));
+      } else {
+        reg.GetCounter("cluster.shard_fetch_failures")->Add();
+        reg.GetCounter("cluster.failover.reroutes")->Add();
+        const std::string& failed =
+            candidates[(attempt.number - 2) % candidates.size()];
+        obs::RecordEvent(self, "cluster.failover",
+                         target + " " + failed + " -> " + attempt.peer,
+                         static_cast<int64_t>(s));
+      }
+    };
+    spec.done = CallWaiter::Recorder(waiter, s);
+    calls.push_back(calls_->Start(std::move(spec)));
   }
 
-  auto erase_pending = [&]() {
-    MutexLock lock(mu_);
-    for (const ShardState& st : states) {
-      for (uint64_t id : st.ids) pending_.erase(id);
-    }
-  };
-  auto fail_shard = [&](const ShardState& st,
-                        const std::string& why) -> Status {
-    reg.GetCounter("cluster.failover.exhausted")->Add();
-    std::vector<std::string> dead = TriedOwners(st.candidates,
-                                                st.next_attempt);
-    obs::TraceEvent ev;
-    ev.peer = self_;
-    ev.kind = "cluster.shard_unreachable";
-    ev.detail = NameDeadReplicas(dead, st.skipped_down);
-    ev.value = static_cast<int64_t>(st.shard);
-    obs::SessionTracer::Default().Record(std::move(ev));
-    return Status::Unavailable(
-        "shard " + std::to_string(st.shard) + " of table '" + name + "' " +
-        why + ": " + NameDeadReplicas(dead, st.skipped_down));
-  };
-
-  const size_t rounds =
-      options_.attempts_per_replica < 1 ? 1 : options_.attempts_per_replica;
-  while (true) {
-    int64_t now = SteadyNowUs();
-    bool all_done = true;
-    int64_t next_wake = overall_deadline;
-    std::vector<std::pair<ShardState*, bool>> sends;  // (shard, hedge?)
-    Status terminal = Status::OK();
-    const ShardState* exhausted = nullptr;
-    {
-      MutexLock lock(mu_);
-      for (ShardState& st : states) {
-        if (st.slot->done) {
-          const ShardRowsMsg& response = st.slot->response;
-          if (!response.error.empty()) {
-            reg.GetCounter("cluster.shard_fetch_failures")->Add();
-            StatusCode code = response.error_code == 0
-                                  ? StatusCode::kInternal
-                                  : static_cast<StatusCode>(
-                                        response.error_code);
-            // Replicas hold the same data: a data error from one would
-            // come back from all, so it is terminal, not a failover.
-            terminal = Status(
-                code, "storage node '" + response.node + "' failed shard " +
-                          std::to_string(st.shard) + " of table '" + name +
-                          "': " + response.error);
-            break;
-          }
-          continue;  // resolved with rows
+  // Wait until every shard answered or one failed; a failure abandons
+  // the rest.
+  std::vector<CallOutcome> replies(shard_count);
+  Status failure;
+  for (uint64_t answered = 0; failure.ok() && answered < shard_count;) {
+    waiter->Wait();
+    for (uint64_t s = 0; s < shard_count && failure.ok(); ++s) {
+      std::optional<CallOutcome> ended = waiter->Take(s);
+      if (!ended.has_value()) continue;
+      if (ended->end == CallEnd::kExhausted ||
+          ended->end == CallEnd::kDeadline) {
+        if (ended->end == CallEnd::kExhausted && ended->attempts > 0) {
+          reg.GetCounter("cluster.shard_fetch_failures")->Add();
         }
-        all_done = false;
-        if (st.candidates.empty()) {
-          exhausted = &st;
-          break;
-        }
-        const size_t total_attempts = rounds * st.candidates.size();
-        if (st.in_flight) {
-          int64_t expiry = st.attempt_sent_us + options_.replica_timeout_us;
-          if (now >= expiry) {
-            // This replica's chance is spent: fail over.
-            reg.GetCounter("cluster.shard_fetch_failures")->Add();
-            st.in_flight = false;
-            const std::string& owner =
-                st.candidates[(st.next_attempt - 1) % st.candidates.size()];
-            if (std::find(st.failed.begin(), st.failed.end(), owner) ==
-                st.failed.end()) {
-              st.failed.push_back(owner);
-            }
-            if (st.next_attempt % st.candidates.size() == 0) {
-              // A full round failed: exponential backoff before the next.
-              int64_t round = static_cast<int64_t>(
-                  st.next_attempt / st.candidates.size());
-              st.send_gate_us =
-                  now + (options_.backoff_base_us << (round - 1));
-            } else {
-              st.send_gate_us = now;  // next replica immediately
-            }
-          } else {
-            next_wake = std::min(next_wake, expiry);
-            if (options_.hedge_delay_us > 0 && !st.hedged &&
-                st.next_attempt < total_attempts &&
-                st.candidates.size() > 1) {
-              int64_t hedge_at = st.attempt_sent_us + options_.hedge_delay_us;
-              if (now >= hedge_at) {
-                sends.emplace_back(&st, /*hedge=*/true);
-              } else {
-                next_wake = std::min(next_wake, hedge_at);
-              }
-            }
-          }
-        }
-        if (!st.in_flight) {
-          if (st.next_attempt >= total_attempts) {
-            exhausted = &st;
-            break;
-          }
-          if (now >= st.send_gate_us) {
-            sends.emplace_back(&st, /*hedge=*/false);
-          } else {
-            next_wake = std::min(next_wake, st.send_gate_us);
-          }
-        }
+        reg.GetCounter("cluster.failover.exhausted")->Add();
+        const std::string dead =
+            NameDeadReplicas(ended->tried, skipped_down[s]);
+        obs::RecordEvent(self, "cluster.shard_unreachable", dead,
+                         static_cast<int64_t>(s));
+        failure = Status::Unavailable(
+            "shard " + std::to_string(s) + " of table '" + name +
+            "' unavailable: " +
+            (ended->end == CallEnd::kExhausted
+                 ? "replica set exhausted after " +
+                       std::to_string(ended->attempts) + " attempts"
+                 : "no replica answered within " +
+                       std::to_string(options_.fetch_timeout_us / 1000) +
+                       "ms") +
+            ": " + dead);
+      } else if (ended->end == CallEnd::kAborted) {
+        failure = ended->status;
+      } else if (const auto& response =
+                     std::get<ShardRowsMsg>(ended->reply.payload);
+                 !response.error.empty()) {
+        reg.GetCounter("cluster.shard_fetch_failures")->Add();
+        StatusCode code = response.error_code == 0
+                              ? StatusCode::kInternal
+                              : static_cast<StatusCode>(response.error_code);
+        // Replicas hold the same data: a data error from one would come
+        // back from all, so it is terminal, not a failover.
+        failure = Status(code, "storage node '" + response.node +
+                                   "' failed shard " + std::to_string(s) +
+                                   " of table '" + name + "': " +
+                                   response.error);
+      } else {
+        replies[s] = std::move(*ended);
+        ++answered;
       }
     }
-    if (!terminal.ok()) {
-      erase_pending();
-      return terminal;
-    }
-    if (exhausted != nullptr) {
-      erase_pending();
-      return fail_shard(*exhausted,
-                        "unavailable: replica set exhausted after " +
-                            std::to_string(exhausted->next_attempt) +
-                            " attempts");
-    }
-    if (all_done) break;
-    if (now >= overall_deadline) {
-      // Out of budget with shards unresolved: report the first one.
-      erase_pending();
-      for (const ShardState& st : states) {
-        MutexLock lock(mu_);
-        if (!st.slot->done) {
-          return fail_shard(
-              st, "unavailable: no replica answered within " +
-                      std::to_string(options_.fetch_timeout_us / 1000) +
-                      "ms");
-        }
-      }
-    }
-    if (!sends.empty()) {
-      for (auto& [st, hedge] : sends) SendAttempt(name, st, now, hedge);
-      continue;  // recompute deadlines around the new attempts
-    }
-    MutexLock lock(mu_);
-    // Notify and timeout both loop back to re-derive deadlines and
-    // completed slots from scratch.
-    const bool notified =
-        cv_.WaitFor(mu_, std::chrono::microseconds(
-                             std::max<int64_t>(next_wake - now, 1000)));
-    (void)notified;
   }
-  erase_pending();
+  if (!failure.ok()) {
+    for (CallTable::CallId id : calls) calls_->Cancel(id);
+    return failure;
+  }
 
   std::vector<ShardSlice> owned;
+  std::vector<ShardStat> fetched;
   std::set<std::string> sources;
   bool any_failover = false;
   owned.reserve(shard_count);
-  {
-    MutexLock lock(mu_);
-    for (ShardState& st : states) {
-      const ShardRowsMsg& response = st.slot->response;
-      reg.GetCounter("cluster.shard_rows_fetched")->Add(response.rows.size());
-      sources.insert(response.node);
-      if (st.next_attempt > 1) any_failover = true;
-      owned.push_back(SliceOfMsg(response));
-    }
+  for (const CallOutcome& ended : replies) {
+    const ShardRowsMsg& response = std::get<ShardRowsMsg>(ended.reply.payload);
+    reg.GetCounter("cluster.shard_rows_fetched")->Add(response.rows.size());
+    fetched.push_back({name, owned.size(), response.node, response.rows.size()});
+    sources.insert(response.node);
+    if (ended.attempts > 1) any_failover = true;
+    owned.push_back(SliceOfMsg(response));
   }
   std::vector<const ShardSlice*> views;
   views.reserve(owned.size());
@@ -391,7 +261,7 @@ Result<VersionedTable> ClusterTableSource::FetchOnce(
   vt.version = owned.empty() ? 0 : owned.front().version;
   vt.table = std::make_shared<const MappingTable>(std::move(table));
 
-  int64_t elapsed_us = SteadyNowUs() - t0;
+  int64_t elapsed_us = calls_->now_us() - t0;
   reg.GetHistogram("cluster.shard_fetch_latency_us", obs::LatencyBoundsUs())
       ->Observe(elapsed_us);
   if (any_failover) {
@@ -400,32 +270,15 @@ Result<VersionedTable> ClusterTableSource::FetchOnce(
     reg.GetHistogram("cluster.failover.latency_us", obs::LatencyBoundsUs())
         ->Observe(elapsed_us);
   }
-  obs::TraceEvent ev;
-  ev.peer = self_;
-  ev.kind = "cluster.table_fetched";
-  ev.detail = name;
-  ev.value = static_cast<int64_t>(vt.table->size());
-  obs::SessionTracer::Default().Record(std::move(ev));
+  obs::RecordEvent(self, "cluster.table_fetched", name,
+                   static_cast<int64_t>(vt.table->size()));
 
   MutexLock lock(mu_);
-  for (uint64_t s = 0; s < shard_count; ++s) {
-    stats_.push_back(ShardStat{name, s, states[s].slot->response.node,
-                               states[s].slot->response.rows.size()});
-  }
+  stats_.insert(stats_.end(), fetched.begin(), fetched.end());
   // A concurrent Fetch of the same table may have beaten us here; both
   // assembled from the same logical slices, so either copy serves.
   CacheEntry entry{std::move(vt), std::move(sources)};
   return cache_.emplace(name, std::move(entry)).first->second.table;
-}
-
-void ClusterTableSource::OnShardRows(const ShardRowsMsg& msg) {
-  MutexLock lock(mu_);
-  auto it = pending_.find(msg.request_id);
-  if (it == pending_.end()) return;  // fetch already failed or finished
-  if (it->second->done) return;      // a faster replica (or hedge) won
-  it->second->response = msg;
-  it->second->done = true;
-  cv_.NotifyAll();
 }
 
 void ClusterTableSource::OnMemberDown(const std::string& node) {
@@ -446,11 +299,8 @@ void ClusterTableSource::OnMemberDown(const std::string& node) {
       .GetCounter("cluster.replica.cache_evictions")
       ->Add(evicted.size());
   for (std::string& table : evicted) {
-    obs::TraceEvent ev;
-    ev.peer = self_;
-    ev.kind = "cluster.cache_evicted";
-    ev.detail = std::move(table) + " (source " + node + " down)";
-    obs::SessionTracer::Default().Record(std::move(ev));
+    obs::RecordEvent(calls_->self(), "cluster.cache_evicted",
+                     std::move(table) + " (source " + node + " down)");
   }
 }
 

@@ -36,10 +36,14 @@
 // `cluster.replica.*` metrics plus `cluster.failover` / `cluster.hedge`
 // trace events (docs/METRICS.md).
 //
-// Threading: Fetch() blocks the calling service worker; OnShardRows()
-// is called from the network's event-loop thread; OnMemberDown() from
-// the membership sweep timer.  The internal mutex is a leaf (DESIGN.md
-// §12): it is never held across Send() or any other lock acquisition.
+// Each shard is one call on the node's CallTable (call.h): the replicas
+// are its candidates, the replica timeout its attempt timeout, the fetch
+// timeout its deadline, and any attempt's reply answers it.
+//
+// Threading: Fetch() blocks the calling service worker until its calls
+// complete; they run on the network's event-loop thread, as does
+// OnMemberDown() (the membership sweep timer).  The internal mutex guards
+// only the cache and stats and is a leaf (DESIGN.md §12).
 
 #ifndef HYPERION_CLUSTER_REMOTE_TABLES_H_
 #define HYPERION_CLUSTER_REMOTE_TABLES_H_
@@ -51,12 +55,11 @@
 #include <string>
 #include <vector>
 
+#include "cluster/call.h"
 #include "cluster/membership.h"
 #include "cluster/placement.h"
 #include "cluster/shard_ring.h"
 #include "common/synchronization.h"
-#include "p2p/message.h"
-#include "p2p/network_interface.h"
 #include "storage/table_source.h"
 
 namespace hyperion {
@@ -74,15 +77,13 @@ class ClusterTableSource : public TableSource {
     int attempts_per_replica = 2;            // retry rounds over the set
   };
 
-  /// \brief `self` is the coordinator's node id (the network peer the
-  /// fetches are sent from); `net` must outlive this source and have
-  /// `self` registered; `placement` decides replica placement (each
-  /// fetch snapshots its committed ring and stamps its epoch into every
-  /// ShardFetchMsg); `membership` orders replicas by liveness (nullptr =
-  /// treat everyone as alive).  `net`, `placement` and `membership` must
+  /// \brief Fetches run as calls on `calls` (the coordinator's table,
+  /// whose node id they are sent from); `placement` decides replica
+  /// placement (each fetch snapshots its committed ring and stamps its
+  /// epoch into every ShardFetchMsg); `membership` orders replicas by
+  /// liveness (nullptr = treat everyone as alive).  All three must
   /// outlive this source.
-  ClusterTableSource(std::string self, Network* net,
-                     const PlacementState* placement,
+  ClusterTableSource(CallTable* calls, const PlacementState* placement,
                      const MembershipTracker* membership, Options options);
 
   /// \brief Fetches (or serves from cache) the named table.  Blocks up
@@ -92,11 +93,6 @@ class ClusterTableSource : public TableSource {
   /// placement under) triggers a bounded re-resolve-and-retry
   /// (`cluster.epoch.refetches`) instead of failing the query.
   Result<VersionedTable> Fetch(const std::string& name) const override;
-
-  /// \brief Routes a ShardRowsMsg response to its waiting Fetch.  Call
-  /// from the coordinator's network handler; unknown request ids (e.g.
-  /// a response outrunning its abandoned fetch) are dropped.
-  void OnShardRows(const ShardRowsMsg& msg);
 
   /// \brief Membership-change hook: `node` transitioned to `down`.
   /// Drops every cached table whose assembly used `node` as a source, so
@@ -126,15 +122,6 @@ class ClusterTableSource : public TableSource {
   std::vector<ShardStat> ShardStats() const;
 
  private:
-  // One outstanding shard conversation, keyed by request id; retries and
-  // hedges of the same shard share the slot, first completed response
-  // wins.  The response is copied in under mu_ and the waiting Fetch
-  // notified.
-  struct Pending {
-    ShardRowsMsg response;
-    bool done = false;
-  };
-
   // A cached assembled table plus the storage nodes its slices came
   // from (the eviction key for OnMemberDown).
   struct CacheEntry {
@@ -142,46 +129,16 @@ class ClusterTableSource : public TableSource {
     std::set<std::string> sources;
   };
 
-  // The per-shard failover state machine Fetch() drives.  All times are
-  // steady-clock microseconds.
-  struct ShardState {
-    uint64_t shard = 0;
-    uint64_t ring_epoch = 0;              // epoch placement was resolved at
-    std::vector<std::string> candidates;  // liveness-ordered replicas
-    std::vector<std::string> skipped_down;
-    std::vector<std::string> failed;      // candidates that timed out
-    std::shared_ptr<Pending> slot;
-    std::vector<uint64_t> ids;            // request ids issued so far
-    size_t next_attempt = 0;              // index into the attempt cycle
-    int64_t first_sent_us = -1;
-    int64_t attempt_sent_us = -1;         // latest in-flight attempt
-    int64_t send_gate_us = 0;             // backoff: no send before this
-    bool in_flight = false;
-    bool hedged = false;
-    bool exhausted = false;
-  };
-
-  // Sends one ShardFetchMsg for `state`'s next candidate.  `hedge`
-  // distinguishes a hedged duplicate from a failover.  Registers the
-  // request id under mu_, sends with mu_ released.
-  void SendAttempt(const std::string& name, ShardState* state, int64_t now_us,
-                   bool hedge) const;
-
   // One fetch conversation against one placement snapshot; Fetch() wraps
   // it with the stale-epoch re-resolution loop.
   Result<VersionedTable> FetchOnce(const std::string& name) const;
 
-  const std::string self_;
-  Network* const net_;
+  CallTable* const calls_;
   const PlacementState* const placement_;
   const MembershipTracker* const membership_;
   const Options options_;
 
   mutable Mutex mu_;
-  mutable CondVar cv_;
-  mutable uint64_t next_request_id_ GUARDED_BY(mu_) = 1;
-  mutable std::map<uint64_t, std::shared_ptr<Pending>> pending_
-      GUARDED_BY(mu_);
   mutable std::map<std::string, CacheEntry> cache_ GUARDED_BY(mu_);
   mutable std::vector<ShardStat> stats_ GUARDED_BY(mu_);
 };

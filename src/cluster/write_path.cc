@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -19,12 +18,6 @@ namespace hyperion {
 namespace cluster {
 
 namespace {
-
-int64_t SteadyNowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string LogFilePath(const std::string& dir, uint64_t shard) {
   return dir + "/shard_" + std::to_string(shard) + ".log";
@@ -195,12 +188,11 @@ Result<WriteSliceMsg> ShardWriteLog::EntryAfter(uint64_t shard,
 
 // ---- ClusterTableSink ----------------------------------------------------
 
-ClusterTableSink::ClusterTableSink(std::string self, Network* net,
+ClusterTableSink::ClusterTableSink(CallTable* calls,
                                    const PlacementState* placement,
                                    const MembershipTracker* membership,
                                    Options options)
-    : self_(std::move(self)),
-      net_(net),
+    : calls_(calls),
       placement_(placement),
       membership_(membership),
       options_(options) {}
@@ -215,48 +207,13 @@ uint64_t ClusterTableSink::committed_sequence() const {
   return committed_seq_;
 }
 
-void ClusterTableSink::SendAttempt(Target* target, int64_t now_us) {
-  obs::MetricRegistry& reg = obs::MetricRegistry::Default();
-  uint64_t id;
+void ClusterTableSink::OnMemberDown() {
+  std::shared_ptr<CallWaiter> active;
   {
     MutexLock lock(mu_);
-    id = next_request_id_++;
-    pending_.emplace(id, target->slot);
+    active = active_;
   }
-  target->ids.push_back(id);
-  ++target->attempts;
-  target->in_flight = true;
-  target->attempt_sent_us = now_us;
-  reg.GetCounter("cluster.write.slices_sent")->Add();
-  if (target->attempts > 1) {
-    reg.GetCounter("cluster.write.retries")->Add();
-    obs::TraceEvent ev;
-    ev.peer = self_;
-    ev.kind = "cluster.write.retry";
-    ev.detail = target->slice->table_name + "#" +
-                std::to_string(target->shard) + " -> " + target->replica +
-                " (attempt " + std::to_string(target->attempts) + ")";
-    ev.value = static_cast<int64_t>(target->shard);
-    obs::SessionTracer::Default().Record(std::move(ev));
-  }
-  Message msg;
-  msg.from = self_;
-  msg.to = target->replica;
-  WriteSliceMsg ws = *target->slice;
-  ws.request_id = id;
-  msg.payload = std::move(ws);
-  // mu_ is a leaf: the network's own lock is taken with it released.
-  Status sent = net_->Send(std::move(msg));
-  if (!sent.ok()) {
-    // No route to the replica: spend the attempt, back off, retry.
-    target->in_flight = false;
-    if (target->attempts >= options_.attempts_per_replica) {
-      target->spent = true;
-    } else {
-      target->send_gate_us =
-          now_us + (options_.backoff_base_us << (target->attempts - 1));
-    }
-  }
+  if (active != nullptr) active->Poke();
 }
 
 Result<ClusterTableSink::WriteReport> ClusterTableSink::Apply(
@@ -266,8 +223,8 @@ Result<ClusterTableSink::WriteReport> ClusterTableSink::Apply(
   MutexLock apply_lock(apply_mu_);
   obs::MetricRegistry& reg = obs::MetricRegistry::Default();
   reg.GetCounter("cluster.write.requests")->Add();
-  const int64_t t0 = SteadyNowUs();
-  const int64_t deadline = t0 + options_.write_timeout_us;
+  const std::string& self = calls_->self();
+  const int64_t t0 = calls_->now_us();
   // One placement snapshot per write: a transition committing mid-Apply
   // does not reshuffle this write's targets (its slices carry the epoch
   // they were fanned out under, so receivers can tell).
@@ -298,10 +255,11 @@ Result<ClusterTableSink::WriteReport> ClusterTableSink::Apply(
       table, table_version,
       [&ring](const std::string& key) { return ring.ShardForKey(key); },
       all_shards);
-  std::map<uint64_t, WriteSliceMsg> shard_msgs;
+  // Shared with the calls' request builders.
+  auto shard_msgs = std::make_shared<std::map<uint64_t, WriteSliceMsg>>();
   for (auto& [shard, slice] : slices) {
     WriteSliceMsg ws;
-    ws.origin = self_;
+    ws.origin = self;
     ws.table_name = table.name();
     ws.shard = shard;
     ws.shard_version = seq;
@@ -313,46 +271,79 @@ Result<ClusterTableSink::WriteReport> ClusterTableSink::Apply(
     ws.row_indices = std::move(slice.row_indices);
     ws.rows = std::move(slice.rows);
     ws.ring_epoch = committed.epoch;
-    shard_msgs.emplace(shard, std::move(ws));
+    shard_msgs->emplace(shard, std::move(ws));
   }
 
-  // Every committed replica of every shard is a quorum-counted delivery
-  // target; mid-transition, pending-only owners join the fan-out
-  // best-effort (the union-write invariant: a write landed during a
-  // rebalance reaches the new owners too, so no committed write is lost
-  // when the epoch flips).
-  std::vector<Target> targets;
+  // Every committed replica of every shard is a quorum-counted delivery;
+  // mid-transition, pending-only owners join the fan-out best-effort
+  // (the union-write invariant: a write landed during a rebalance
+  // reaches the new owners too, so no committed write is lost when the
+  // epoch flips).
+  struct Delivery {
+    uint64_t shard;
+    std::string replica;
+    bool counted;
+  };
+  std::vector<Delivery> deliveries;
   for (uint64_t s = 0; s < shard_count; ++s) {
     const std::vector<std::string>& owners = ring.OwnersForShard(s);
     for (const std::string& owner : owners) {
-      Target t;
-      t.shard = s;
-      t.replica = owner;
-      t.slice = &shard_msgs.at(s);
-      t.slot = std::make_shared<Pending>();
-      t.send_gate_us = t0;
-      targets.push_back(std::move(t));
+      deliveries.push_back({s, owner, true});
     }
     if (pending.ring == nullptr) continue;
     for (const std::string& owner : pending.ring->OwnersForShard(s)) {
-      if (std::find(owners.begin(), owners.end(), owner) != owners.end()) {
-        continue;  // already a committed target
+      if (std::find(owners.begin(), owners.end(), owner) == owners.end()) {
+        deliveries.push_back({s, owner, false});
       }
-      Target t;
-      t.shard = s;
-      t.replica = owner;
-      t.slice = &shard_msgs.at(s);
-      t.slot = std::make_shared<Pending>();
-      t.send_gate_us = t0;
-      t.counted = false;
-      targets.push_back(std::move(t));
     }
   }
 
-  // Acks required per shard.  Re-evaluated every wake: with quorum 0
-  // ("all alive") a replica that dies mid-write and transitions to down
-  // stops being required — the write commits without it and anti-entropy
-  // repairs it later.
+  auto waiter = std::make_shared<CallWaiter>(deliveries.size());
+  {
+    MutexLock lock(mu_);
+    active_ = waiter;
+  }
+  std::vector<CallTable::CallId> calls;
+  for (size_t i = 0; i < deliveries.size(); ++i) {
+    const uint64_t shard = deliveries[i].shard;
+    const std::string target = table.name() + "#" + std::to_string(shard);
+    CallSpec spec;
+    spec.phase = "write fan-out " + target + " -> " + deliveries[i].replica;
+    spec.candidates = {deliveries[i].replica};
+    spec.rounds = std::max(options_.attempts_per_replica, 1);
+    spec.attempt_timeout_us = options_.replica_timeout_us;
+    spec.backoff_us = options_.backoff_base_us;
+    spec.deadline_us = options_.write_timeout_us;
+    spec.request = [self, shard_msgs, shard](uint64_t id,
+                                             const std::string& replica) {
+      WriteSliceMsg ws = shard_msgs->at(shard);
+      ws.request_id = id;
+      return Message{self, replica, std::move(ws)};
+    };
+    // A refused ack — the replica is stale (missing earlier writes) or
+    // failed storage-side — fails the attempt; anti-entropy may catch
+    // the replica up before the next one.
+    spec.accept = [](const Message& reply) {
+      const auto* ack = std::get_if<WriteAckMsg>(&reply.payload);
+      return ack != nullptr && ack->applied != 0;
+    };
+    spec.on_attempt = [self, target, shard](const CallAttempt& attempt) {
+      obs::MetricRegistry& reg = obs::MetricRegistry::Default();
+      reg.GetCounter("cluster.write.slices_sent")->Add();
+      if (attempt.number == 1) return;
+      reg.GetCounter("cluster.write.retries")->Add();
+      obs::RecordEvent(self, "cluster.write.retry",
+                       target + " -> " + attempt.peer + " (attempt " +
+                           std::to_string(attempt.number) + ")",
+                       static_cast<int64_t>(shard));
+    };
+    spec.done = CallWaiter::Recorder(waiter, i);
+    calls.push_back(calls_->Start(std::move(spec)));
+  }
+
+  // Acks required per shard.  With quorum 0 ("all alive") a replica that
+  // dies mid-write and transitions to down stops being required — the
+  // write commits without it and anti-entropy repairs it later.
   auto required_for = [&](uint64_t shard) -> size_t {
     const std::vector<std::string>& owners = ring.OwnersForShard(shard);
     if (options_.quorum > 0) {
@@ -368,152 +359,84 @@ Result<ClusterTableSink::WriteReport> ClusterTableSink::Apply(
     return std::max<size_t>(1, alive);
   };
 
-  auto erase_pending = [&]() {
-    MutexLock lock(mu_);
-    for (const Target& t : targets) {
-      for (uint64_t id : t.ids) pending_.erase(id);
-    }
-  };
-  auto unacked_of = [&](uint64_t shard) {
-    std::string out;
-    for (const Target& t : targets) {
-      if (t.shard != shard || t.acked || !t.counted) continue;
-      if (!out.empty()) out += ", ";
-      out += "storage node '" + t.replica + "' unacked";
-    }
-    return out;
-  };
-  auto fail = [&](uint64_t shard, const std::string& why) -> Status {
-    erase_pending();
-    reg.GetCounter("cluster.write.failed")->Add();
-    obs::TraceEvent ev;
-    ev.peer = self_;
-    ev.kind = "cluster.write.failed";
-    ev.detail = table.name() + "#" + std::to_string(shard) + " " + why +
-                ": " + unacked_of(shard) + " (seq " + std::to_string(seq) +
-                " burned)";
-    ev.value = static_cast<int64_t>(shard);
-    obs::SessionTracer::Default().Record(std::move(ev));
-    return Status::Unavailable("write seq " + std::to_string(seq) +
-                               " of table '" + table.name() + "' shard " +
-                               std::to_string(shard) + " " + why + ": " +
-                               unacked_of(shard));
-  };
-
+  // Re-check the quorum after every ended call (and membership poke)
+  // until every shard has it or one cannot reach it any more.  Only
+  // committed owners count; pending-only deliveries never gate commit.
+  std::vector<std::optional<CallEnd>> ends(deliveries.size());
+  Status failure;
   while (true) {
-    int64_t now = SteadyNowUs();
-    int64_t next_wake = deadline;
-    std::vector<Target*> sends;
-    {
-      MutexLock lock(mu_);
-      for (Target& t : targets) {
-        if (t.acked || t.spent) continue;
-        if (t.slot->done) {
-          const WriteAckMsg& ack = t.slot->response;
-          if (ack.applied != 0) {
-            t.acked = true;
-            t.in_flight = false;
-            reg.GetCounter("cluster.write.acks")->Add();
-            continue;
-          }
-          // The replica refused — stale (missing earlier writes) or a
-          // storage-side error.  Retry with a fresh slot: anti-entropy
-          // may catch it up between attempts.
-          t.slot = std::make_shared<Pending>();
-          t.in_flight = false;
-          if (t.attempts >= options_.attempts_per_replica) {
-            t.spent = true;
-          } else {
-            t.send_gate_us =
-                now + (options_.backoff_base_us << (t.attempts - 1));
-          }
+    for (size_t i = 0; i < deliveries.size(); ++i) {
+      std::optional<CallOutcome> ended = waiter->Take(i);
+      if (!ended.has_value()) continue;
+      ends[i] = ended->end;
+      if (ended->end == CallEnd::kAborted) failure = ended->status;
+    }
+    bool quorate = true;
+    for (uint64_t s = 0; s < shard_count && failure.ok(); ++s) {
+      size_t acked = 0, running = 0;
+      bool timed_out = false;
+      std::string unacked;
+      for (size_t i = 0; i < deliveries.size(); ++i) {
+        if (deliveries[i].shard != s || !deliveries[i].counted) continue;
+        if (ends[i] == CallEnd::kReplied) {
+          ++acked;
           continue;
         }
-        if (t.in_flight) {
-          int64_t expiry = t.attempt_sent_us + options_.replica_timeout_us;
-          if (now >= expiry) {
-            t.in_flight = false;
-            if (t.attempts >= options_.attempts_per_replica) {
-              t.spent = true;
-            } else {
-              t.send_gate_us =
-                  now + (options_.backoff_base_us << (t.attempts - 1));
-            }
-          } else {
-            next_wake = std::min(next_wake, expiry);
-          }
-        }
-        if (!t.in_flight && !t.spent) {
-          if (now >= t.send_gate_us) {
-            sends.push_back(&t);
-          } else {
-            next_wake = std::min(next_wake, t.send_gate_us);
-          }
-        }
+        if (!ends[i].has_value()) ++running;
+        if (ends[i] == CallEnd::kDeadline) timed_out = true;
+        if (!unacked.empty()) unacked += ", ";
+        unacked += "storage node '" + deliveries[i].replica + "' unacked";
       }
-    }
-
-    // Quorum check (acked/spent are Apply-thread-only state).  Only
-    // committed owners count; pending-only targets never gate commit.
-    bool all_quorate = true;
-    for (uint64_t s = 0; s < shard_count; ++s) {
-      size_t acked = 0, resolved = 0, total = 0;
-      for (const Target& t : targets) {
-        if (t.shard != s || !t.counted) continue;
-        ++total;
-        if (t.acked) ++acked;
-        if (t.acked || t.spent) ++resolved;
-      }
-      size_t required = required_for(s);
+      const size_t required = required_for(s);
       if (acked >= required) continue;
-      all_quorate = false;
-      if (resolved == total) {
-        // Nothing left to wait for and still short of quorum.
-        return fail(s, "failed: quorum " + std::to_string(required) +
-                           " not met with " + std::to_string(acked) +
-                           " acks");
-      }
+      quorate = false;
+      if (running > 0) continue;
+      // Nothing left to wait for and still short of quorum.
+      const std::string why =
+          timed_out ? "timed out after " +
+                          std::to_string(options_.write_timeout_us / 1000) +
+                          "ms"
+                    : "failed: quorum " + std::to_string(required) +
+                          " not met with " + std::to_string(acked) + " acks";
+      obs::RecordEvent(self, "cluster.write.failed",
+                       table.name() + "#" + std::to_string(s) + " " + why +
+                           ": " + unacked + " (seq " + std::to_string(seq) +
+                           " burned)",
+                       static_cast<int64_t>(s));
+      failure = Status::Unavailable("write seq " + std::to_string(seq) +
+                                    " of table '" + table.name() + "' shard " +
+                                    std::to_string(s) + " " + why + ": " +
+                                    unacked);
     }
-    if (all_quorate) break;
-    if (SteadyNowUs() >= deadline) {
-      for (uint64_t s = 0; s < shard_count; ++s) {
-        size_t acked = 0;
-        for (const Target& t : targets) {
-          if (t.shard == s && t.counted && t.acked) ++acked;
-        }
-        if (acked < required_for(s)) {
-          return fail(s, "timed out after " +
-                             std::to_string(options_.write_timeout_us / 1000) +
-                             "ms");
-        }
-      }
-    }
-    if (!sends.empty()) {
-      for (Target* t : sends) SendAttempt(t, now);
-      continue;  // recompute deadlines around the new attempts
-    }
-    MutexLock lock(mu_);
-    // Notify and timeout both loop back to re-derive deadlines and
-    // acknowledged targets from scratch.
-    const bool notified =
-        cv_.WaitFor(mu_, std::chrono::microseconds(
-                             std::max<int64_t>(next_wake - now, 1000)));
-    (void)notified;
+    if (quorate || !failure.ok()) break;
+    waiter->Wait();
   }
-  erase_pending();
+  {
+    MutexLock lock(mu_);
+    active_.reset();
+  }
+  // Deliveries still running are abandoned: lagging replicas are
+  // anti-entropy's job, pending-only ones the handoff protocol's.
+  for (CallTable::CallId id : calls) calls_->Cancel(id);
+  reg.GetCounter("cluster.write.acks")
+      ->Add(std::count(ends.begin(), ends.end(), CallEnd::kReplied));
+  if (!failure.ok()) {
+    reg.GetCounter("cluster.write.failed")->Add();
+    return failure;
+  }
 
   WriteReport report;
   report.sequence = seq;
   report.table_version = table_version;
   std::set<std::string> lagging;
-  for (const Target& t : targets) {
-    // Pending-only targets are invisible in the report: their catch-up
-    // is the handoff protocol's job, not anti-entropy's.
-    if (!t.counted) continue;
-    if (t.acked) {
+  for (size_t i = 0; i < deliveries.size(); ++i) {
+    // Pending-only deliveries are invisible in the report: their
+    // catch-up is the handoff protocol's job, not anti-entropy's.
+    if (!deliveries[i].counted) continue;
+    if (ends[i] == CallEnd::kReplied) {
       ++report.acks;
     } else {
-      lagging.insert(t.replica);
+      lagging.insert(deliveries[i].replica);
     }
   }
   report.lagging.assign(lagging.begin(), lagging.end());
@@ -523,31 +446,19 @@ Result<ClusterTableSink::WriteReport> ClusterTableSink::Apply(
     committed_seq_ = seq;
   }
 
-  int64_t elapsed_us = SteadyNowUs() - t0;
+  int64_t elapsed_us = calls_->now_us() - t0;
   reg.GetCounter("cluster.write.committed")->Add();
   reg.GetHistogram("cluster.write.latency_us", obs::LatencyBoundsUs())
       ->Observe(elapsed_us);
-  obs::TraceEvent ev;
-  ev.peer = self_;
-  ev.kind = "cluster.write.committed";
-  ev.detail = table.name() + "@v" + std::to_string(table_version) + " seq " +
-              std::to_string(seq) + " acks " + std::to_string(report.acks) +
-              (report.lagging.empty()
-                   ? ""
-                   : " lagging " + std::to_string(report.lagging.size()));
-  ev.value = static_cast<int64_t>(seq);
-  obs::SessionTracer::Default().Record(std::move(ev));
+  obs::RecordEvent(
+      self, "cluster.write.committed",
+      table.name() + "@v" + std::to_string(table_version) + " seq " +
+          std::to_string(seq) + " acks " + std::to_string(report.acks) +
+          (report.lagging.empty()
+               ? ""
+               : " lagging " + std::to_string(report.lagging.size())),
+      static_cast<int64_t>(seq));
   return report;
-}
-
-void ClusterTableSink::OnWriteAck(const WriteAckMsg& msg) {
-  MutexLock lock(mu_);
-  auto it = pending_.find(msg.request_id);
-  if (it == pending_.end()) return;  // write already finished or failed
-  if (it->second->done) return;      // an earlier attempt's ack won
-  it->second->response = msg;
-  it->second->done = true;
-  cv_.NotifyAll();
 }
 
 }  // namespace cluster

@@ -53,11 +53,16 @@
 // required.  An explicit quorum in [1, R] commits as soon as that many
 // replicas of every shard acked, leaving the rest to anti-entropy.
 //
-// Threading: Apply() blocks the calling (REPL/driver) thread and is
-// serialized by its own writer mutex, so concurrent callers queue
-// rather than minting the same sequence; OnWriteAck() is called from
-// the network's event-loop thread.  mu_ is a leaf (DESIGN.md §12):
-// never held across Send(), and only ever taken after apply_mu_.
+// Each (shard, replica) delivery is one call on the node's CallTable
+// (call.h): one candidate, attempts_per_replica attempts, a refused ack
+// failing its attempt; the quorum is re-checked whenever a call ends and
+// whenever OnMemberDown() reports a replica down.
+//
+// Threading: Apply() blocks the calling (REPL or bench) thread until the
+// quorum is decided and is serialized by its own writer mutex, so
+// concurrent callers queue rather than minting the same sequence; the
+// calls and OnMemberDown() run on the network's event-loop thread.  mu_
+// is a leaf (DESIGN.md §12), only ever taken after apply_mu_.
 
 #ifndef HYPERION_CLUSTER_WRITE_PATH_H_
 #define HYPERION_CLUSTER_WRITE_PATH_H_
@@ -68,13 +73,13 @@
 #include <string>
 #include <vector>
 
+#include "cluster/call.h"
 #include "cluster/membership.h"
 #include "cluster/placement.h"
 #include "cluster/shard_ring.h"
 #include "common/synchronization.h"
 #include "core/mapping_table.h"
 #include "p2p/message.h"
-#include "p2p/network_interface.h"
 
 namespace hyperion {
 namespace cluster {
@@ -148,15 +153,15 @@ class ClusterTableSink {
     uint64_t quorum = 0;                     // 0 = all currently alive
   };
 
-  /// \brief `self` is the coordinator's node id; `net`, `placement` and
-  /// `membership` must outlive this sink (nullptr membership = treat
-  /// every replica as alive).  Each Apply() snapshots the placement at
-  /// entry: slices go to the COMMITTED owners of each shard (those count
-  /// toward the quorum) and, mid-transition, additionally to the PENDING
-  /// owners best-effort — so a write landed during a rebalance is
-  /// already on the new owners when the epoch commits.
-  ClusterTableSink(std::string self, Network* net,
-                   const PlacementState* placement,
+  /// \brief Deliveries run as calls on `calls` (the coordinator's
+  /// table); `calls`, `placement` and `membership` must outlive this
+  /// sink (nullptr membership = treat every replica as alive).  Each
+  /// Apply() snapshots the placement at entry: slices go to the
+  /// COMMITTED owners of each shard (those count toward the quorum) and,
+  /// mid-transition, additionally to the PENDING owners best-effort — so
+  /// a write landed during a rebalance is already on the new owners when
+  /// the epoch commits.
+  ClusterTableSink(CallTable* calls, const PlacementState* placement,
                    const MembershipTracker* membership, Options options);
 
   /// \brief How one committed write went.
@@ -174,9 +179,10 @@ class ClusterTableSink {
   /// kUnavailable names every replica that never acked.
   Result<WriteReport> Apply(const MappingTable& table, uint64_t table_version);
 
-  /// \brief Routes a WriteAckMsg to its waiting Apply.  Call from the
-  /// coordinator's network handler; unknown request ids are dropped.
-  void OnWriteAck(const WriteAckMsg& msg);
+  /// \brief Membership-change hook: a replica went down, so an Apply
+  /// under the all-alive quorum may no longer need its ack.  Call from
+  /// the membership sweep (ClusterNode does).
+  void OnMemberDown();
 
   /// \brief Global sequence number of the last write ATTEMPT — a failed
   /// Apply burns its sequence, so this may run ahead of
@@ -188,35 +194,7 @@ class ClusterTableSink {
   uint64_t committed_sequence() const;
 
  private:
-  struct Pending {
-    WriteAckMsg response;
-    bool done = false;
-  };
-
-  // One (shard, replica) delivery the fan-out drives to acked-or-spent.
-  struct Target {
-    uint64_t shard = 0;
-    std::string replica;
-    const WriteSliceMsg* slice = nullptr;  // into Apply()'s slice map
-    std::shared_ptr<Pending> slot;
-    std::vector<uint64_t> ids;     // request ids issued so far
-    int attempts = 0;
-    int64_t attempt_sent_us = -1;  // latest in-flight attempt
-    int64_t send_gate_us = 0;      // backoff: no send before this
-    bool in_flight = false;
-    bool acked = false;
-    bool spent = false;            // attempts exhausted, gave up
-    // Committed owners count toward the quorum; pending-only owners are
-    // best-effort union fan-out and never gate the commit.
-    bool counted = true;
-  };
-
-  // Sends one WriteSliceMsg for `target`.  Registers the request id
-  // under mu_, sends with mu_ released.
-  void SendAttempt(Target* target, int64_t now_us);
-
-  const std::string self_;
-  Network* const net_;
+  CallTable* const calls_;
   const PlacementState* const placement_;
   const MembershipTracker* const membership_;
   const Options options_;
@@ -227,14 +205,13 @@ class ClusterTableSink {
   Mutex apply_mu_ ACQUIRED_BEFORE(mu_);
 
   mutable Mutex mu_;
-  mutable CondVar cv_;
-  uint64_t next_request_id_ GUARDED_BY(mu_) = 1;
+  // The running Apply's waiter, for OnMemberDown to wake.
+  std::shared_ptr<CallWaiter> active_ GUARDED_BY(mu_);
   // Sequence of the last write attempt; advanced at Apply() entry, so a
   // failed write burns its number instead of leaking it to the next one.
   uint64_t write_seq_ GUARDED_BY(mu_) = 0;
   // Sequence of the last write that met its quorum (<= write_seq_).
   uint64_t committed_seq_ GUARDED_BY(mu_) = 0;
-  std::map<uint64_t, std::shared_ptr<Pending>> pending_ GUARDED_BY(mu_);
 };
 
 }  // namespace cluster

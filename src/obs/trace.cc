@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <chrono>
+#include <utility>
 
 namespace hyperion {
 namespace obs {
@@ -65,6 +66,16 @@ uint64_t SessionTracer::dropped() const {
 SessionTracer& SessionTracer::Default() {
   static SessionTracer* tracer = new SessionTracer();
   return *tracer;
+}
+
+void RecordEvent(std::string peer, std::string kind, std::string detail,
+                 int64_t value) {
+  TraceEvent ev;
+  ev.peer = std::move(peer);
+  ev.kind = std::move(kind);
+  ev.detail = std::move(detail);
+  ev.value = value;
+  SessionTracer::Default().Record(std::move(ev));
 }
 
 }  // namespace obs

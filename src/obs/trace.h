@@ -76,6 +76,11 @@ class SessionTracer {
   const int64_t epoch_ns_;
 };
 
+/// \brief Records an event bound to no session (peer, kind, detail and
+/// value only — the shape of every cluster event) on the default tracer.
+void RecordEvent(std::string peer, std::string kind, std::string detail,
+                 int64_t value = 0);
+
 }  // namespace obs
 }  // namespace hyperion
 

@@ -1,4 +1,4 @@
-// The network abstraction peers run on.  Two implementations:
+// The network abstraction peers run on.  Three implementations:
 //
 //  * SimNetwork (network.h) — single-threaded discrete-event simulation
 //    with a virtual clock; deterministic, models latency/bandwidth, and
@@ -8,8 +8,11 @@
 //    real wall-clock time, real parallelism.  Demonstrates that the
 //    protocol tolerates true concurrency (per-peer state is only ever
 //    touched by the owning peer's thread).
+//  * TcpNetwork (tcp_network.h) — real POSIX sockets driven by one
+//    event-loop thread, wall-clock time; peers may live in separate
+//    processes.  The cluster runtime (src/cluster/) runs on it.
 //
-// Both transports accept a FaultPlan: a deterministic (seedable)
+// All three transports accept a FaultPlan: a deterministic (seedable)
 // description of message loss, duplication, delay jitter, scripted link
 // outages and peer crash/restart windows.  The fault layer sits below
 // the peers — a dropped message simply never arrives — so the protocol
@@ -47,8 +50,9 @@ struct NetworkStats {
 ///
 /// All probabilities are per message copy; all times are in the owning
 /// network's clock (virtual µs for SimNetwork, wall µs since
-/// construction for ThreadedNetwork).  Given the same seed and the same
-/// send sequence, SimNetwork replays the exact same faults.
+/// construction for ThreadedNetwork and TcpNetwork).  Given the same
+/// seed and the same send sequence, SimNetwork replays the exact same
+/// faults.
 struct FaultPlan {
   /// \brief Faults applied to one directed link.
   struct LinkFaults {
@@ -129,10 +133,11 @@ class Network {
   virtual Status Send(Message msg) = 0;
 
   /// \brief Runs `cb` at `peer` after `delay_us` of this network's time
-  /// (virtual for SimNetwork, wall for ThreadedNetwork).  The callback
-  /// executes like a message handler: on the peer's timeline, never
-  /// concurrently with the peer's other handlers, and not at all while
-  /// the peer is inside a crash window.  Returns an id for CancelTimer.
+  /// (virtual for SimNetwork, wall for ThreadedNetwork and TcpNetwork).
+  /// The callback executes like a message handler: on the peer's
+  /// timeline, never concurrently with the peer's other handlers, and not
+  /// at all while the peer is inside a crash window.  Returns an id for
+  /// CancelTimer.
   virtual Result<TimerId> ScheduleTimer(const std::string& peer,
                                         int64_t delay_us,
                                         TimerCallback cb) = 0;
@@ -146,7 +151,7 @@ class Network {
   virtual void SetFaultPlan(FaultPlan plan) = 0;
 
   /// \brief Time in microseconds — virtual for SimNetwork, wall for
-  /// ThreadedNetwork.
+  /// ThreadedNetwork and TcpNetwork.
   virtual int64_t now_us() const = 0;
 
   /// \brief Extra compute charge for the current handler's peer (no-op
@@ -157,19 +162,20 @@ class Network {
   virtual NetworkStats stats() const = 0;
 
   /// \brief Zeroes the traffic counters (bench harnesses reset between
-  /// sessions; ThreadedNetwork otherwise accumulates forever).
+  /// sessions; ThreadedNetwork and TcpNetwork otherwise accumulate
+  /// forever).
   virtual void ResetStats() = 0;
 };
 
 /// \brief Records one send into the default MetricRegistry
 /// (net.messages_sent / net.bytes_sent, labeled by message type and
-/// network kind).  Shared by both Network implementations.
+/// network kind).  Shared by every Network implementation.
 void RecordNetworkSend(const char* network_kind, const Message& msg,
                        size_t bytes);
 
 /// \brief Records one injected fault event (`net.drops_injected`,
 /// `net.duplicates_injected`, `net.crash_discards`) labeled by network
-/// kind.  Shared by both Network implementations.
+/// kind.  Shared by every Network implementation.
 void RecordFaultEvent(const char* metric, const char* network_kind);
 
 }  // namespace hyperion
