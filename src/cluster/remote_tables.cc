@@ -314,6 +314,11 @@ void ClusterTableSource::EvictTable(const std::string& name) {
   cache_.erase(name);
 }
 
+bool ClusterTableSource::IsCached(const std::string& name) const {
+  MutexLock lock(mu_);
+  return cache_.count(name) > 0;
+}
+
 std::vector<ClusterTableSource::ShardStat> ClusterTableSource::ShardStats()
     const {
   MutexLock lock(mu_);

@@ -109,6 +109,9 @@ class ClusterTableSource : public TableSource {
   /// new version, which in turn invalidates covers keyed on the old one.
   void EvictTable(const std::string& name);
 
+  /// \brief Whether `name` is cached (the next Fetch makes no call).
+  bool IsCached(const std::string& name) const;
+
   /// \brief Rows fetched per (table, shard, serving node) so far — the
   /// per-shard row counts fig_cluster reports.  `owner` is the node that
   /// actually served the slice, which under failover may not be the

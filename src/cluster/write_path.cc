@@ -23,6 +23,16 @@ std::string LogFilePath(const std::string& dir, uint64_t shard) {
   return dir + "/shard_" + std::to_string(shard) + ".log";
 }
 
+// Decodes one in-memory log entry: the wire encoding Append stored.
+Result<WriteSliceMsg> DecodeEntry(std::string_view encoded) {
+  HYP_ASSIGN_OR_RETURN(Message msg, wire::DecodeMessage(encoded));
+  auto* entry = std::get_if<WriteSliceMsg>(&msg.payload);
+  if (entry == nullptr) {
+    return Status::InvalidArgument("write log entry is not a write slice");
+  }
+  return std::move(*entry);
+}
+
 }  // namespace
 
 // ---- ShardWriteLog -------------------------------------------------------
@@ -73,15 +83,16 @@ Status ShardWriteLog::Open(const std::string& dir, uint64_t shard_count) {
         torn = true;
         break;
       }
-      HYP_ASSIGN_OR_RETURN(Message msg,
-                           wire::DecodeMessage(frame.value().payload));
+      const std::string_view payload = frame.value().payload;
+      HYP_ASSIGN_OR_RETURN(Message msg, wire::DecodeMessage(payload));
       const auto* entry = std::get_if<WriteSliceMsg>(&msg.payload);
       if (entry == nullptr) {
         return Status::InvalidArgument("write log '" +
                                        LogFilePath(dir, shard) +
                                        "' holds a non-write-slice frame");
       }
-      entries_[entry->shard].emplace(entry->shard_version, *entry);
+      entries_[entry->shard].emplace(entry->shard_version,
+                                     std::string(payload));
       pos += frame.value().consumed;
     }
     if (torn && ::truncate(LogFilePath(dir, shard).c_str(),
@@ -140,13 +151,14 @@ Status ShardWriteLog::Append(const WriteSliceMsg& entry) {
         std::to_string(current) + ", entry is " +
         std::to_string(entry.shard_version));
   }
+  Message msg;
+  msg.payload = entry;
+  std::string encoded = wire::EncodeMessage(msg);
   if (!dir_.empty()) {
     // Durable before visible: a crash between the append and the map
     // insert replays the entry at the next Open, which is idempotent.
-    Message msg;
-    msg.payload = entry;
     std::string frame;
-    wire::AppendFrame(wire::EncodeMessage(msg), 0, &frame);
+    wire::AppendFrame(encoded, 0, &frame);
     std::ofstream out(LogFilePath(dir_, entry.shard),
                       std::ios::binary | std::ios::app);
     if (!out || !out.write(frame.data(),
@@ -156,7 +168,7 @@ Status ShardWriteLog::Append(const WriteSliceMsg& entry) {
                              LogFilePath(dir_, entry.shard) + "'");
     }
   }
-  log.emplace(entry.shard_version, entry);
+  log.emplace(entry.shard_version, std::move(encoded));
   return Status::OK();
 }
 
@@ -166,7 +178,7 @@ Result<WriteSliceMsg> ShardWriteLog::EntryAt(uint64_t shard,
   auto it = entries_.find(shard);
   if (it != entries_.end()) {
     auto entry = it->second.find(version);
-    if (entry != it->second.end()) return entry->second;
+    if (entry != it->second.end()) return DecodeEntry(entry->second);
   }
   return Status::NotFound("write log has no entry for shard " +
                           std::to_string(shard) + " version " +
@@ -179,7 +191,7 @@ Result<WriteSliceMsg> ShardWriteLog::EntryAfter(uint64_t shard,
   auto it = entries_.find(shard);
   if (it != entries_.end()) {
     auto entry = it->second.upper_bound(version);
-    if (entry != it->second.end()) return entry->second;
+    if (entry != it->second.end()) return DecodeEntry(entry->second);
   }
   return Status::NotFound("write log has no entry for shard " +
                           std::to_string(shard) + " above version " +

@@ -18,9 +18,10 @@
 //    Anything at or below the current version is an idempotent
 //    duplicate (acked, not re-applied); versions above it may be
 //    appended even across a gap (burned sequences, below), so the log
-//    only enforces monotonicity.  The log optionally persists to a
-//    directory (one frame-appended file per shard, the wire codec's own
-//    format) so a restarted node resumes from its pre-crash state.
+//    only enforces monotonicity.  Entries are held in memory as their
+//    wire encoding and decoded when read.  The log optionally persists
+//    to a directory (one frame-appended file per shard, the wire codec's
+//    own format) so a restarted node resumes from its pre-crash state.
 //
 // Version semantics: every write ships one slice per shard — empty
 // slices included, since a write may delete a shard's rows — so all
@@ -133,8 +134,10 @@ class ShardWriteLog {
  private:
   mutable Mutex mu_;
   std::string dir_ GUARDED_BY(mu_);  // empty = memory-only
-  // shard -> (version -> the slice that created that version).
-  std::map<uint64_t, std::map<uint64_t, WriteSliceMsg>> entries_
+  // shard -> (version -> the slice that created that version), kept as
+  // its wire encoding (the persisted frame's payload) — several times
+  // smaller than live Mappings — and decoded on demand.
+  std::map<uint64_t, std::map<uint64_t, std::string>> entries_
       GUARDED_BY(mu_);
   // shard -> handoff-installed version floor (see SetFloor).
   std::map<uint64_t, uint64_t> floors_ GUARDED_BY(mu_);

@@ -4,7 +4,9 @@
 #include <cassert>
 #include <map>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "core/unify.h"
 
@@ -51,15 +53,52 @@ Cell ResolveCell(const Cell& cell, VarId offset, Unifier* u,
   return Cell::Variable(it->second, u->MergedExclusionsOf(shifted));
 }
 
+// Registers rows `a` (var ids as is) and `b` (var ids shifted by
+// `offset`) in `u` and unifies their cells at the (a, b) position pairs
+// `shared`; false when the pair admits no common values there.
+bool UnifyShared(const Mapping& a, const Schema& a_schema, const Mapping& b,
+                 const Schema& b_schema,
+                 const std::vector<std::pair<size_t, size_t>>& shared,
+                 VarId offset, Unifier* u) {
+  RegisterOccurrences(a, a_schema, /*offset=*/0, u);
+  RegisterOccurrences(b, b_schema, offset, u);
+  for (const auto& [pi, pj] : shared) {
+    Cell bc = b.cell(pj);
+    if (bc.is_variable()) {
+      bc = Cell::Variable(bc.var() + offset, bc.exclusions_ptr());
+    }
+    u->UnifyCells(a.cell(pi), bc);
+    if (u->failed()) return false;
+  }
+  return u->Satisfiable();
+}
+
+// The constants of `row` at the `side` member of each shared position
+// pair, or false when one of those cells is a variable.
+template <size_t side>
+bool GroundKey(const Mapping& row,
+               const std::vector<std::pair<size_t, size_t>>& shared,
+               Tuple* key) {
+  key->clear();
+  for (const auto& positions : shared) {
+    const Cell& c = row.cell(std::get<side>(positions));
+    if (!c.is_constant()) return false;
+    key->push_back(c.value());
+  }
+  return true;
+}
+
 }  // namespace
 
 bool FreeTable::AddRow(Mapping row) {
   assert(row.arity() == schema_.arity());
-  Mapping normalized = row.Normalized();
-  if (!normalized.IsSatisfiable(schema_)) return false;
-  if (row_set_.count(normalized)) return false;
-  row_set_.insert(normalized);
-  rows_.push_back(std::move(normalized));
+  if (!row.IsNormalized()) row = row.Normalized();
+  const size_t hash = row.Hash();
+  // Stored rows are satisfiable, so a duplicate needs no further check.
+  if (row_index_.Contains(rows_, row, hash)) return false;
+  if (!row.IsSatisfiable(schema_)) return false;
+  rows_.push_back(std::move(row));
+  row_index_.Insert(hash, rows_.size() - 1);
   return true;
 }
 
@@ -100,102 +139,113 @@ Result<MappingTable> FreeTable::ToMappingTable(
 
 Result<FreeTable> FreeTable::NaturalJoin(const FreeTable& other,
                                          const ComposeOptions& opts) const {
-  // Shared attribute positions: (position here, position there).
-  std::vector<std::pair<size_t, size_t>> shared;
-  std::vector<size_t> other_private;  // positions unique to `other`
-  for (size_t j = 0; j < other.schema_.arity(); ++j) {
-    auto here = schema_.IndexOf(other.schema_.attr(j).name());
+  HYP_ASSIGN_OR_RETURN(JoinIndex index, JoinIndex::Build(*this, other.schema_));
+  return index.Join(other, opts);
+}
+
+Result<JoinIndex> JoinIndex::Build(const FreeTable& build,
+                                   const Schema& probe_schema) {
+  JoinIndex index;
+  index.build_ = &build;
+  index.probe_schema_ = probe_schema;
+  for (size_t j = 0; j < probe_schema.arity(); ++j) {
+    auto here = build.schema().IndexOf(probe_schema.attr(j).name());
     if (here) {
-      shared.emplace_back(*here, j);
+      index.shared_.emplace_back(*here, j);
     } else {
-      other_private.push_back(j);
+      index.probe_private_.push_back(j);
     }
   }
-  if (shared.empty()) {
+  if (index.shared_.empty()) {
     return Status::InvalidArgument(
-        "NaturalJoin: schemas " + schema_.ToString() + " and " +
-        other.schema_.ToString() + " share no attributes");
+        "NaturalJoin: schemas " + build.schema().ToString() + " and " +
+        probe_schema.ToString() + " share no attributes");
   }
-  Schema out_schema = schema_;
-  if (!other_private.empty()) {
-    HYP_ASSIGN_OR_RETURN(out_schema,
-                         schema_.Concat(other.schema_.Project(other_private)));
+  index.out_schema_ = build.schema();
+  if (!index.probe_private_.empty()) {
+    HYP_ASSIGN_OR_RETURN(
+        index.out_schema_,
+        build.schema().Concat(probe_schema.Project(index.probe_private_)));
   }
-  FreeTable out(out_schema);
-
-  // Hash index on `other` rows whose shared cells are all constants.
-  std::unordered_map<Tuple, std::vector<size_t>, TupleHash> ground_index;
-  std::vector<size_t> variable_rows;
-  for (size_t r = 0; r < other.rows_.size(); ++r) {
-    Tuple key;
-    key.reserve(shared.size());
-    bool ground = true;
-    for (const auto& [pi, pj] : shared) {
-      (void)pi;
-      const Cell& c = other.rows_[r].cell(pj);
-      if (!c.is_constant()) {
-        ground = false;
-        break;
-      }
-      key.push_back(c.value());
-    }
-    if (ground) {
-      ground_index[std::move(key)].push_back(r);
+  Tuple key;
+  for (size_t r = 0; r < build.rows().size(); ++r) {
+    if (GroundKey<0>(build.rows()[r], index.shared_, &key)) {
+      index.ground_rows_[key].push_back(static_cast<uint32_t>(r));
     } else {
-      variable_rows.push_back(r);
+      index.variable_rows_.push_back(static_cast<uint32_t>(r));
     }
   }
+  return index;
+}
 
-  auto join_pair = [&](const Mapping& a, const Mapping& b) {
-    VarId offset = VarSpan(a);
-    Unifier u;
-    RegisterOccurrences(a, schema_, /*offset=*/0, &u);
-    RegisterOccurrences(b, other.schema_, offset, &u);
-    for (const auto& [pi, pj] : shared) {
-      Cell bc = b.cell(pj);
-      if (bc.is_variable()) {
-        bc = Cell::Variable(bc.var() + offset, bc.exclusions_ptr());
-      }
-      u.UnifyCells(a.cell(pi), bc);
-      if (u.failed()) return;
+void JoinIndex::JoinPair(const Mapping& a, const Mapping& b,
+                         FreeTable* out) const {
+  const VarId offset = VarSpan(a);
+  Unifier u;
+  if (!UnifyShared(a, build_->schema(), b, probe_schema_, shared_, offset,
+                   &u)) {
+    return;
+  }
+  std::unordered_map<VarId, VarId> out_vars;
+  std::vector<Cell> cells;
+  cells.reserve(out_schema_.arity());
+  for (size_t i = 0; i < a.arity(); ++i) {
+    cells.push_back(ResolveCell(a.cell(i), 0, &u, &out_vars));
+  }
+  for (size_t pj : probe_private_) {
+    cells.push_back(ResolveCell(b.cell(pj), offset, &u, &out_vars));
+  }
+  out->AddRow(Mapping(std::move(cells)));
+}
+
+Result<FreeTable> JoinIndex::Join(const FreeTable& probe,
+                                  const ComposeOptions& opts) const {
+  if (!(probe.schema() == probe_schema_)) {
+    return Status::InvalidArgument("JoinIndex: probe schema " +
+                                   probe.schema().ToString() +
+                                   " is not the indexed " +
+                                   probe_schema_.ToString());
+  }
+  // Collect the candidate (build row, rank, probe row) pairs, then emit
+  // them sorted.  The order is the one a scan of the build rows gives: a
+  // build row with ground shared cells meets the probe rows with equal
+  // constants (rank 0) before those with a variable there (rank 1); any
+  // other build row meets every probe row (rank 0).  Emitting in that
+  // order makes the first of two duplicate results the one kept, exactly
+  // as a build-side scan keeps it.
+  struct Candidate {
+    uint32_t build;
+    uint32_t rank;
+    uint32_t probe;
+    bool operator<(const Candidate& o) const {
+      return std::tie(build, rank, probe) < std::tie(o.build, o.rank, o.probe);
     }
-    if (!u.Satisfiable()) return;
-    std::unordered_map<VarId, VarId> out_vars;
-    std::vector<Cell> cells;
-    cells.reserve(out_schema.arity());
-    for (size_t i = 0; i < a.arity(); ++i) {
-      cells.push_back(ResolveCell(a.cell(i), 0, &u, &out_vars));
-    }
-    for (size_t pj : other_private) {
-      cells.push_back(ResolveCell(b.cell(pj), offset, &u, &out_vars));
-    }
-    out.AddRow(Mapping(std::move(cells)));
   };
-
-  for (const Mapping& a : rows_) {
-    // When this row's shared cells are ground we can probe the index.
-    Tuple key;
-    key.reserve(shared.size());
-    bool ground = true;
-    for (const auto& [pi, pj] : shared) {
-      (void)pj;
-      const Cell& c = a.cell(pi);
-      if (!c.is_constant()) {
-        ground = false;
-        break;
+  std::vector<Candidate> candidates;
+  Tuple key;
+  for (size_t r = 0; r < probe.rows().size(); ++r) {
+    const auto pr = static_cast<uint32_t>(r);
+    if (GroundKey<1>(probe.rows()[r], shared_, &key)) {
+      auto it = ground_rows_.find(key);
+      if (it != ground_rows_.end()) {
+        for (uint32_t a : it->second) candidates.push_back({a, 0, pr});
       }
-      key.push_back(c.value());
-    }
-    if (ground) {
-      auto it = ground_index.find(key);
-      if (it != ground_index.end()) {
-        for (size_t r : it->second) join_pair(a, other.rows_[r]);
-      }
-      for (size_t r : variable_rows) join_pair(a, other.rows_[r]);
     } else {
-      for (const Mapping& b : other.rows_) join_pair(a, b);
+      for (const auto& bucket : ground_rows_) {
+        for (uint32_t a : bucket.second) candidates.push_back({a, 1, pr});
+      }
     }
-    if (out.size() > opts.max_result_rows) {
+    for (uint32_t a : variable_rows_) candidates.push_back({a, 0, pr});
+  }
+  std::sort(candidates.begin(), candidates.end());
+
+  FreeTable out(out_schema_);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const Candidate& c = candidates[i];
+    JoinPair(build_->rows()[c.build], probe.rows()[c.probe], &out);
+    bool row_done =
+        i + 1 == candidates.size() || candidates[i + 1].build != c.build;
+    if (row_done && out.size() > opts.max_result_rows) {
       return Status::InvalidArgument("NaturalJoin: result exceeds max rows");
     }
   }
@@ -411,38 +461,18 @@ Result<FreeTable> SemiJoinReduce(const FreeTable& table,
   // Whether rows a (of table) and b (of reducer) admit a common value
   // assignment on the shared attributes.
   auto unifiable = [&](const Mapping& a, const Mapping& b) {
-    VarId offset = VarSpan(a);
     Unifier u;
-    RegisterOccurrences(a, table.schema(), /*offset=*/0, &u);
-    RegisterOccurrences(b, reducer.schema(), offset, &u);
-    for (const auto& [pi, pj] : shared) {
-      Cell bc = b.cell(pj);
-      if (bc.is_variable()) {
-        bc = Cell::Variable(bc.var() + offset, bc.exclusions_ptr());
-      }
-      u.UnifyCells(a.cell(pi), bc);
-      if (u.failed()) return false;
-    }
-    return u.Satisfiable();
+    return UnifyShared(a, table.schema(), b, reducer.schema(), shared,
+                       VarSpan(a), &u);
   };
 
   // Hash index of the reducer's ground shared projections.
   std::unordered_set<Tuple, TupleHash> ground_keys;
   std::vector<const Mapping*> variable_rows;
+  Tuple key;
   for (const Mapping& b : reducer.rows()) {
-    Tuple key;
-    key.reserve(shared.size());
-    bool ground = true;
-    for (const auto& [pi, pj] : shared) {
-      (void)pi;
-      if (!b.cell(pj).is_constant()) {
-        ground = false;
-        break;
-      }
-      key.push_back(b.cell(pj).value());
-    }
-    if (ground) {
-      ground_keys.insert(std::move(key));
+    if (GroundKey<1>(b, shared, &key)) {
+      ground_keys.insert(key);
     } else {
       variable_rows.push_back(&b);
     }
@@ -450,17 +480,7 @@ Result<FreeTable> SemiJoinReduce(const FreeTable& table,
 
   FreeTable out(table.schema());
   for (const Mapping& a : table.rows()) {
-    Tuple key;
-    key.reserve(shared.size());
-    bool ground = true;
-    for (const auto& [pi, pj] : shared) {
-      (void)pj;
-      if (!a.cell(pi).is_constant()) {
-        ground = false;
-        break;
-      }
-      key.push_back(a.cell(pi).value());
-    }
+    const bool ground = GroundKey<0>(a, shared, &key);
     bool keep = false;
     if (ground) {
       keep = ground_keys.count(key) > 0;

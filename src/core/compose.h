@@ -11,15 +11,19 @@
 #ifndef HYPERION_CORE_COMPOSE_H_
 #define HYPERION_CORE_COMPOSE_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "core/constraint.h"
 #include "core/mapping.h"
 #include "core/mapping_table.h"
+#include "core/row_index.h"
 #include "core/schema.h"
+#include "core/tuple.h"
 
 namespace hyperion {
 
@@ -52,8 +56,9 @@ class FreeTable {
   /// row was actually inserted (false for duplicates and empty rows).
   bool AddRow(Mapping row);
 
+  /// \brief Whether an identical row (up to variable renaming) exists.
   bool ContainsRow(const Mapping& row) const {
-    return row_set_.count(row.Normalized()) > 0;
+    return row_index_.ContainsUpToRenaming(rows_, row);
   }
 
   /// \brief Whether a valuation makes some row match the ground tuple.
@@ -70,7 +75,8 @@ class FreeTable {
 
   /// \brief Natural join on attributes shared by name.  The output schema
   /// is this schema followed by `other`'s non-shared attributes.  The two
-  /// schemas must agree on shared attributes' domains by name.
+  /// schemas must agree on shared attributes' domains by name.  Output
+  /// rows follow this table's row order (see JoinIndex).
   Result<FreeTable> NaturalJoin(const FreeTable& other,
                                 const ComposeOptions& opts = {}) const;
 
@@ -96,8 +102,47 @@ class FreeTable {
 
  private:
   Schema schema_;
-  std::vector<Mapping> rows_;
-  std::unordered_set<Mapping, MappingHash> row_set_;
+  std::vector<Mapping> rows_;  // normalized, each stored once
+  RowIndex row_index_;         // dedup of rows_ by position
+};
+
+/// \brief A natural-join index built once over one table and probed by
+/// many.  Join(probe) equals build.NaturalJoin(probe) row for row and in
+/// order, at a cost that grows with the probe and its matches rather
+/// than with the build table — what a peer needs to join every streamed
+/// batch with its fixed local tables (§6.3).  NaturalJoin itself is a
+/// one-shot index, so there is one join implementation.
+class JoinIndex {
+ public:
+  /// \brief Indexes `build`'s rows on the attributes it shares with
+  /// `probe_schema`.  `build` must outlive the index, unchanged.  Fails
+  /// when the schemas share no attribute.
+  static Result<JoinIndex> Build(const FreeTable& build,
+                                 const Schema& probe_schema);
+
+  /// \brief build ⋈ probe; `probe` must have the schema the index was
+  /// built for.
+  Result<FreeTable> Join(const FreeTable& probe,
+                         const ComposeOptions& opts = {}) const;
+
+ private:
+  JoinIndex() = default;
+
+  // The unify-and-emit kernel: adds build row `a` joined with probe row
+  // `b` to `out` when they unify on the shared attributes.
+  void JoinPair(const Mapping& a, const Mapping& b, FreeTable* out) const;
+
+  const FreeTable* build_ = nullptr;
+  Schema probe_schema_;
+  // Shared attributes as (build position, probe position), in probe
+  // order; the probe positions of the other attributes.
+  std::vector<std::pair<size_t, size_t>> shared_;
+  std::vector<size_t> probe_private_;
+  Schema out_schema_;  // build schema ++ probe's private attributes
+  // Build rows whose shared cells are all constants, by those constants;
+  // the rest (a variable in some shared cell) match any probe row.
+  std::unordered_map<Tuple, std::vector<uint32_t>, TupleHash> ground_rows_;
+  std::vector<uint32_t> variable_rows_;
 };
 
 /// \brief NaturalJoin when the schemas overlap, CartesianProduct when they

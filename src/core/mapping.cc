@@ -134,6 +134,18 @@ Mapping Mapping::Normalized() const {
   return Mapping(std::move(cells));
 }
 
+bool Mapping::IsNormalized() const {
+  // Normalized ids are dense in first-occurrence order: each variable is
+  // either one already seen (below `next`) or exactly the next new id.
+  VarId next = 0;
+  for (const Cell& c : cells_) {
+    if (c.is_constant() || c.var() < next) continue;
+    if (c.var() != next) return false;
+    ++next;
+  }
+  return true;
+}
+
 Mapping Mapping::WithVarOffset(VarId offset) const {
   std::vector<Cell> cells;
   cells.reserve(cells_.size());

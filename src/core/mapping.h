@@ -61,6 +61,9 @@ class Mapping {
   /// Shared-variable structure and exclusions are preserved.
   Mapping Normalized() const;
 
+  /// \brief Whether Normalized() would return this mapping unchanged.
+  bool IsNormalized() const;
+
   /// \brief Renames every variable id by adding `offset`.
   Mapping WithVarOffset(VarId offset) const;
 

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_set>
 
 #include "common/string_util.h"
 
@@ -64,14 +65,15 @@ Status MappingTable::AddRow(Mapping row) {
       }
     }
   }
-  Mapping normalized = row.Normalized();
-  if (!normalized.IsSatisfiable(schema_)) {
+  if (!row.IsSatisfiable(schema_)) {
     return Status::InvalidArgument("row " + row.ToString() +
                                    " is unsatisfiable over its domains");
   }
-  if (row_set_.count(normalized)) return Status::OK();  // duplicate: no-op
-  row_set_.insert(normalized);
-  rows_.push_back(std::move(normalized));
+  if (!row.IsNormalized()) row = row.Normalized();
+  const size_t hash = row.Hash();
+  if (row_index_.Contains(rows_, row, hash)) return Status::OK();  // duplicate
+  rows_.push_back(std::move(row));
+  row_index_.Insert(hash, rows_.size() - 1);
   IndexRow(rows_.size() - 1);
   return Status::OK();
 }
@@ -86,7 +88,7 @@ Status MappingTable::AddPair(const Tuple& x, const Tuple& y) {
 }
 
 bool MappingTable::ContainsRow(const Mapping& row) const {
-  return row_set_.count(row.Normalized()) > 0;
+  return row_index_.ContainsUpToRenaming(rows_, row);
 }
 
 void MappingTable::IndexRow(size_t row_idx) {

@@ -11,11 +11,11 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "core/mapping.h"
+#include "core/row_index.h"
 #include "core/schema.h"
 #include "core/tuple.h"
 
@@ -125,9 +125,9 @@ class MappingTable {
   Schema x_schema_;
   Schema y_schema_;
   Schema schema_;  // X ++ Y
-  std::vector<Mapping> rows_;
-  // Dedup of normalized rows.
-  std::unordered_set<Mapping, MappingHash> row_set_;
+  std::vector<Mapping> rows_;  // normalized, each stored once
+  // Dedup of rows_ by position.
+  RowIndex row_index_;
   // Rows whose X part is all constants, keyed by that X tuple.
   std::unordered_map<Tuple, std::vector<size_t>, TupleHash> ground_x_index_;
   // Rows with at least one variable in the X part (checked linearly).

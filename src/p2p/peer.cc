@@ -927,30 +927,40 @@ Status PeerNode::ProcessRows(ParticipantState* state, size_t part_idx,
   ComposeOptions compose;
   compose.materialize_limit = state->spec.materialize_limit;
   compose.max_result_rows = state->spec.max_result_rows;
-  FreeTable joined;
-  bool have_rows = false;
+  // Starters project their local join directly; a batch is joined
+  // with it first.
+  const FreeTable* joined = nullptr;
+  FreeTable batch_joined;
   if (incoming == nullptr) {
-    joined = ps.local;
-    have_rows = true;
+    joined = &ps.local;
   } else if (!incoming->empty()) {
-    HYP_ASSIGN_OR_RETURN(joined,
-                         JoinOrProduct(ps.local, *incoming, compose));
-    have_rows = true;
+    if (ps.local.schema().ToSet().Overlaps(incoming->schema().ToSet())) {
+      if (!ps.join_index) {
+        HYP_ASSIGN_OR_RETURN(ps.join_index,
+                             JoinIndex::Build(ps.local, incoming->schema()));
+      }
+      HYP_ASSIGN_OR_RETURN(batch_joined,
+                           ps.join_index->Join(*incoming, compose));
+    } else {
+      HYP_ASSIGN_OR_RETURN(batch_joined,
+                           ps.local.CartesianProduct(*incoming, compose));
+    }
+    joined = &batch_joined;
   }
 
   std::vector<Mapping> fresh;
-  if (have_rows && !joined.empty()) {
+  if (joined != nullptr && !joined->empty()) {
     // Project onto what is still needed (endpoint attrs + earlier hops).
     std::vector<std::string> project_to;
     for (const std::string& n : ps.needed_names) {
-      if (joined.schema().IndexOf(n)) project_to.push_back(n);
+      if (joined->schema().IndexOf(n)) project_to.push_back(n);
     }
     if (project_to.empty()) {
       // Terminal of a middle-only partition: only satisfiability matters.
-      ps.any_rows = ps.any_rows || !joined.empty();
+      ps.any_rows = true;
     } else {
       HYP_ASSIGN_OR_RETURN(FreeTable projected,
-                           joined.ProjectOnto(project_to, compose));
+                           joined->ProjectOnto(project_to, compose));
       if (!ps.emitted) ps.emitted.emplace(projected.schema());
       for (const Mapping& row : projected.rows()) {
         if (ps.emitted->AddRow(row)) fresh.push_back(row);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/compose.h"
 #include "core/constraint.h"
 #include "core/cover_engine.h"
 #include "core/schema.h"
@@ -196,6 +197,9 @@ class PeerNode {
     std::vector<std::string> keep_names;    // endpoint attrs kept
     std::vector<std::string> needed_names;  // what downstream-of-me needs
     FreeTable local;           // join of my member tables
+    // Index over `local`, built on the first non-empty batch that shares
+    // attributes with it; every later batch only probes it.
+    std::optional<JoinIndex> join_index;
     std::optional<FreeTable> emitted;  // dedup of rows already streamed
     std::unique_ptr<MappingCache> cache;
     bool any_rows = false;     // satisfiability witness seen

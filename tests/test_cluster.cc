@@ -325,13 +325,16 @@ TEST(MembershipFlappingTest, DelayedHeartbeatsCycleAliveSuspectAlive) {
     EXPECT_EQ(tracker.StateOf("a"), MemberState::kAlive);
     EXPECT_TRUE(tracker.AllAlive());
   }
+  EXPECT_EQ(tracker.StateOf("a"), MemberState::kAlive);
   // 1 first-contact + kFlaps recoveries; kFlaps suspects; zero downs.
-  EXPECT_EQ(reg.GetCounter("cluster.alive_transitions")->value() - alives0,
-            static_cast<uint64_t>(1 + kFlaps));
-  EXPECT_EQ(
-      reg.GetCounter("cluster.suspect_transitions")->value() - suspects0,
-      static_cast<uint64_t>(kFlaps));
-  EXPECT_EQ(reg.GetCounter("cluster.down_transitions")->value(), downs0);
+  if constexpr (obs::kMetricsEnabled) {
+    EXPECT_EQ(reg.GetCounter("cluster.alive_transitions")->value() - alives0,
+              static_cast<uint64_t>(1 + kFlaps));
+    EXPECT_EQ(
+        reg.GetCounter("cluster.suspect_transitions")->value() - suspects0,
+        static_cast<uint64_t>(kFlaps));
+    EXPECT_EQ(reg.GetCounter("cluster.down_transitions")->value(), downs0);
+  }
 }
 
 // --- slice / assemble ----------------------------------------------------
@@ -543,15 +546,23 @@ TEST_F(ClusterE2ETest, UnroutableReplyIsCountedNotSwallowed) {
   fetch.shard = 0;
   ASSERT_TRUE(ghost.Send(Message{"ghost", "s1", fetch}).ok());
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (reg.GetCounter("cluster.reply.send_failures")->value() ==
-             failures0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  if constexpr (obs::kMetricsEnabled) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (reg.GetCounter("cluster.reply.send_failures")->value() ==
+               failures0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_GT(reg.GetCounter("cluster.reply.send_failures")->value(),
+              failures0);
   }
-  EXPECT_GT(reg.GetCounter("cluster.reply.send_failures")->value(),
-            failures0);
+  // The failed reply costs s1 nothing: it keeps serving real requesters.
+  coord_->table_source()->Evict();
+  for (const std::string& name : reference_->Names()) {
+    auto got = coord_->table_source()->Fetch(name);
+    EXPECT_TRUE(got.ok()) << name << ": " << got.status();
+  }
   ghost.Stop();
 }
 
@@ -678,16 +689,20 @@ TEST_F(ClusterFailoverE2ETest, MembershipDownEvictsCachedTables) {
   // it down; the coordinator must drop every cached table assembled
   // from its slices — without any explicit Evict().
   const std::string victim = coord_->ring()->OwnerForShard(0);
+  ASSERT_TRUE(coord_->table_source()->IsCached(table));
   StopStorageNode(victim);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(15);
-  while (reg.GetCounter("cluster.replica.cache_evictions")->value() ==
-         evictions0) {
+  while (coord_->table_source()->IsCached(table)) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << victim << " never went down / evicted nothing";
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_EQ(coord_->membership().StateOf(victim), MemberState::kDown);
+  if constexpr (obs::kMetricsEnabled) {
+    EXPECT_GT(reg.GetCounter("cluster.replica.cache_evictions")->value(),
+              evictions0);
+  }
 
   // The next fetch re-assembles over the wire from survivors.
   auto got = coord_->table_source()->Fetch(table);

@@ -23,6 +23,88 @@ TEST(FreeTableTest, AddRowDedupsAndDropsEmpty) {
   EXPECT_EQ(t.size(), 1u);
 }
 
+// The row index: rows are stored once, normalized, and every lookup goes
+// through positions into that one vector.
+TEST(FreeTableTest, DuplicatesUpToRenamingAreRejected) {
+  FreeTable t(Schema::Of({Attribute::String("A"), Attribute::String("B")}));
+  EXPECT_TRUE(t.AddRow(Mapping({Cell::Variable(3), Cell::Variable(3)})));
+  EXPECT_FALSE(t.AddRow(Mapping({Cell::Variable(7), Cell::Variable(7)})));
+  EXPECT_TRUE(t.AddRow(Mapping({Cell::Variable(5), Cell::Variable(2)})));
+  EXPECT_FALSE(t.AddRow(Mapping({Cell::Variable(0), Cell::Variable(1)})));
+  EXPECT_TRUE(t.AddRow(
+      Mapping({Cell::Variable(4, {Value("x")}), Cell::Constant(Value("b"))})));
+  EXPECT_FALSE(t.AddRow(
+      Mapping({Cell::Variable(9, {Value("x")}), Cell::Constant(Value("b"))})));
+  // A different exclusion set is a different row.
+  EXPECT_TRUE(t.AddRow(
+      Mapping({Cell::Variable(9, {Value("y")}), Cell::Constant(Value("b"))})));
+  EXPECT_EQ(t.size(), 4u);
+  for (const Mapping& row : t.rows()) EXPECT_TRUE(row.IsNormalized());
+}
+
+TEST(FreeTableTest, ContainsRowNormalizesItsInput) {
+  FreeTable t(Schema::Of({Attribute::String("A"), Attribute::String("B")}));
+  ASSERT_TRUE(t.AddRow(Mapping({Cell::Variable(0), Cell::Variable(0)})));
+  ASSERT_TRUE(t.AddRow(
+      Mapping({Cell::Constant(Value("a")), Cell::Variable(0, {Value("z")})})));
+  EXPECT_TRUE(t.ContainsRow(Mapping({Cell::Variable(8), Cell::Variable(8)})));
+  EXPECT_FALSE(t.ContainsRow(Mapping({Cell::Variable(8), Cell::Variable(2)})));
+  EXPECT_TRUE(t.ContainsRow(Mapping(
+      {Cell::Constant(Value("a")), Cell::Variable(6, {Value("z")})})));
+  EXPECT_FALSE(t.ContainsRow(Mapping(
+      {Cell::Constant(Value("a")), Cell::Variable(6, {Value("q")})})));
+}
+
+TEST(FreeTableTest, CopyThatGrowsLeavesOriginalIndexUntouched) {
+  FreeTable original(Schema::Of({Attribute("A", Domain::AllInts())}));
+  for (int64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(original.AddRow(Mapping::FromTuple({Value(i)})));
+  }
+  FreeTable copy = original;
+  // Enough new rows to force the copy's index to grow past the original.
+  for (int64_t i = 40; i < 200; ++i) {
+    ASSERT_TRUE(copy.AddRow(Mapping::FromTuple({Value(i)})));
+  }
+  EXPECT_FALSE(copy.AddRow(Mapping::FromTuple({Value(int64_t{7})})));
+  EXPECT_EQ(original.size(), 40u);
+  EXPECT_FALSE(original.ContainsRow(Mapping::FromTuple({Value(int64_t{40})})));
+  EXPECT_TRUE(original.ContainsRow(Mapping::FromTuple({Value(int64_t{39})})));
+  // The original still accepts the rows only the copy holds.
+  EXPECT_TRUE(original.AddRow(Mapping::FromTuple({Value(int64_t{150})})));
+  FreeTable moved = std::move(copy);
+  EXPECT_EQ(moved.size(), 200u);
+  EXPECT_TRUE(moved.ContainsRow(Mapping::FromTuple({Value(int64_t{199})})));
+  EXPECT_FALSE(moved.AddRow(Mapping::FromTuple({Value(int64_t{0})})));
+}
+
+TEST(FreeTableTest, LookupsStayExactAcrossIndexGrowth) {
+  FreeTable t(Schema::Of(
+      {Attribute("A", Domain::AllInts()), Attribute::String("B")}));
+  // Two row shapes per key, differing only in one cell, so near misses
+  // abound; variable rows arrive with unnormalized ids.
+  auto ground = [](int64_t i) {
+    return Mapping::FromTuple({Value(i), Value("b")});
+  };
+  auto variable = [](int64_t i, VarId var) {
+    return Mapping({Cell::Constant(Value(i)),
+                    Cell::Variable(var, {Value(std::to_string(i))})});
+  };
+  constexpr int64_t kRows = 12000;
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(t.AddRow(i % 2 == 0 ? ground(i)
+                                    : variable(i, static_cast<VarId>(i))))
+        << i;
+  }
+  ASSERT_EQ(t.size(), static_cast<size_t>(kRows));
+  for (int64_t i = 0; i < kRows; ++i) {
+    EXPECT_FALSE(t.AddRow(i % 2 == 0 ? ground(i) : variable(i, 0))) << i;
+    // The other shape of the same key was never added.
+    EXPECT_FALSE(t.ContainsRow(i % 2 == 1 ? ground(i) : variable(i, 3))) << i;
+  }
+  EXPECT_FALSE(t.ContainsRow(ground(kRows)));
+  EXPECT_EQ(t.size(), static_cast<size_t>(kRows));
+}
+
 TEST(FreeTableTest, ToMappingTableSplitsAndReorders) {
   FreeTable t(Schema::Of({Attribute::String("Y"), Attribute::String("X")}));
   t.AddRow(Mapping::FromTuple({Value("y1"), Value("x1")}));
@@ -294,7 +376,93 @@ TEST_P(JoinOracleTest, JoinMatchesExtensionJoin) {
   EXPECT_EQ(Canon(ext_joined.value()), oracle);
 }
 
+// A JoinIndex probe must reproduce NaturalJoin exactly: same rows, same
+// variable numbering, same order — covers are compared byte for byte.
+void ExpectIndexJoinEqualsNaturalJoin(const FreeTable& build,
+                                      const FreeTable& probe) {
+  auto expected = build.NaturalJoin(probe);
+  auto index = JoinIndex::Build(build, probe.schema());
+  ASSERT_EQ(expected.ok(), index.ok());
+  if (!expected.ok()) return;
+  auto got = index.value().Join(probe);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got.value().schema(), expected.value().schema());
+  EXPECT_EQ(got.value().rows(), expected.value().rows())
+      << "index:\n" << got.value().ToString() << "natural join:\n"
+      << expected.value().ToString();
+}
+
+TEST_P(JoinOracleTest, JoinIndexEqualsNaturalJoinRowForRow) {
+  Rng rng(9000 + GetParam());
+  size_t domain_size = 3;
+  // One shared attribute (B) and two (B, C); RandomCell mixes constants
+  // with variables, reused variables and exclusion sets on both sides.
+  FreeTable fa = FreeTable::FromMappingTable(
+      RandomTable(&rng, {"A"}, {"B", "C"}, 8, domain_size));
+  FreeTable fb = FreeTable::FromMappingTable(
+      RandomTable(&rng, {"B"}, {"D"}, 8, domain_size));
+  FreeTable fc = FreeTable::FromMappingTable(
+      RandomTable(&rng, {"C"}, {"B", "E"}, 8, domain_size));
+  ExpectIndexJoinEqualsNaturalJoin(fa, fb);
+  ExpectIndexJoinEqualsNaturalJoin(fb, fa);
+  ExpectIndexJoinEqualsNaturalJoin(fa, fc);
+  ExpectIndexJoinEqualsNaturalJoin(fc, fa);
+
+  // One index serves many probes, as a peer joins successive batches.
+  auto index = JoinIndex::Build(fa, fb.schema());
+  ASSERT_TRUE(index.ok());
+  for (size_t start = 0; start < fb.size(); start += 3) {
+    FreeTable batch(fb.schema());
+    for (size_t r = start; r < std::min(fb.size(), start + 3); ++r) {
+      batch.AddRow(fb.rows()[r]);
+    }
+    auto got = index.value().Join(batch);
+    auto expected = fa.NaturalJoin(batch);
+    ASSERT_TRUE(got.ok() && expected.ok());
+    EXPECT_EQ(got.value().rows(), expected.value().rows());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinOracleTest, ::testing::Range(0, 30));
+
+// Every combination of ground / variable shared cells, with exclusion
+// sets on both sides, through the index and through NaturalJoin.
+TEST(JoinIndexTest, CoversGroundAndVariableSharedCellsOnBothSides) {
+  Schema ab = Schema::Of({Attribute::String("A"), Attribute::String("B")});
+  Schema bc = Schema::Of({Attribute::String("B"), Attribute::String("C")});
+  FreeTable build(ab);
+  build.AddRow(Mapping::FromTuple({Value("a1"), Value("b1")}));
+  build.AddRow(Mapping({Cell::Variable(0), Cell::Variable(0)}));
+  build.AddRow(Mapping({Cell::Constant(Value("a2")),
+                        Cell::Variable(0, {Value("b1")})}));
+  build.AddRow(Mapping::FromTuple({Value("a3"), Value("b2")}));
+  FreeTable probe(bc);
+  probe.AddRow(Mapping({Cell::Variable(0, {Value("b2")}), Cell::Variable(0)}));
+  probe.AddRow(Mapping::FromTuple({Value("b2"), Value("c2")}));
+  probe.AddRow(Mapping::FromTuple({Value("b1"), Value("c1")}));
+  probe.AddRow(Mapping({Cell::Variable(0), Cell::Constant(Value("c3"))}));
+  ExpectIndexJoinEqualsNaturalJoin(build, probe);
+  ExpectIndexJoinEqualsNaturalJoin(probe, build);
+
+  auto joined = build.NaturalJoin(probe);
+  ASSERT_TRUE(joined.ok());
+  // Spot checks of the semantics the order rests on.
+  EXPECT_TRUE(joined.value().MatchesGround(
+      {Value("a1"), Value("b1"), Value("c1")}));
+  EXPECT_TRUE(joined.value().MatchesGround(
+      {Value("a3"), Value("b2"), Value("c3")}));
+  EXPECT_FALSE(joined.value().MatchesGround(
+      {Value("a2"), Value("b1"), Value("c1")}));  // a2's B excludes b1
+
+  // A probe of another schema is refused, not joined positionally.
+  auto index = JoinIndex::Build(build, bc);
+  ASSERT_TRUE(index.ok());
+  FreeTable other(Schema::Of({Attribute::String("C"), Attribute::String("B")}));
+  EXPECT_EQ(index.value().Join(other).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(
+      JoinIndex::Build(build, Schema::Of({Attribute::String("Z")})).ok());
+}
 
 class ProjectOracleTest : public ::testing::TestWithParam<int> {};
 

@@ -83,6 +83,82 @@ TEST(MappingTableTest, DuplicateRowsCollapse) {
       v.ContainsRow(Mapping({Cell::Variable(0), Cell::Variable(0)})));
 }
 
+// The row index: one stored copy per row, deduplicated by position.
+TEST(MappingTableTest, DuplicatesUpToRenamingAreRejected) {
+  Schema x = Schema::Of({Attribute::String("A")});
+  Schema y = Schema::Of({Attribute::String("B"), Attribute::String("C")});
+  MappingTable t = MappingTable::Create(x, y).value();
+  ASSERT_TRUE(t.AddRow(Mapping({Cell::Variable(6), Cell::Variable(2),
+                                Cell::Variable(6, {Value("q")})}))
+                  .ok());
+  ASSERT_TRUE(t.AddRow(Mapping({Cell::Variable(1), Cell::Variable(0),
+                                Cell::Variable(1, {Value("q")})}))
+                  .ok());
+  EXPECT_EQ(t.size(), 1u);
+  // Same shape, different sharing: a new row.
+  ASSERT_TRUE(t.AddRow(Mapping({Cell::Variable(1), Cell::Variable(1),
+                                Cell::Variable(1, {Value("q")})}))
+                  .ok());
+  EXPECT_EQ(t.size(), 2u);
+  for (const Mapping& row : t.rows()) EXPECT_TRUE(row.IsNormalized());
+  EXPECT_EQ(t.rows()[0].cell(0).var(), 0u);
+  EXPECT_EQ(t.rows()[0].cell(1).var(), 1u);
+}
+
+TEST(MappingTableTest, ContainsRowNormalizesItsInput) {
+  MappingTable t = Figure1Table();
+  ASSERT_TRUE(t.AddRow(Mapping({Cell::Variable(0, {Value("GDB:1")}),
+                                Cell::Constant(Value("P1"))}))
+                  .ok());
+  EXPECT_TRUE(t.ContainsRow(Mapping({Cell::Variable(41, {Value("GDB:1")}),
+                                     Cell::Constant(Value("P1"))})));
+  EXPECT_FALSE(t.ContainsRow(Mapping({Cell::Variable(41, {Value("GDB:2")}),
+                                      Cell::Constant(Value("P1"))})));
+  EXPECT_TRUE(t.ContainsRow(
+      Mapping::FromTuple({Value("GDB:120232"), Value("P35240")})));
+  EXPECT_FALSE(t.ContainsRow(
+      Mapping::FromTuple({Value("GDB:120232"), Value("P21359")})));
+}
+
+TEST(MappingTableTest, CopyThatGrowsLeavesOriginalIndexUntouched) {
+  MappingTable original = Figure1Table();
+  MappingTable copy = original;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(copy.AddPair({Value("GDB:" + std::to_string(i))},
+                             {Value("P" + std::to_string(i))})
+                    .ok());
+  }
+  EXPECT_EQ(copy.size(), original.size() + 100);
+  EXPECT_EQ(original.size(), 5u);
+  EXPECT_FALSE(
+      original.ContainsRow(Mapping::FromTuple({Value("GDB:7"), Value("P7")})));
+  EXPECT_TRUE(
+      copy.ContainsRow(Mapping::FromTuple({Value("GDB:7"), Value("P7")})));
+  ASSERT_TRUE(original.AddPair({Value("GDB:7")}, {Value("P7")}).ok());
+  EXPECT_EQ(original.size(), 6u);
+  EXPECT_EQ(copy.size(), 105u);
+}
+
+TEST(MappingTableTest, LookupsStayExactAcrossIndexGrowth) {
+  Schema x = Schema::Of({Attribute("A", Domain::AllInts())});
+  Schema y = Schema::Of({Attribute::String("B")});
+  MappingTable t = MappingTable::Create(x, y).value();
+  constexpr int64_t kRows = 12000;
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(t.AddPair({Value(i)}, {Value(std::to_string(i % 97))}).ok());
+  }
+  ASSERT_EQ(t.size(), static_cast<size_t>(kRows));
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(t.AddPair({Value(i)}, {Value(std::to_string(i % 97))}).ok());
+    EXPECT_TRUE(t.ContainsRow(
+        Mapping::FromTuple({Value(i), Value(std::to_string(i % 97))})));
+    EXPECT_FALSE(t.ContainsRow(
+        Mapping::FromTuple({Value(i), Value(std::to_string(i % 97 + 1))})));
+  }
+  EXPECT_EQ(t.size(), static_cast<size_t>(kRows));
+  EXPECT_TRUE(t.SatisfiesTuple({Value(int64_t{11999}), Value("68")}));
+}
+
 TEST(MappingTableTest, VariableRowsAnswerYm) {
   // Figure 3 (bottom): CC-world table with a catch-all row.
   Schema x = Schema::Of({Attribute::String("GDB_id")});

@@ -168,6 +168,41 @@ TEST(ProtocolTest, StreamingDeliversFirstRowBeforeCompletion) {
   EXPECT_GT(result->stats.rows_received, 0u);
 }
 
+TEST(ProtocolTest, CoverBytesDoNotDependOnBatchSize) {
+  // Each peer joins every incoming batch against one index over its
+  // local tables; how the stream is cut into batches must not change a
+  // byte of the cover.
+  BioConfig config;
+  config.num_entities = 300;
+  auto workload = BioWorkload::Generate(config);
+  ASSERT_TRUE(workload.ok());
+  std::string reference;
+  for (size_t cache : {1, 4, 64}) {
+    auto peers = workload.value().BuildPeers();
+    ASSERT_TRUE(peers.ok());
+    SimNetwork net;
+    std::map<std::string, PeerNode*> by_id;
+    for (auto& p : peers.value()) {
+      ASSERT_TRUE(p->Attach(&net).ok());
+      by_id[p->id()] = p.get();
+    }
+    SessionOptions opts;
+    opts.cache_capacity = cache;
+    const SessionResult* result = RunSession(
+        &net, by_id.at("Hugo"), {"Hugo", "GDB", "SwissProt", "MIM"},
+        {Attribute::String("Hugo_id")}, {Attribute::String("MIM_id")}, opts);
+    ASSERT_NE(result, nullptr);
+    // More rows than the largest cache: every run streams many batches.
+    ASSERT_GT(result->cover.size(), 64u);
+    std::string bytes = result->cover.Serialize();
+    if (reference.empty()) {
+      reference = bytes;
+    } else {
+      EXPECT_EQ(bytes, reference) << "cache " << cache;
+    }
+  }
+}
+
 TEST(ProtocolTest, LargerCacheMeansFewerMessages) {
   BioConfig config;
   config.num_entities = 300;
