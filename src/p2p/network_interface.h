@@ -50,9 +50,11 @@ struct NetworkStats {
 ///
 /// All probabilities are per message copy; all times are in the owning
 /// network's clock (virtual µs for SimNetwork, wall µs since
-/// construction for ThreadedNetwork and TcpNetwork).  Given the same
-/// seed and the same send sequence, SimNetwork replays the exact same
-/// faults.
+/// construction for ThreadedNetwork and TcpNetwork).  A QueryService
+/// plan is relative to each session's start instead: the service
+/// installs it ShiftedBy() the session network's now_us(), since its tcp
+/// networks outlive sessions.  Given the same seed and the same send
+/// sequence, SimNetwork replays the exact same faults.
 struct FaultPlan {
   /// \brief Faults applied to one directed link.
   struct LinkFaults {
@@ -101,6 +103,29 @@ struct FaultPlan {
     const CrashWindow& w = it->second;
     return t_us >= w.crash_at_us &&
            (w.restart_at_us < 0 || t_us < w.restart_at_us);
+  }
+
+  /// \brief This plan with every outage and crash window `offset_us`
+  /// later (a never-restarting crash stays never-restarting).
+  FaultPlan ShiftedBy(int64_t offset_us) const {
+    FaultPlan shifted = *this;
+    auto shift = [offset_us](LinkFaults* faults) {
+      for (auto& [start, end] : faults->outages_us) {
+        start += offset_us;
+        end += offset_us;
+      }
+    };
+    shift(&shifted.default_link);
+    for (auto& [link, faults] : shifted.links) {
+      (void)link;
+      shift(&faults);
+    }
+    for (auto& [peer, window] : shifted.crashes) {
+      (void)peer;
+      window.crash_at_us += offset_us;
+      if (window.restart_at_us >= 0) window.restart_at_us += offset_us;
+    }
+    return shifted;
   }
 
   /// \brief True when the plan can never inject anything.

@@ -149,12 +149,13 @@ Status TcpNetwork::RegisterPeer(const std::string& id, Handler handler) {
     return Status::InvalidArgument("peer id must be nonempty");
   }
   MutexLock lock(mutex_);
-  if (running_) {
-    return Status::FailedPrecondition(
-        "cannot register peers while the network is running");
-  }
-  if (peers_.count(id)) {
-    return Status::AlreadyExists("peer '" + id + "' already registered");
+  if (auto it = peers_.find(id); it != peers_.end()) {
+    if (it->second.handler) {
+      return Status::AlreadyExists("peer '" + id + "' already registered");
+    }
+    // Detached: its listener and connections were kept for this.
+    it->second.handler = std::move(handler);
+    return Status::OK();
   }
   PeerState peer;
   peer.id = id;
@@ -165,7 +166,15 @@ Status TcpNetwork::RegisterPeer(const std::string& id, Handler handler) {
     peers_.erase(it);
     return bound;
   }
+  WakeLoop();  // a running loop polls the new listener from its next pass
   return Status::OK();
+}
+
+void TcpNetwork::DetachPeer(const std::string& id) {
+  MutexLock lock(mutex_);
+  if (auto it = peers_.find(id); it != peers_.end()) {
+    it->second.handler = nullptr;
+  }
 }
 
 Result<uint16_t> TcpNetwork::ListenPort(const std::string& peer) const {
@@ -197,6 +206,12 @@ void TcpNetwork::Wakeup() {
   char b = 1;
   // A full pipe already guarantees a pending wakeup.
   [[maybe_unused]] ssize_t n = ::write(wakeup_.write_fd, &b, 1);
+}
+
+void TcpNetwork::WakeLoop() {
+  // The loop rebuilds its poll set and timeout after every handler and
+  // timer callback, so a call made from one needs no wakeup.
+  if (std::this_thread::get_id() != loop_id_) Wakeup();
 }
 
 void TcpNetwork::StageFrame(const std::string& dest, std::string frame,
@@ -251,7 +266,7 @@ Status TcpNetwork::Send(Message msg) {
       StageFrame(msg.to, frame, local_dest);
     }
   }
-  Wakeup();
+  WakeLoop();
   return Status::OK();
 }
 
@@ -272,8 +287,12 @@ Result<Network::TimerId> TcpNetwork::ScheduleTimer(const std::string& peer,
   TimerId id = entry.id;
   live_timers_.insert(id);
   ++outstanding_;
-  pending_.emplace(now_us() + delay_us, std::move(entry));
-  Wakeup();
+  const int64_t due = now_us() + delay_us;
+  // The loop sleeps no later than the earliest pending entry, so only a
+  // new earliest one needs to wake it.
+  const bool earliest = pending_.empty() || due < pending_.begin()->first;
+  pending_.emplace(due, std::move(entry));
+  if (earliest) WakeLoop();
   return id;
 }
 
@@ -429,6 +448,7 @@ void TcpNetwork::LoopThread() {
   std::vector<FdMeta> meta;
 
   MutexLock lock(mutex_);
+  loop_id_ = std::this_thread::get_id();
   while (!stopping_) {
     int64_t now = now_us();
 
@@ -463,6 +483,11 @@ void TcpNetwork::LoopThread() {
         stats_.crash_discards += 1;
         RecordFaultEvent("net.crash_discards", "tcp");
         DecrementOutstanding();
+        continue;
+      }
+      if (auto peer = peers_.find(entry.peer);
+          peer == peers_.end() || !peer->second.handler) {
+        DecrementOutstanding();  // detached peers' timers do not fire
         continue;
       }
       stats_.timers_fired += 1;
@@ -633,8 +658,8 @@ void TcpNetwork::LoopThread() {
     //    loop thread is what serializes all handlers).
     for (Delivery& d : deliveries) {
       auto peer = peers_.find(d.peer);
-      if (peer == peers_.end()) {
-        if (d.counted) DecrementOutstanding();
+      if (peer == peers_.end() || !peer->second.handler) {
+        if (d.counted) DecrementOutstanding();  // detached: dropped
         continue;
       }
       if (faults_.PeerDownAt(d.peer, now_us())) {
@@ -704,6 +729,7 @@ void TcpNetwork::Stop(int64_t drain_timeout_us) {
   Wakeup();
   loop.join();
   MutexLock lock(mutex_);
+  loop_id_ = std::thread::id();
   for (auto& [fd, conn] : in_conns_) {
     (void)conn;
     ::close(fd);
@@ -723,6 +749,17 @@ void TcpNetwork::Stop(int64_t drain_timeout_us) {
   quiescent_cv_.NotifyAll();
 }
 
+Status TcpNetwork::WaitQuiescent() {
+  MutexLock lock(mutex_);
+  if (!running_) {
+    return Status::FailedPrecondition("the network is not running");
+  }
+  quiescent_cv_.Wait(mutex_, [this]() REQUIRES(mutex_) {
+    return outstanding_ == 0 || stopping_;
+  });
+  return Status::OK();
+}
+
 Result<int64_t> TcpNetwork::Run() {
   auto start = std::chrono::steady_clock::now();
   {
@@ -732,12 +769,7 @@ Result<int64_t> TcpNetwork::Run() {
     }
   }
   HYP_RETURN_IF_ERROR(Start());
-  {
-    MutexLock lock(mutex_);
-    quiescent_cv_.Wait(mutex_, [this]() REQUIRES(mutex_) {
-      return outstanding_ == 0 || stopping_;
-    });
-  }
+  HYP_RETURN_IF_ERROR(WaitQuiescent());
   Stop(/*drain_timeout_us=*/0);
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - start)

@@ -16,15 +16,24 @@
 // runs every handler and timer callback, so handlers for one peer (in
 // fact for all peers of this instance) never run concurrently — the
 // same invariant SimNetwork and ThreadedNetwork provide.  Send() is
-// thread-safe and callable from inside handlers.
+// thread-safe and callable from inside handlers; calls made on the loop
+// thread skip the wakeup pipe, since the loop rebuilds its poll set
+// after every callback anyway.
 //
-// Quiescence: Run() returns once every frame this instance sent has
-// been flushed (remote destinations) or fully handled (local
-// destinations), and no timer is pending.  Frames carry a per-instance
-// origin token (wire.h) so a receiver can tell its own in-flight frames
-// — which count toward its quiescence — from frames a remote instance
-// sent, which do not.  Two-instance setups therefore use Start() +
+// Quiescence: WaitQuiescent() returns once every frame this instance
+// sent has been flushed (remote destinations) or fully handled (local
+// destinations), and no timer is pending.  Run() is Start() +
+// WaitQuiescent() + Stop().  Frames carry a per-instance origin token
+// (wire.h) so a receiver can tell its own in-flight frames — which
+// count toward its quiescence — from frames a remote instance sent,
+// which do not.  Two-instance setups therefore use Start() +
 // RunUntil(predicate) + Stop() instead of Run().
+//
+// Reuse: a running network can serve one run after another.  At
+// quiescence no frame or timer of the last run is left, so DetachPeer()
+// then RegisterPeer() swaps a peer's handler while its listener, the
+// loop thread and every open connection stay up.  QueryService keeps
+// its tcp networks running this way between cover sessions.
 //
 // Fault injection sits at the socket boundary: the shared FaultInjector
 // decides drop/duplicate/jitter per Send before any bytes are staged,
@@ -93,9 +102,17 @@ class TcpNetwork : public Network {
   TcpNetwork& operator=(const TcpNetwork&) = delete;
 
   /// \brief Registers a peer and binds its listening socket immediately
-  /// (so ListenPort() is valid before Start()).  Not callable while the
-  /// event loop is running.
+  /// (so ListenPort() is valid before Start()).  Callable while the event
+  /// loop runs.  For a detached peer it only installs `handler`: the
+  /// listener and connections are the ones kept since DetachPeer().
   Status RegisterPeer(const std::string& id, Handler handler) override;
+
+  /// \brief Removes `id`'s handler but keeps its listener and
+  /// connections.  Frames delivered to a detached peer are dropped and
+  /// its timers do not fire; both still release their hold on
+  /// quiescence.  A handler already running may finish after this
+  /// returns, so detach at quiescence before destroying its owner.
+  void DetachPeer(const std::string& id);
 
   /// \brief The port `peer`'s listener is bound to.
   Result<uint16_t> ListenPort(const std::string& peer) const;
@@ -134,8 +151,12 @@ class TcpNetwork : public Network {
   /// (listeners stay bound for a later Start()).
   void Stop(int64_t drain_timeout_us = 2'000'000);
 
-  /// \brief Start() + wait for quiescence + Stop().  Returns elapsed
-  /// wall µs.  The single-instance equivalent of ThreadedNetwork::Run.
+  /// \brief Waits until quiescent (see above), or until Stop() begins,
+  /// and leaves the loop running.  Requires Start().
+  Status WaitQuiescent();
+
+  /// \brief Start() + WaitQuiescent() + Stop().  Returns elapsed wall
+  /// µs.  The single-instance equivalent of ThreadedNetwork::Run.
   Result<int64_t> Run();
 
   /// \brief Wall-clock µs since this network was constructed.
@@ -215,6 +236,8 @@ class TcpNetwork : public Network {
   void FlushConn(OutConn* conn) REQUIRES(mutex_);
   void DecrementOutstanding() REQUIRES(mutex_);
   void Wakeup();
+  // Wakeup() unless called on the loop thread.
+  void WakeLoop() REQUIRES(mutex_);
   void LoopThread();
   int64_t NextDueUs() const REQUIRES(mutex_);
 
@@ -238,6 +261,7 @@ class TcpNetwork : public Network {
   std::set<TimerId> cancelled_timers_ GUARDED_BY(mutex_);
   int64_t outstanding_ GUARDED_BY(mutex_) = 0;
   bool running_ GUARDED_BY(mutex_) = false;
+  std::thread::id loop_id_ GUARDED_BY(mutex_);  // set while the loop runs
   bool stopping_ GUARDED_BY(mutex_) = false;
   NetworkStats stats_ GUARDED_BY(mutex_);
   TcpStats tcp_stats_ GUARDED_BY(mutex_);

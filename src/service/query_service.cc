@@ -39,6 +39,18 @@ int64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
+// Runs `fn` when it goes out of scope.
+class ScopeExit {
+ public:
+  explicit ScopeExit(std::function<void()> fn) : fn_(std::move(fn)) {}
+  ~ScopeExit() { fn_(); }
+  ScopeExit(const ScopeExit&) = delete;
+  ScopeExit& operator=(const ScopeExit&) = delete;
+
+ private:
+  std::function<void()> fn_;
+};
+
 void AppendNames(std::string* out, const std::vector<Attribute>& attrs) {
   for (size_t i = 0; i < attrs.size(); ++i) {
     if (i) out->push_back(',');
@@ -272,43 +284,66 @@ void QueryService::WorkerLoop() {
 
 Result<MappingTable> QueryService::RunSession(const QueryRequest& request,
                                               const PathSnapshot& snapshot) {
-  // Fresh peers and a private network per execution: protocol state never
-  // crosses worker threads, and every session replays its own faults.
-  // Only the link RTT estimates (link_rtt_) carry over between sessions.
-  // All three transports run to quiescence inside this frame and join
-  // their threads before returning, so the peers (declared below, hence
-  // destroyed first) are never touched after the run.
+  // Fresh peers per execution: protocol state never crosses worker
+  // threads.  sim and threaded sessions get a fresh network too (the
+  // sim's virtual clock must start at 0).  A tcp session takes a running
+  // network from idle_tcp_ and keeps its listeners, loop thread and
+  // connections.  Only those networks and the link RTT estimates
+  // (link_rtt_) carry over between sessions.
   std::unique_ptr<SimNetwork> sim;
   std::unique_ptr<ThreadedNetwork> threaded;
   std::unique_ptr<TcpNetwork> tcp;
   Network* net = nullptr;
-  std::function<Result<int64_t>()> run;
+  std::function<Status()> run;
   switch (options_.transport) {
     case ServiceTransport::kSim:
       sim = std::make_unique<SimNetwork>(options_.net_options);
       net = sim.get();
-      run = [&sim] { return sim->Run(); };
+      run = [&sim] { return sim->Run().status(); };
       break;
     case ServiceTransport::kThreaded:
       threaded = std::make_unique<ThreadedNetwork>();
       net = threaded.get();
-      run = [&threaded] { return threaded->Run(); };
+      run = [&threaded] { return threaded->Run().status(); };
       break;
     case ServiceTransport::kTcp:
-      tcp = std::make_unique<TcpNetwork>();
+      {
+        MutexLock lock(mu_);
+        if (!idle_tcp_.empty()) {
+          tcp = std::move(idle_tcp_.back());
+          idle_tcp_.pop_back();
+        }
+      }
+      if (tcp == nullptr) {
+        tcp = std::make_unique<TcpNetwork>();
+        HYP_RETURN_IF_ERROR(tcp->Start());
+      }
       net = tcp.get();
-      run = [&tcp] { return tcp->Run(); };
+      run = [&tcp] { return tcp->WaitQuiescent(); };
       break;
   }
+  std::vector<std::unique_ptr<PeerNode>> peers;
+  // Declared after `peers`, so on every exit path it runs while they
+  // still exist: at quiescence no frame or timer of this session is
+  // left to reach them or the next session's peers.
+  ScopeExit recycle([&] {
+    if (tcp == nullptr) return;
+    IgnoreStatus(tcp->WaitQuiescent());
+    for (const std::string& id : request.path_peers) tcp->DetachPeer(id);
+    tcp->SetFaultPlan(FaultPlan());
+    MutexLock lock(mu_);
+    idle_tcp_.push_back(std::move(tcp));
+  });
   if (!options_.fault_plan.empty()) {
     // Perturb the seed per execution so a retried query does not replay
     // the exact fault sequence that killed its predecessor.
     static std::atomic<uint64_t> execution_ordinal{0};
     FaultPlan plan = options_.fault_plan;
     plan.seed += execution_ordinal.fetch_add(1, std::memory_order_relaxed);
-    net->SetFaultPlan(std::move(plan));
+    // Plan times count from session start; a pooled network's clock
+    // started with its first session.
+    net->SetFaultPlan(plan.ShiftedBy(net->now_us()));
   }
-  std::vector<std::unique_ptr<PeerNode>> peers;
   peers.reserve(snapshot.specs.size());
   for (const PeerSpec* spec : snapshot.specs) {
     peers.push_back(
@@ -321,14 +356,26 @@ Result<MappingTable> QueryService::RunSession(const QueryRequest& request,
           request.path_peers[hop + 1], MappingConstraint(vt.table)));
     }
   }
-  HYP_ASSIGN_OR_RETURN(
-      SessionId session,
-      peers.front()->StartCoverSession(request.path_peers, request.x_attrs,
-                                       request.y_attrs, request.options));
-  HYP_ASSIGN_OR_RETURN(int64_t end_time, run());
-  (void)end_time;
+  PeerNode& initiator = *peers.front();
+  Result<SessionId> session = Status::Unavailable(
+      "initiator was down when its session was due to start");
+  auto start = [&] {
+    session = initiator.StartCoverSession(
+        request.path_peers, request.x_attrs, request.y_attrs,
+        request.options);
+  };
+  if (tcp != nullptr) {
+    // The loop is already running: start on it, or the first ack could
+    // reach the initiator before StartCoverSession records its sends.
+    HYP_RETURN_IF_ERROR(
+        tcp->ScheduleTimer(initiator.id(), 0, start).status());
+  } else {
+    start();
+  }
+  HYP_RETURN_IF_ERROR(run());
+  HYP_RETURN_IF_ERROR(session.status());
   HYP_ASSIGN_OR_RETURN(const SessionResult* result,
-                       peers.front()->GetResult(session));
+                       initiator.GetResult(session.value()));
   if (!result->done) {
     return Status::Internal("session did not complete after network drain");
   }

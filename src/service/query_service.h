@@ -24,13 +24,16 @@
 //
 // Each execution builds its session's peers fresh from the TableStore
 // snapshot (constraints are shared_ptr handles onto immutable tables, so
-// this is cheap) and runs them on a private network confined to the
-// worker thread; workers therefore never share protocol state, and the
-// service is safe to drive from any number of client threads.  The one
-// thing sessions do share is the service's table of per-link round-trip
+// this is cheap) and runs them on a network no other session uses while
+// it runs; workers therefore never share protocol state, and the
+// service is safe to drive from any number of client threads.  Sessions
+// share two things.  One is the service's table of per-link round-trip
 // estimates (p2p/link_rtt.h): every session's peers read and refine it,
 // so retransmit timeouts track the links from the first message on
-// instead of restarting from the configured timeout.
+// instead of restarting from the configured timeout.  The other, on the
+// tcp transport, is a pool of running networks: a session takes an idle
+// one and hands it back at quiescence, so sockets and the loop thread
+// outlive it.
 //
 // Metrics (service.*) flow into the default registry; see
 // docs/METRICS.md.
@@ -58,6 +61,9 @@
 #include "storage/table_store.h"
 
 namespace hyperion {
+
+class TcpNetwork;
+
 namespace obs {
 class Counter;
 class Gauge;
@@ -125,14 +131,17 @@ struct QueryServiceOptions {
   size_t queue_capacity = 64;
   /// Cover-cache entries; 0 disables caching.
   size_t cache_entries = 1024;
-  /// Faults injected into every session's private network (seeded,
-  /// deterministic per session).
+  /// Faults injected into every session's network (seeded,
+  /// deterministic per session; times relative to session start).
   FaultPlan fault_plan;
   /// Latency/bandwidth model for the sessions' simulated networks
   /// (transport == kSim only).
   SimNetwork::Options net_options;
-  /// Transport each session's private network uses.  kTcp binds one
-  /// loopback listener per path peer for the session's duration.
+  /// Transport each session's network uses.  sim and threaded sessions
+  /// each get a fresh network.  kTcp sessions reuse running networks,
+  /// one per concurrently running session, whose loopback listeners
+  /// (one per peer ever on a path), loop threads and connections live as
+  /// long as the service.
   ServiceTransport transport = ServiceTransport::kSim;
 };
 
@@ -213,7 +222,8 @@ class QueryService {
   // Runs the cover session for `flight` on the calling thread and
   // resolves its promise (never throws the promise away).
   void ExecuteFlight(const std::shared_ptr<Flight>& flight);
-  // The protocol run itself: fresh peers, private network, one session.
+  // The protocol run itself: fresh peers and one session, on a fresh sim
+  // or threaded network or a pooled tcp one.
   Result<MappingTable> RunSession(const QueryRequest& request,
                                   const PathSnapshot& snapshot);
   void WorkerLoop();
@@ -241,6 +251,11 @@ class QueryService {
   // std::thread: the first caller swaps the pool out under mu_ and joins
   // its private copy.
   std::vector<std::thread> workers_ GUARDED_BY(mu_);
+  // Idle, running tcp networks (transport == kTcp): RunSession takes one,
+  // or starts a new one when none is idle, and returns it at quiescence
+  // with its handlers detached.  Destroying them with the service joins
+  // their loop threads and closes their listeners.
+  std::vector<std::unique_ptr<TcpNetwork>> idle_tcp_ GUARDED_BY(mu_);
 
   // service.* instruments (default registry), fetched once.
   obs::Counter* m_requests_ = nullptr;

@@ -19,6 +19,7 @@
 
 #include "core/containment.h"
 #include "core/cover_engine.h"
+#include "obs/metrics.h"
 #include "service/catalogs.h"
 
 namespace hyperion {
@@ -437,6 +438,89 @@ TEST(QueryServiceTest, DestroyWithSessionsInFlightOnWallClockTransports) {
                   IsLoudOverloadOrPartition(response->status))
           << response->status;
     }
+  }
+}
+
+// ---- tcp network reuse across sessions ----------------------------------
+
+QueryServiceOptions SingleWorkerTcp() {
+  QueryServiceOptions opts;
+  opts.num_workers = 1;
+  opts.cache_entries = 0;  // every query runs a session
+  opts.transport = ServiceTransport::kTcp;
+  return opts;
+}
+
+std::string SimCoverBytes(const ServiceCatalog& catalog, QueryRequest req) {
+  QueryServiceOptions opts;
+  opts.num_workers = 0;
+  opts.cache_entries = 0;
+  QueryService sim(catalog.store.get(), catalog.peers, opts);
+  QueryResponsePtr r = Roundtrip(&sim, std::move(req));
+  EXPECT_TRUE(r != nullptr && r->status.ok());
+  return r != nullptr && r->cover != nullptr ? r->cover->Serialize() : "";
+}
+
+uint64_t TcpConnects() {
+  return obs::MetricRegistry::Default()
+      .GetCounter("net.tcp.connects", {{"network", "tcp"}})
+      ->value();
+}
+
+TEST(QueryServiceTcpReuseTest, SessionsReuseConnections) {
+  ServiceCatalog catalog = ChainCatalog();
+  const std::string chain = SimCoverBytes(catalog, ChainRequest());
+  const std::string two_peer = SimCoverBytes(catalog, TwoPeerRequest());
+  QueryService service(catalog.store.get(), catalog.peers,
+                       SingleWorkerTcp());
+  uint64_t connects_after_first = 0;
+  for (int i = 0; i < 20; ++i) {
+    const bool odd = i % 2 == 1;
+    QueryResponsePtr r =
+        service.Execute(odd ? TwoPeerRequest() : ChainRequest());
+    ASSERT_TRUE(r->status.ok()) << "query " << i << ": " << r->status;
+    EXPECT_EQ(r->cover->Serialize(), odd ? two_peer : chain)
+        << "query " << i;
+    if (i == 0) connects_after_first = TcpConnects();
+  }
+  if constexpr (obs::kMetricsEnabled) {
+    // The first session opened every connection the later ones use.
+    EXPECT_EQ(TcpConnects(), connects_after_first);
+  }
+}
+
+TEST(QueryServiceTcpReuseTest, FailedSessionLeavesPooledNetworkClean) {
+  ServiceCatalog catalog = ChainCatalog();
+  const std::string chain = SimCoverBytes(catalog, ChainRequest());
+  QueryService service(catalog.store.get(), catalog.peers,
+                       SingleWorkerTcp());
+  QueryRequest capped = ChainRequest();
+  capped.options.compose.max_result_rows = 1;
+  QueryResponsePtr failed = service.Execute(capped);
+  EXPECT_FALSE(failed->status.ok());
+  EXPECT_NE(failed->status.ToString().find("max rows"), std::string::npos)
+      << failed->status;
+  for (int i = 0; i < 3; ++i) {
+    QueryResponsePtr r = service.Execute(ChainRequest());
+    ASSERT_TRUE(r->status.ok()) << r->status;
+    EXPECT_EQ(r->cover->Serialize(), chain);
+  }
+}
+
+TEST(QueryServiceTcpReuseTest, FaultWindowsAreRelativeToEachSession) {
+  // The initiator's first link is down for the first 100 ms of every
+  // session.  On a reused network, whose clock keeps running, queries 2
+  // and 3 would miss the outage unless the plan is rebased per session.
+  ServiceCatalog catalog = ChainCatalog();
+  const std::string chain = SimCoverBytes(catalog, ChainRequest());
+  QueryServiceOptions opts = SingleWorkerTcp();
+  opts.fault_plan.links[{"A", "B"}].outages_us = {{0, 100'000}};
+  QueryService service(catalog.store.get(), catalog.peers, opts);
+  for (int i = 0; i < 3; ++i) {
+    QueryResponsePtr r = service.Execute(ChainRequest());
+    ASSERT_TRUE(r->status.ok()) << "query " << i << ": " << r->status;
+    EXPECT_EQ(r->cover->Serialize(), chain) << "query " << i;
+    EXPECT_GE(r->latency_us, 100'000) << "query " << i;
   }
 }
 

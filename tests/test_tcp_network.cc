@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <thread>
@@ -321,6 +322,108 @@ TEST(TcpNetworkTest, CoverSessionMatchesSimulatedNetwork) {
   ASSERT_TRUE(equivalent.ok());
   EXPECT_TRUE(equivalent.value())
       << "sim " << sim_cover.size() << " rows vs tcp " << tcp_cover.size();
+}
+
+// ---- reuse across runs: one running loop, many WaitQuiescent rounds ----
+
+TEST(TcpNetworkTest, HandlerCanBeReplacedWhileLoopRuns) {
+  TcpNetwork net;
+  std::atomic<int> first{0};
+  std::atomic<int> second{0};
+  std::atomic<int> late{0};
+  ASSERT_TRUE(net.RegisterPeer("rx", [&](const Message&) { ++first; }).ok());
+  ASSERT_TRUE(net.RegisterPeer("tx", [](const Message&) {}).ok());
+  ASSERT_TRUE(net.Start().ok());
+  PingMsg ping;
+  ASSERT_TRUE(net.Send(Message{"tx", "rx", ping}).ok());
+  ASSERT_TRUE(net.WaitQuiescent().ok());
+  EXPECT_EQ(first.load(), 1);
+
+  net.DetachPeer("rx");
+  ASSERT_TRUE(
+      net.RegisterPeer("rx", [&](const Message&) { ++second; }).ok());
+  EXPECT_EQ(net.RegisterPeer("rx", [](const Message&) {}).code(),
+            StatusCode::kAlreadyExists);
+  // A peer never seen before binds its listener while the loop runs.
+  ASSERT_TRUE(net.RegisterPeer("late", [&](const Message&) { ++late; }).ok());
+  ASSERT_TRUE(net.Send(Message{"tx", "rx", ping}).ok());
+  ASSERT_TRUE(net.Send(Message{"tx", "late", ping}).ok());
+  ASSERT_TRUE(net.WaitQuiescent().ok());
+  EXPECT_EQ(first.load(), 1);
+  EXPECT_EQ(second.load(), 1);
+  EXPECT_EQ(late.load(), 1);
+  // The replaced handler kept rx's listener and tx's connection to it.
+  EXPECT_EQ(net.tcp_stats().connects, 2u);
+  net.Stop();
+}
+
+TEST(TcpNetworkTest, DeliveryToDetachedPeerIsDroppedAndReleased) {
+  TcpNetwork net;
+  std::atomic<int> received{0};
+  std::atomic<bool> timer_ran{false};
+  ASSERT_TRUE(
+      net.RegisterPeer("rx", [&](const Message&) { ++received; }).ok());
+  ASSERT_TRUE(net.RegisterPeer("tx", [](const Message&) {}).ok());
+  ASSERT_TRUE(net.Start().ok());
+  net.DetachPeer("rx");
+  PingMsg ping;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(net.Send(Message{"tx", "rx", ping}).ok());
+  }
+  ASSERT_TRUE(net.ScheduleTimer("rx", 100, [&] { timer_ran = true; }).ok());
+  // Would hang if a dropped frame or timer kept its hold on quiescence.
+  ASSERT_TRUE(net.WaitQuiescent().ok());
+  EXPECT_EQ(received.load(), 0);
+  EXPECT_FALSE(timer_ran.load());
+  EXPECT_EQ(net.tcp_stats().frames_received, 5u);
+  EXPECT_EQ(net.stats().timers_fired, 0u);
+
+  ASSERT_TRUE(
+      net.RegisterPeer("rx", [&](const Message&) { ++received; }).ok());
+  ASSERT_TRUE(net.Send(Message{"tx", "rx", ping}).ok());
+  ASSERT_TRUE(net.WaitQuiescent().ok());
+  EXPECT_EQ(received.load(), 1);
+  net.Stop();
+}
+
+TEST(TcpNetworkTest, WaitQuiescentRoundsOpenEachConnectionOnce) {
+  TcpNetwork net;
+  std::atomic<int> replies{0};
+  ASSERT_TRUE(net.RegisterPeer("a", [&](const Message&) { ++replies; }).ok());
+  auto echo = [&](const Message& msg) {
+    IgnoreStatus(net.Send(Message{"b", "a", std::get<PingMsg>(msg.payload)}));
+  };
+  ASSERT_TRUE(net.RegisterPeer("b", echo).ok());
+  EXPECT_FALSE(net.WaitQuiescent().ok());  // not started
+  ASSERT_TRUE(net.Start().ok());
+  PingMsg ping;
+  for (int round = 1; round <= 2; ++round) {
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(net.Send(Message{"a", "b", ping}).ok());
+    }
+    ASSERT_TRUE(net.WaitQuiescent().ok());
+    EXPECT_EQ(replies.load(), 10 * round);
+    EXPECT_EQ(net.tcp_stats().connects, 2u) << "round " << round;
+  }
+  net.Stop();
+}
+
+TEST(TcpNetworkTest, EarlierTimerFromAnotherThreadWakesTheLoop) {
+  TcpNetwork net;
+  ASSERT_TRUE(net.RegisterPeer("a", [](const Message&) {}).ok());
+  ASSERT_TRUE(net.Start().ok());
+  std::atomic<bool> late{false};
+  std::atomic<bool> early{false};
+  auto slow = net.ScheduleTimer("a", 5'000'000, [&] { late = true; });
+  ASSERT_TRUE(slow.ok());
+  // Give the loop time to go to sleep until the 5 s timer.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(net.ScheduleTimer("a", 1000, [&] { early = true; }).ok());
+  EXPECT_TRUE(net.RunUntil([&] { return early.load(); }, 2'000'000));
+  EXPECT_FALSE(late.load());
+  net.CancelTimer(slow.value());
+  ASSERT_TRUE(net.WaitQuiescent().ok());
+  net.Stop();
 }
 
 TEST(TcpNetworkTest, StopWithTrafficInFlightDoesNotHangOrCrash) {
