@@ -178,6 +178,7 @@ int Generate(const std::filesystem::path& dir) {
   ack.kind = 2;
   ack.partition = 1;
   ack.seq = 8;
+  ack.next_expected = 6;
   add("AckMsg", ack);
 
   HeartbeatMsg beat;

@@ -97,7 +97,7 @@ size_t Message::ByteSize() const {
       for (const Value& v : t) bytes += EstimateValueBytes(v);
     }
   } else if (std::get_if<AckMsg>(&payload)) {
-    bytes += 25;  // session + kind + partition + seq
+    bytes += 33;  // session + kind + partition + seq + next_expected
   } else if (const auto* hb = std::get_if<HeartbeatMsg>(&payload)) {
     bytes += 33 + hb->node.size() + hb->listen_addr.size() +
              16 * hb->shards.size();

@@ -141,13 +141,16 @@ struct FinalRowsMsg {
 
 /// \brief Acknowledges receipt of one sequenced session message, echoing
 /// the (kind, partition, seq) channel coordinates so the sender can stop
-/// retransmitting it.  Acks themselves are unsequenced: a lost ack just
-/// means a retransmission the receiver's dedup discards.
+/// retransmitting it.  `next_expected` is cumulative: every seq below it
+/// has arrived, so one ack covers the ones lost before it, and a
+/// `next_expected` below `seq` names the hole the receiver is waiting
+/// on.  Acks themselves are unsequenced.
 struct AckMsg {
   SessionId session = 0;
   uint8_t kind = 0;        // ReliableKind of the message being acked
   uint64_t partition = 0;  // 0 for kinds without a partition
   uint64_t seq = 0;
+  uint64_t next_expected = 0;  // the channel's next in-order seq
 };
 
 /// \brief Gnutella-style value search (§1–§2): a selection query flooded

@@ -246,6 +246,9 @@ Status PeerNode::SendReliable(SessionId session, uint8_t kind,
                               int64_t timeout_us, int max_retransmits,
                               const char* phase,
                               const std::string& initiator) {
+  // The initiator is done with an ended session: nobody needs the
+  // message, and a send would re-arm a timer the session just shed.
+  if (ended_sessions_.count(session)) return Status::OK();
   ChannelKey channel{session, kind, partition, msg.to};
   uint64_t seq = ++next_send_seq_[channel];
   SetSeq(&msg, seq);
@@ -323,53 +326,87 @@ void PeerNode::HandleRetransmitTimer(const SendKey& key) {
     AbandonSend(key, status);
     return;
   }
-  out.attempts += 1;
   out.timeout_us *= 2;
-  CountProto("proto.retransmits");
-  TraceProto(network_, id_, "reliable.retransmit", session,
-             partition == kErrorPartition ? -1
-                                          : static_cast<int64_t>(partition),
-             -1, static_cast<int64_t>(seq),
-             "to '" + to + "' attempt " + std::to_string(out.attempts));
-  // Best-effort: a retransmission that cannot be sent is equivalent to
-  // one that was lost in flight — the timer below fires again, and the
-  // attempt cap turns persistent failure into a loud session error.
-  IgnoreStatus(network_->Send(out.msg));
+  Retransmit(key, &out, /*fast=*/false);
   Status armed = ArmRetransmitTimer(key);
   if (!armed.ok()) AbandonSend(key, armed);
 }
 
+void PeerNode::Retransmit(const SendKey& key, OutstandingSend* out,
+                          bool fast) {
+  const auto& [session, kind, partition, to, seq] = key;
+  out->attempts += 1;
+  CountProto("proto.retransmits");
+  if (fast) CountProto("proto.fast_retransmits");
+  std::string detail = "to '";
+  detail.append(to).append("' attempt ").append(
+      std::to_string(out->attempts));
+  if (fast) detail.append(" (hole reported)");
+  TraceProto(network_, id_, "reliable.retransmit", session,
+             partition == kErrorPartition ? -1
+                                          : static_cast<int64_t>(partition),
+             -1, static_cast<int64_t>(seq), std::move(detail));
+  // Best-effort: a retransmission that cannot be sent is equivalent to
+  // one that was lost in flight — the retransmit timer fires again, and
+  // the attempt cap turns persistent failure into a loud session error.
+  IgnoreStatus(network_->Send(out->msg));
+}
+
 void PeerNode::OnAck(const Message& msg) {
   const auto& ack = std::get<AckMsg>(msg.payload);
-  SendKey key{ack.session, ack.kind, ack.partition, msg.from, ack.seq};
-  auto it = outstanding_sends_.find(key);
-  if (it == outstanding_sends_.end()) return;  // late or duplicate ack
-  const OutstandingSend& out = it->second;
-  if (out.timer != 0) network_->CancelTimer(out.timer);
-  // Karn's rule: an ack after a retransmission cannot say which copy it
-  // answers, so only first-attempt sends give a round-trip sample.
-  if (out.attempts == 1) {
-    const int64_t rtt_us = network_->now_us() - out.sent_at_us;
-    link_rtt_->AddSample(id_, msg.from, rtt_us);
-    if constexpr (obs::kMetricsEnabled) {
-      static obs::Histogram* const ack_rtt =
-          obs::MetricRegistry::Default().GetHistogram(
-              "proto.ack_rtt_us", obs::LatencyBoundsUs());
-      ack_rtt->Observe(rtt_us);
+  auto erase = [this](std::map<SendKey, OutstandingSend>::iterator it) {
+    if (it->second.timer != 0) network_->CancelTimer(it->second.timer);
+    return outstanding_sends_.erase(it);
+  };
+  auto key = [&](uint64_t seq) {
+    return SendKey{ack.session, ack.kind, ack.partition, msg.from, seq};
+  };
+  // Selective: the acked send itself.  Karn's rule: an ack after a
+  // retransmission cannot say which copy it answers, so only this exact,
+  // first-attempt send gives a round-trip sample.
+  if (auto it = outstanding_sends_.find(key(ack.seq));
+      it != outstanding_sends_.end()) {
+    if (it->second.attempts == 1) {
+      const int64_t rtt_us = network_->now_us() - it->second.sent_at_us;
+      link_rtt_->AddSample(id_, msg.from, rtt_us);
+      if constexpr (obs::kMetricsEnabled) {
+        static obs::Histogram* const ack_rtt =
+            obs::MetricRegistry::Default().GetHistogram(
+                "proto.ack_rtt_us", obs::LatencyBoundsUs());
+        ack_rtt->Observe(rtt_us);
+      }
+    }
+    erase(it);
+  }
+  // Cumulative: everything below next_expected has arrived, whether or
+  // not its own ack made it back.
+  auto it = outstanding_sends_.lower_bound(key(0));
+  const auto below = outstanding_sends_.lower_bound(key(ack.next_expected));
+  while (it != below) it = erase(it);
+  // A next_expected below the acked seq is a hole at the receiver.  On a
+  // FIFO link that means a drop, so resend it now rather than after the
+  // RTO; the retransmit timer and its backoff keep running.
+  if (ack.next_expected < ack.seq && !ended_sessions_.count(ack.session)) {
+    auto hole = outstanding_sends_.find(key(ack.next_expected));
+    if (hole != outstanding_sends_.end() &&
+        !hole->second.fast_retransmitted) {
+      hole->second.fast_retransmitted = true;
+      Retransmit(hole->first, &hole->second, /*fast=*/true);
     }
   }
-  outstanding_sends_.erase(it);
 }
 
 void PeerNode::SendAck(const std::string& to, SessionId session,
-                       uint8_t kind, uint64_t partition, uint64_t seq) {
+                       uint8_t kind, uint64_t partition, uint64_t seq,
+                       uint64_t next_expected) {
   AckMsg ack;
   ack.session = session;
   ack.kind = kind;
   ack.partition = partition;
   ack.seq = seq;
-  // Best-effort: a lost ack only means the sender retransmits and the
-  // receiver's dedup discards the duplicate — the protocol's design.
+  ack.next_expected = next_expected;
+  // Best-effort: a lost ack is covered by the channel's next ack, or the
+  // sender retransmits and the receiver's dedup discards the duplicate.
   IgnoreStatus(network_->Send(Message{id_, to, ack}));
 }
 
@@ -382,7 +419,7 @@ void PeerNode::AdmitSequenced(const Message& msg, uint8_t kind,
     // Retransmission of something already processed: re-ack (the first
     // ack may have been lost) and drop.
     CountProto("net.duplicates_suppressed");
-    SendAck(msg.from, session, kind, partition, seq);
+    SendAck(msg.from, session, kind, partition, seq, channel.next_seq);
     return;
   }
   if (seq > channel.next_seq) {
@@ -394,10 +431,14 @@ void PeerNode::AdmitSequenced(const Message& msg, uint8_t kind,
       return;  // unacked: the sender will retransmit
     }
     channel.parked.emplace(seq, msg);
-    SendAck(msg.from, session, kind, partition, seq);
+    SendAck(msg.from, session, kind, partition, seq, channel.next_seq);
     return;
   }
-  SendAck(msg.from, session, kind, partition, seq);
+  // Ack before dispatching, counting the parked successors this arrival
+  // releases.
+  uint64_t next_expected = seq + 1;
+  while (channel.parked.count(next_expected)) ++next_expected;
+  SendAck(msg.from, session, kind, partition, seq, next_expected);
   channel.next_seq = seq + 1;
   Dispatch(msg);
   // Drain any parked successors now in order.  `channel` stays valid:
@@ -409,6 +450,16 @@ void PeerNode::AdmitSequenced(const Message& msg, uint8_t kind,
     channel.next_seq += 1;
     Dispatch(queued);
     parked = channel.parked.find(channel.next_seq);
+  }
+}
+
+void PeerNode::EndSession(SessionId session) {
+  ended_sessions_.insert(session);
+  for (auto& [key, out] : outstanding_sends_) {
+    if (std::get<0>(key) == session && out.timer != 0) {
+      network_->CancelTimer(out.timer);
+      out.timer = 0;
+    }
   }
 }
 
@@ -1241,6 +1292,7 @@ void PeerNode::FinishSession(InitiatorState* session) {
   }
   TraceProto(network_, id_, "session.complete", session->spec.id, -1, 0,
              static_cast<int64_t>(result.stats.rows_received));
+  if (session_done_) session_done_(session->spec.id);
 }
 
 void PeerNode::MarkInitiatorFailed(InitiatorState* session, Status status) {
@@ -1255,6 +1307,7 @@ void PeerNode::MarkInitiatorFailed(InitiatorState* session, Status status) {
   CancelSessionSends(session->spec.id);
   auto part_it = participant_sessions_.find(session->spec.id);
   if (part_it != participant_sessions_.end()) part_it->second.failed = true;
+  if (session_done_) session_done_(session->spec.id);
 }
 
 void PeerNode::OnSessionDeadline(SessionId session_id) {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -104,6 +105,21 @@ class PeerNode {
   /// \brief Result of a completed session started at this peer.
   Result<const SessionResult*> GetResult(SessionId session) const;
 
+  /// \brief Called, on this peer's timeline, when a session started here
+  /// finishes, whether it succeeded or failed.  The cover is complete at
+  /// that point, so the caller may end the session at every path peer
+  /// (EndSession) instead of waiting for their retransmit timers.
+  void SetSessionDoneCallback(std::function<void(SessionId)> done) {
+    session_done_ = std::move(done);
+  }
+
+  /// \brief Ends `session` here: cancels its retransmit timers, and this
+  /// peer sends nothing more for it.  The send records stay, so an ack
+  /// still in flight gives its round-trip sample.  Run it on this peer's
+  /// timeline (a zero-delay ScheduleTimer), never from another peer's
+  /// handler.
+  void EndSession(SessionId session);
+
   /// \brief Message entry point (wired by Attach).
   void HandleMessage(const Message& msg);
 
@@ -115,11 +131,16 @@ class PeerNode {
   // with a 1-based sequence number.  The receiver acks every accepted
   // copy, suppresses duplicates, and holds out-of-order arrivals in a
   // bounded reorder buffer so handlers always observe channel order (this
-  // is what keeps covers byte-identical under loss and jitter).  The
+  // is what keeps covers byte-identical under loss and jitter).  Each ack
+  // also carries the channel's next in-order seq: the sender drops every
+  // send below it (a lost ack is covered by the next one), and when it is
+  // below the acked seq the receiver has a hole, which the sender resends
+  // at once, at most once per send (fast retransmit).  Otherwise the
   // sender first waits the link's adaptive RTO (link_rtt.h), then
   // retransmits with exponential backoff until acked; exhausting the
   // retries, or failing to arm a retransmit timer, fails the session
-  // loudly, naming the peer and the phase.
+  // loudly, naming the peer and the phase.  EndSession stops all of it
+  // once the initiator is done.
   enum ReliableKind : uint8_t {
     kRelInit = 0,
     kRelPlan = 1,
@@ -147,6 +168,7 @@ class PeerNode {
     int64_t configured_timeout_us = 0;  // the session's RTO ceiling
     int max_retransmits = 0;
     Network::TimerId timer = 0;
+    bool fast_retransmitted = false;  // resent once on a reported hole
     std::string phase;      // human-readable, for failure messages
     std::string initiator;  // where a failure report must go
   };
@@ -164,18 +186,22 @@ class PeerNode {
                       Message msg, int64_t timeout_us, int max_retransmits,
                       const char* phase, const std::string& initiator);
   void HandleRetransmitTimer(const SendKey& key);
+  // Sends `out` again (a timer fired, or an ack reported it missing).
+  void Retransmit(const SendKey& key, OutstandingSend* out, bool fast);
   // Arms the retransmit timer of the outstanding send `key`; the error
   // names the peer and the phase.
   Status ArmRetransmitTimer(const SendKey& key);
   // Gives up on the outstanding send `key`: cancels the session's sends
   // and fails the session with `status`.
   void AbandonSend(const SendKey& key, const Status& status);
+  // Drops the acked send and every send below the ack's next_expected;
+  // fast-retransmits the hole an ack reports.
   void OnAck(const Message& msg);
   // Receive side: ack, dedup, reorder, then Dispatch in channel order.
   void AdmitSequenced(const Message& msg, uint8_t kind, SessionId session,
                       uint64_t partition, uint64_t seq);
   void SendAck(const std::string& to, SessionId session, uint8_t kind,
-               uint64_t partition, uint64_t seq);
+               uint64_t partition, uint64_t seq, uint64_t next_expected);
   // Drops every outstanding send of `session` and cancels its timers.
   void CancelSessionSends(SessionId session);
 
@@ -301,6 +327,9 @@ class PeerNode {
   std::map<ChannelKey, uint64_t> next_send_seq_;
   std::map<SendKey, OutstandingSend> outstanding_sends_;
   std::map<ChannelKey, RecvChannel> recv_channels_;
+  // Sessions EndSession has ended: no sends, no retransmits.
+  std::set<SessionId> ended_sessions_;
+  std::function<void(SessionId)> session_done_;
   // Per-session semi-join filters received during information gathering.
   std::map<SessionId, std::map<std::string, ValueFilter>> incoming_filters_;
   std::map<std::string, int> ponged_;

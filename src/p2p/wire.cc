@@ -583,6 +583,7 @@ void EncodePayload(const Message& msg, std::string* out) {
     PutU8(ack->kind, out);
     PutU64(ack->partition, out);
     PutU64(ack->seq, out);
+    PutU64(ack->next_expected, out);
   } else if (const auto* hb = std::get_if<HeartbeatMsg>(&msg.payload)) {
     PutString(hb->node, out);
     PutU8(hb->role, out);
@@ -792,6 +793,7 @@ Status DecodePayload(uint8_t tag, Reader* r, Message* msg) {
       HYP_RETURN_IF_ERROR(r->ReadU8(&ack.kind));
       HYP_RETURN_IF_ERROR(r->ReadU64(&ack.partition));
       HYP_RETURN_IF_ERROR(r->ReadU64(&ack.seq));
+      HYP_RETURN_IF_ERROR(r->ReadU64(&ack.next_expected));
       msg->payload = std::move(ack);
       return Status::OK();
     }

@@ -5,7 +5,7 @@
 // bytes with full fidelity, because the conformance suite demands
 // byte-identical covers no matter which transport carried the session.
 //
-// Format (version 2, all integers little-endian, fixed width):
+// Format (version 3, all integers little-endian, fixed width):
 //
 //   message  := u8 version | u8 payload-tag | str from | str to | payload
 //   str      := u32 length | bytes
@@ -37,9 +37,10 @@ namespace hyperion {
 namespace wire {
 
 // Version 2: ring-epoch fields on cluster messages and the rebalance
-// handoff tags (15–17).  Versions never mix on one cluster — peers run
-// the same build — so decoding rejects any other version outright.
-inline constexpr uint8_t kWireVersion = 2;
+// handoff tags (15–17).  Version 3: the cumulative `next_expected` on
+// acks (tag 8).  Versions never mix on one cluster — peers run the same
+// build — so decoding rejects any other version outright.
+inline constexpr uint8_t kWireVersion = 3;
 
 /// \brief Frame header: u32 payload length + u64 origin token.
 inline constexpr size_t kFrameHeaderBytes = 12;

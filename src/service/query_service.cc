@@ -357,6 +357,21 @@ Result<MappingTable> QueryService::RunSession(const QueryRequest& request,
     }
   }
   PeerNode& initiator = *peers.front();
+  // Once the initiator is done the cover is complete (or failed), and
+  // nothing still pending can change it: end the session at every path
+  // peer, on its own timeline, so run() returns once the frames in
+  // flight are handled instead of after the retransmit timers for acks
+  // that were lost.
+  initiator.SetSessionDoneCallback([&peers, net](SessionId id) {
+    for (const std::unique_ptr<PeerNode>& peer : peers) {
+      PeerNode* p = peer.get();
+      // Best-effort: a peer that cannot take the timer just keeps its
+      // retransmit timers, which end on their own, as before.
+      IgnoreStatus(
+          net->ScheduleTimer(p->id(), 0, [p, id] { p->EndSession(id); })
+              .status());
+    }
+  });
   Result<SessionId> session = Status::Unavailable(
       "initiator was down when its session was due to start");
   auto start = [&] {

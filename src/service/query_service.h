@@ -223,7 +223,9 @@ class QueryService {
   // resolves its promise (never throws the promise away).
   void ExecuteFlight(const std::shared_ptr<Flight>& flight);
   // The protocol run itself: fresh peers and one session, on a fresh sim
-  // or threaded network or a pooled tcp one.
+  // or threaded network or a pooled tcp one.  The session ends at every
+  // path peer when its initiator finishes (PeerNode::EndSession), so the
+  // run returns once the frames in flight are handled.
   Result<MappingTable> RunSession(const QueryRequest& request,
                                   const PathSnapshot& snapshot);
   void WorkerLoop();

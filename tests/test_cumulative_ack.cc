@@ -1,0 +1,271 @@
+// Cumulative acks, fast retransmit and session end (DESIGN.md §9).  The
+// sim tests run a four-peer chain at exact virtual times and drop chosen
+// messages with link outages; the service test runs a lossy session on
+// ThreadedNetwork, where each peer ends the session on its own thread.
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "obs/metrics.h"
+#include "p2p/link_rtt.h"
+#include "p2p/network.h"
+#include "p2p/peer.h"
+#include "service/catalogs.h"
+#include "service/query_service.h"
+
+namespace hyperion {
+namespace {
+
+constexpr int64_t kMs = 1'000;
+constexpr int64_t kLatencyUs = 10 * kMs;
+constexpr int64_t kOverheadUs = 1 * kMs;
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricRegistry::Default().GetCounter(name)->value();
+}
+
+MappingTable PairTable(const std::string& name, const std::string& x_attr,
+                       const std::string& y_attr) {
+  MappingTable t =
+      MappingTable::Create(Schema::Of({Attribute::String(x_attr)}),
+                           Schema::Of({Attribute::String(y_attr)}), name)
+          .value();
+  for (const char* v : {"1", "2", "3"}) {
+    EXPECT_TRUE(t.AddPair({Value(x_attr + v)}, {Value(y_attr + v)}).ok());
+  }
+  return t;
+}
+
+// A chain A -> B -> C -> D, one three-row table per hop, on one
+// SimNetwork with round numbers: 10 ms links, 1 ms per delivered message,
+// no byte or compute charge.  With a cache of one row, C streams four
+// batches to B at 22 ms (three rows, then EOS), and B forwards each to A
+// 1 ms apart: seqs 1-4 leave B at 35, 36, 37 and 38 ms, reach A 10 ms
+// later, and A acks each at 46-49 ms.  The EOS completes the session at
+// A at 49 ms.
+class ChainSession {
+ public:
+  explicit ChainSession(FaultPlan plan) : net_(ChainOptions()) {
+    net_.SetFaultPlan(std::move(plan));
+    for (const std::string& id : kPath) {
+      peers_.push_back(std::make_unique<PeerNode>(
+          id, AttributeSet::Of({Attribute::String(id + "_id")}), link_rtt_));
+      EXPECT_TRUE(peers_.back()->Attach(&net_).ok());
+    }
+    for (size_t i = 0; i + 1 < kPath.size(); ++i) {
+      const std::string& next = kPath[i + 1];
+      EXPECT_TRUE(peers_[i]
+                      ->AddConstraintTo(
+                          next, MappingConstraint(PairTable(
+                                    "m" + kPath[i] + next, kPath[i] + "_id",
+                                    next + "_id")))
+                      .ok());
+    }
+  }
+
+  // Ends the session at every peer, each on its own timeline, when the
+  // initiator finishes — what QueryService does.
+  void EndSessionsOnCompletion() {
+    peers_.front()->SetSessionDoneCallback([this](SessionId id) {
+      for (const std::unique_ptr<PeerNode>& peer : peers_) {
+        PeerNode* p = peer.get();
+        ASSERT_TRUE(
+            net_.ScheduleTimer(p->id(), 0, [p, id] { p->EndSession(id); })
+                .ok());
+      }
+    });
+  }
+
+  // Runs the session to quiescence; returns the initiator's result and
+  // sets `end_us` to the network's final virtual time.
+  const SessionResult* Run(int64_t* end_us,
+                           int64_t session_deadline_us = 120'000 * kMs) {
+    SessionOptions opts;
+    opts.cache_capacity = 1;
+    opts.session_deadline_us = session_deadline_us;
+    auto session = peers_.front()->StartCoverSession(
+        kPath, {Attribute::String("A_id")}, {Attribute::String("D_id")},
+        opts);
+    EXPECT_TRUE(session.ok()) << session.status();
+    if (!session.ok()) return nullptr;
+    auto end = net_.Run();
+    EXPECT_TRUE(end.ok()) << end.status();
+    *end_us = end.ok() ? end.value() : -1;
+    auto result = peers_.front()->GetResult(session.value());
+    EXPECT_TRUE(result.ok()) << result.status();
+    return result.ok() ? result.value() : nullptr;
+  }
+
+  const SimNetwork& net() const { return net_; }
+  const LinkRttTable& link_rtt() const { return *link_rtt_; }
+
+ private:
+  inline static const std::vector<std::string> kPath = {"A", "B", "C",
+                                                         "D"};
+
+  static SimNetwork::Options ChainOptions() {
+    SimNetwork::Options opts;
+    opts.latency_us = kLatencyUs;
+    opts.per_message_overhead_us = kOverheadUs;
+    opts.us_per_byte = 0;
+    opts.compute_scale = 0;
+    return opts;
+  }
+
+  SimNetwork net_;
+  std::shared_ptr<LinkRttTable> link_rtt_ = std::make_shared<LinkRttTable>();
+  std::vector<std::unique_ptr<PeerNode>> peers_;
+};
+
+FaultPlan Outage(const std::string& from, const std::string& to,
+                 int64_t start_us, int64_t end_us) {
+  FaultPlan plan;
+  plan.links[{from, to}].outages_us = {{start_us, end_us}};
+  return plan;
+}
+
+TEST(CumulativeAckTest, DroppedMidStreamBatchIsResentOnTheHoleItLeaves) {
+  // B's seq 2 toward A leaves at 36 ms, inside the outage.  A parks seq 3
+  // at 47 ms and acks it with next_expected 2; that ack reaches B at
+  // 58 ms, B resends seq 2 at once (arriving 69 ms), and A completes at
+  // 70 ms.  B's retransmit timer (500 ms: no RTT sample yet) never fires.
+  const uint64_t retransmits = CounterValue("proto.retransmits");
+  const uint64_t fast = CounterValue("proto.fast_retransmits");
+  ChainSession chain(Outage("B", "A", 35'500, 36'500));
+  int64_t end_us = 0;
+  const SessionResult* result = chain.Run(&end_us);
+  ASSERT_NE(result, nullptr);
+  ASSERT_TRUE(result->done);
+  ASSERT_TRUE(result->error.ok()) << result->error;
+  EXPECT_EQ(result->cover.size(), 3u);
+  EXPECT_EQ(chain.net().stats().drops_injected, 1u);
+  EXPECT_EQ(result->stats.complete_us, 70 * kMs);
+  EXPECT_EQ(chain.net().stats().timers_fired, 0u);
+  if constexpr (obs::kMetricsEnabled) {
+    EXPECT_EQ(CounterValue("proto.retransmits") - retransmits, 1u);
+    EXPECT_EQ(CounterValue("proto.fast_retransmits") - fast, 1u);
+  }
+}
+
+TEST(CumulativeAckTest, LostAckIsCoveredByTheNextCumulativeAck) {
+  // A's ack of seq 1 leaves at 46 ms, inside the outage.  The ack of
+  // seq 2 says next_expected 3, which clears seq 1 at B too: nothing is
+  // retransmitted, and the run ends as a loss-free one does, when B has
+  // handled A's last ack (60 ms), not 500 ms later.
+  const uint64_t retransmits = CounterValue("proto.retransmits");
+  const uint64_t dups = CounterValue("net.duplicates_suppressed");
+  ChainSession chain(Outage("A", "B", 45'500, 46'500));
+  int64_t end_us = 0;
+  const SessionResult* result = chain.Run(&end_us);
+  ASSERT_NE(result, nullptr);
+  ASSERT_TRUE(result->done);
+  ASSERT_TRUE(result->error.ok()) << result->error;
+  EXPECT_EQ(result->cover.size(), 3u);
+  EXPECT_EQ(chain.net().stats().drops_injected, 1u);
+  EXPECT_EQ(result->stats.complete_us, 49 * kMs);
+  EXPECT_EQ(end_us, 60 * kMs);
+  EXPECT_EQ(chain.net().stats().timers_fired, 0u);
+  if constexpr (obs::kMetricsEnabled) {
+    EXPECT_EQ(CounterValue("proto.retransmits") - retransmits, 0u);
+    EXPECT_EQ(CounterValue("net.duplicates_suppressed") - dups, 0u);
+  }
+}
+
+TEST(CumulativeAckTest, LostFinalAckNoLongerExtendsTheRun) {
+  // A's ack of the EOS (seq 4) leaves at 49 ms, inside the outage, and
+  // no later ack covers it.  Without session end, B would resend seq 4
+  // when its 500 ms timer fired.  Ended at completion (49 ms), the run
+  // stops when A's ack of seq 3 reaches B, one link latency later.  B
+  // kept its send records, so the acks in flight at the end still give
+  // B -> A its round-trip samples: 22 ms each (sent at 35-37 ms,
+  // handled at 57-59 ms).
+  const uint64_t retransmits = CounterValue("proto.retransmits");
+  ChainSession chain(Outage("A", "B", 48'500, 49'500));
+  chain.EndSessionsOnCompletion();
+  int64_t end_us = 0;
+  const SessionResult* result = chain.Run(&end_us);
+  ASSERT_NE(result, nullptr);
+  ASSERT_TRUE(result->done);
+  ASSERT_TRUE(result->error.ok()) << result->error;
+  EXPECT_EQ(chain.net().stats().drops_injected, 1u);
+  EXPECT_EQ(result->stats.complete_us, 49 * kMs);
+  EXPECT_LE(end_us, result->stats.complete_us + kLatencyUs);
+  const RttEstimator& b_to_a = chain.link_rtt().Estimate("B", "A");
+  ASSERT_TRUE(b_to_a.has_samples());
+  EXPECT_EQ(b_to_a.srtt_us(), 22 * kMs);
+  if constexpr (obs::kMetricsEnabled) {
+    EXPECT_EQ(CounterValue("proto.retransmits") - retransmits, 0u);
+  }
+}
+
+TEST(CumulativeAckTest, FailedSessionStopsEveryPeersRetransmits) {
+  // Link B -> A goes down for good at 30 ms, so none of B's batches
+  // reach A, and the initiator's 100 ms deadline fails the session.
+  // Ended there, B drops its retransmit timers (due from 535 ms on) and
+  // the run stops at the deadline.
+  const uint64_t retransmits = CounterValue("proto.retransmits");
+  ChainSession chain(Outage("B", "A", 30 * kMs, 3'600'000 * kMs));
+  chain.EndSessionsOnCompletion();
+  int64_t end_us = 0;
+  const SessionResult* result = chain.Run(&end_us, 100 * kMs);
+  ASSERT_NE(result, nullptr);
+  ASSERT_TRUE(result->done);
+  EXPECT_EQ(result->error.code(), StatusCode::kDeadlineExceeded)
+      << result->error;
+  EXPECT_EQ(chain.net().stats().drops_injected, 4u);
+  EXPECT_EQ(end_us, 100 * kMs);
+  if constexpr (obs::kMetricsEnabled) {
+    EXPECT_EQ(CounterValue("proto.retransmits") - retransmits, 0u);
+  }
+}
+
+// ---- a lossy service session on real threads -----------------------------
+
+std::string CoverBytes(const QueryResponsePtr& r) {
+  EXPECT_NE(r, nullptr);
+  if (r == nullptr) return "";
+  EXPECT_TRUE(r->status.ok()) << r->status;
+  return r->status.ok() ? r->cover->Serialize() : "";
+}
+
+TEST(SessionEndServiceTest, LossyThreadedSessionsMatchTheSimCover) {
+  // Each ThreadedNetwork peer runs EndSession on its own thread.  Under
+  // 10% loss the sessions still produce the sim's cover bytes.
+  BioConfig bio;
+  bio.num_entities = 200;
+  auto catalog = BuildBioCatalog(bio);
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+  QueryRequest req;
+  req.path_peers = BioWorkload::HugoMimPaths().front();
+  req.x_attrs = {Attribute::String("Hugo_id")};
+  req.y_attrs = {Attribute::String("MIM_id")};
+  req.options.cache_capacity = 16;
+  // A 50 ms ceiling keeps the timer-recovered losses short on the wall
+  // clock.
+  req.options.retransmit_timeout_us = 50 * kMs;
+
+  QueryServiceOptions sim_opts;
+  sim_opts.num_workers = 1;
+  sim_opts.cache_entries = 0;
+  QueryService sim(catalog.value().store.get(), catalog.value().peers,
+                   sim_opts);
+  const std::string expected = CoverBytes(sim.Execute(req));
+  ASSERT_FALSE(expected.empty());
+
+  QueryServiceOptions opts = sim_opts;
+  opts.transport = ServiceTransport::kThreaded;
+  opts.fault_plan.seed = 5;
+  opts.fault_plan.default_link.drop_rate = 0.10;
+  QueryService threaded(catalog.value().store.get(), catalog.value().peers,
+                        opts);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(CoverBytes(threaded.Execute(req)), expected) << "session " << i;
+  }
+}
+
+}  // namespace
+}  // namespace hyperion

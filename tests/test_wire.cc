@@ -627,12 +627,14 @@ TEST(WireTest, AckAndComputePlanRoundTrip) {
   ack.kind = 3;
   ack.partition = 2;
   ack.seq = 14;
+  ack.next_expected = 12;
   Message a_env = RoundTrip(Message{"b", "a", ack});
   const auto& a = std::get<AckMsg>(a_env.payload);
   EXPECT_EQ(a.session, 1u);
   EXPECT_EQ(a.kind, 3);
   EXPECT_EQ(a.partition, 2u);
   EXPECT_EQ(a.seq, 14u);
+  EXPECT_EQ(a.next_expected, 12u);
 
   ComputePlanMsg plan;
   plan.spec.id = 4;
