@@ -179,6 +179,7 @@ int Generate(const std::filesystem::path& dir) {
   ack.partition = 1;
   ack.seq = 8;
   ack.next_expected = 6;
+  ack.type = AckType::kProbeMissing;
   add("AckMsg", ack);
 
   HeartbeatMsg beat;
@@ -263,6 +264,13 @@ int Generate(const std::filesystem::path& dir) {
   hack.rows = 2;
   hack.ring_epoch = 4;
   add("HandoffAckMsg", hack);
+
+  ProbeMsg probe;
+  probe.session = 11;
+  probe.kind = 2;
+  probe.partition = 1;
+  probe.seq = 9;
+  add("ProbeMsg", probe);
 
   if (seeds.size() != std::variant_size_v<decltype(Message::payload)>) {
     std::fprintf(stderr,

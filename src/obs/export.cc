@@ -11,6 +11,10 @@ namespace obs {
 
 namespace {
 
+// The quantiles both exporters print for every histogram.
+constexpr std::pair<const char*, double> kQuantiles[] = {
+    {"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}};
+
 void AppendDouble(std::string* out, double v) {
   if (std::isnan(v) || std::isinf(v)) {  // not representable in JSON
     out->append("null");
@@ -207,6 +211,7 @@ JsonValue MetricsJson(const MetricsSnapshot& snapshot) {
     item.Set("bucket_counts", std::move(buckets));
     item.Set("count", h.count);
     item.Set("sum", h.sum);
+    for (const auto& [name, q] : kQuantiles) item.Set(name, h.Quantile(q));
     histograms.Append(std::move(item));
   }
   root.Set("histograms", std::move(histograms));
@@ -268,6 +273,14 @@ std::string MetricsToCsv(const MetricsSnapshot& snapshot) {
         std::snprintf(buf, sizeof(buf), ",inf,%" PRIu64 "\n",
                       h.bucket_counts[i]);
       }
+      out += buf;
+    }
+    for (const auto& [name, q] : kQuantiles) {
+      AppendCsvField(&out, h.name);
+      out += ",quantile,";
+      AppendCsvField(&out, LabelsToString(h.labels));
+      std::snprintf(buf, sizeof(buf), ",%s,%" PRId64 "\n", name,
+                    h.Quantile(q));
       out += buf;
     }
   }

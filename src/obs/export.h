@@ -86,7 +86,8 @@ std::string TraceToJson(const std::vector<TraceEvent>& events,
                         int indent = 2);
 
 /// \brief Counters and gauges as "name,labels,value" CSV rows; histograms
-/// flattened to one row per bucket ("name,labels,le,count").
+/// flattened to one row per bucket ("name,labels,le,count"), then one
+/// "quantile" row each for p50, p90 and p99 (the `le` column names it).
 std::string MetricsToCsv(const MetricsSnapshot& snapshot);
 
 /// \brief Trace events as CSV

@@ -1,12 +1,14 @@
 #include "obs/metrics.h"
 
 #include <cassert>
+#include <cmath>
 
 namespace hyperion {
 namespace obs {
 
 Histogram::Histogram(std::vector<int64_t> bounds)
     : bounds_(std::move(bounds)),
+      log_linear_(bounds_ == LatencyBoundsUs()),
       buckets_(new std::atomic<uint64_t>[bounds_.size() + 1]) {
   for (size_t i = 0; i + 1 < bounds_.size(); ++i) {
     assert(bounds_[i] < bounds_[i + 1] && "bounds must increase");
@@ -31,8 +33,36 @@ void Histogram::Reset() {
 }
 
 std::vector<int64_t> LatencyBoundsUs() {
-  return {1'000,     4'000,      16'000,     64'000,    256'000,
-          1'024'000, 4'096'000,  16'384'000, 65'536'000};
+  static const std::vector<int64_t> bounds = [] {
+    std::vector<int64_t> b = {1, 2, 3, 4};
+    for (int e = 2; e <= 26; ++e) {
+      for (int64_t sub = 1; sub <= 4; ++sub) {
+        b.push_back((int64_t{1} << e) + sub * (int64_t{1} << (e - 2)));
+      }
+    }
+    return b;
+  }();
+  return bounds;
+}
+
+int64_t HistogramSnapshot::Quantile(double q) const {
+  if (count == 0 || bounds.empty()) return 0;
+  const double rank = q * static_cast<double>(count);
+  uint64_t below = 0;
+  for (size_t i = 0; i < bucket_counts.size(); ++i) {
+    const uint64_t in_bucket = bucket_counts[i];
+    if (in_bucket == 0 || static_cast<double>(below + in_bucket) < rank) {
+      below += in_bucket;
+      continue;
+    }
+    if (i == bounds.size()) return bounds.back();  // overflow
+    const double lower = i == 0 ? 0.0 : static_cast<double>(bounds[i - 1]);
+    const double upper = static_cast<double>(bounds[i]);
+    const double within =
+        (rank - static_cast<double>(below)) / static_cast<double>(in_bucket);
+    return std::llround(lower + (upper - lower) * within);
+  }
+  return bounds.back();
 }
 
 std::vector<int64_t> SizeBounds() {

@@ -17,7 +17,9 @@
 #ifndef HYPERION_OBS_METRICS_H_
 #define HYPERION_OBS_METRICS_H_
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -73,14 +75,36 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
+/// \brief Bucket of `v` in the LatencyBoundsUs() layout, computed from
+/// its bits: unit buckets up to 4, then every power-of-two range
+/// (2^e, 2^(e+1)] split into four equal buckets.  Values above the last
+/// bound map to bounds.size(), the overflow bucket.
+inline size_t LogLinearBucket(int64_t v) {
+  constexpr size_t kUnitBuckets = 4;  // v <= 1, 2, 3, 4
+  constexpr size_t kMaxBucket = 104;  // LatencyBoundsUs().size()
+  if (v <= 1) return 0;
+  const uint64_t u = static_cast<uint64_t>(v - 1);
+  if (u < kUnitBuckets) return static_cast<size_t>(u);
+  const int e = std::bit_width(u) - 1;  // u in [2^e, 2^(e+1)), e >= 2
+  const size_t sub = static_cast<size_t>(u >> (e - 2)) & 3;
+  return std::min(kUnitBuckets + 4 * static_cast<size_t>(e - 2) + sub,
+                  kMaxBucket);
+}
+
 /// \brief Fixed-bucket histogram.  Bucket i counts observations
-/// v <= bounds[i]; one implicit overflow bucket counts the rest.
+/// v <= bounds[i]; one implicit overflow bucket counts the rest.  With
+/// the LatencyBoundsUs() layout the bucket index is computed
+/// (LogLinearBucket); other bounds are binary-searched.
 class Histogram {
  public:
   void Observe(int64_t v) {
     if constexpr (!kMetricsEnabled) return;
-    size_t i = 0;
-    while (i < bounds_.size() && v > bounds_[i]) ++i;
+    const size_t i =
+        log_linear_
+            ? LogLinearBucket(v)
+            : static_cast<size_t>(
+                  std::lower_bound(bounds_.begin(), bounds_.end(), v) -
+                  bounds_.begin());
     buckets_[i].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
@@ -96,13 +120,15 @@ class Histogram {
   explicit Histogram(std::vector<int64_t> bounds);
   void Reset();
   std::vector<int64_t> bounds_;
+  bool log_linear_ = false;  // bounds_ == LatencyBoundsUs()
   std::unique_ptr<std::atomic<uint64_t>[]> buckets_;
   std::atomic<uint64_t> count_{0};
   std::atomic<int64_t> sum_{0};
 };
 
-/// \brief Exponential-ish microsecond bounds suitable for latencies
-/// (1ms .. ~100s in ~x4 steps).
+/// \brief Log-linear microsecond bounds for latencies: 1, 2, 3, 4 µs,
+/// then four equal steps per power of two up to 2^27 µs (~134 s), so a
+/// bucket is at most 25% wider than its lower edge (104 bounds).
 std::vector<int64_t> LatencyBoundsUs();
 /// \brief Small-cardinality bounds for sizes/depths (1 .. 65536, x4).
 std::vector<int64_t> SizeBounds();
@@ -124,6 +150,12 @@ struct HistogramSnapshot {
   std::vector<uint64_t> bucket_counts;  // bounds.size()+1 (overflow last)
   uint64_t count = 0;
   int64_t sum = 0;
+
+  /// \brief Estimated q-quantile (0 < q <= 1), interpolated linearly
+  /// within the bucket that holds it (the first bucket spans [0,
+  /// bounds[0]]).  One in the overflow bucket reads as the last bound;
+  /// an empty histogram reads 0.
+  int64_t Quantile(double q) const;
 };
 
 /// \brief Point-in-time copy of every instrument, deterministically

@@ -21,11 +21,14 @@ int64_t RttEstimator::max_recent_us() const {
   return *std::max_element(recent_.begin(), recent_.end());
 }
 
+int64_t RttEstimator::Pto() const {
+  if (samples_ == 0) return 0;
+  return std::max(srtt_us_ + 4 * rttvar_us_, 2 * max_recent_us());
+}
+
 int64_t RttEstimator::Rto(int64_t configured_us) const {
   if (samples_ == 0) return configured_us;
-  const int64_t estimate = std::max(
-      {kMinRtoUs, srtt_us_ + 4 * rttvar_us_, 2 * max_recent_us()});
-  return std::min(configured_us, estimate);
+  return std::min(configured_us, std::max(kMinRtoUs, Pto()));
 }
 
 void LinkRttTable::AddSample(const std::string& from, const std::string& to,
@@ -39,6 +42,13 @@ int64_t LinkRttTable::Rto(const std::string& from, const std::string& to,
   MutexLock lock(mu_);
   auto it = links_.find({from, to});
   return it == links_.end() ? configured_us : it->second.Rto(configured_us);
+}
+
+int64_t LinkRttTable::Pto(const std::string& from,
+                          const std::string& to) const {
+  MutexLock lock(mu_);
+  auto it = links_.find({from, to});
+  return it == links_.end() ? 0 : it->second.Pto();
 }
 
 RttEstimator LinkRttTable::Estimate(const std::string& from,

@@ -17,6 +17,18 @@
 //
 //   RTO = min(configured, max(kMinRtoUs, SRTT + 4·RTTVAR, 2·max_recent))
 //
+// The same estimate without the floor is the probe timeout (PTO, as in
+// RFC 9002 §6.2 and RACK-TLP, RFC 8985):
+//
+//   PTO = max(SRTT + 4·RTTVAR, 2·max_recent)
+//
+// A sender whose last message on a channel is still unacked one PTO
+// after it left asks the receiver whether it arrived (a tail-loss probe,
+// peer.h) instead of waiting out the RTO.  A probe only asks, so a late
+// ack costs one small message, never a spurious retransmission: that is
+// why the floor stays on the RTO, which still declares the loss, and not
+// on the PTO.  A link with no sample has no PTO and is never probed.
+//
 // Samples obey Karn's rule: only sends acked on their first attempt
 // produce one (an ack for a retransmitted message cannot say which copy
 // it answers).  Exponential backoff on retransmission stays the caller's.
@@ -59,6 +71,10 @@ class RttEstimator {
   /// the ceiling afterwards).
   int64_t Rto(int64_t configured_us) const;
 
+  /// \brief The probe timeout: the RTO estimate without the constant
+  /// floor or the configured ceiling; 0 before any sample (no probing).
+  int64_t Pto() const;
+
   bool has_samples() const { return samples_ > 0; }
   int64_t srtt_us() const { return srtt_us_; }
   int64_t rttvar_us() const { return rttvar_us_; }
@@ -85,6 +101,8 @@ class LinkRttTable {
   /// has no sample yet.
   int64_t Rto(const std::string& from, const std::string& to,
               int64_t configured_us) const;
+  /// \brief RttEstimator::Pto for the link; 0 when it has no sample yet.
+  int64_t Pto(const std::string& from, const std::string& to) const;
   /// \brief A copy of the link's estimator (empty when unseen).
   RttEstimator Estimate(const std::string& from, const std::string& to) const;
 

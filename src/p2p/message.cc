@@ -97,7 +97,7 @@ size_t Message::ByteSize() const {
       for (const Value& v : t) bytes += EstimateValueBytes(v);
     }
   } else if (std::get_if<AckMsg>(&payload)) {
-    bytes += 33;  // session + kind + partition + seq + next_expected
+    bytes += 34;  // session + kind + partition + seq + next_expected + type
   } else if (const auto* hb = std::get_if<HeartbeatMsg>(&payload)) {
     bytes += 33 + hb->node.size() + hb->listen_addr.size() +
              16 * hb->shards.size();
@@ -128,6 +128,8 @@ size_t Message::ByteSize() const {
     }
   } else if (const auto* ha = std::get_if<HandoffAckMsg>(&payload)) {
     bytes += 40 + ha->node.size();
+  } else if (std::get_if<ProbeMsg>(&payload)) {
+    bytes += 25;  // session + kind + partition + seq
   }
   return bytes;
 }
@@ -170,6 +172,8 @@ const char* Message::TypeName() const {
       return "HandoffRows";
     case 17:
       return "HandoffAck";
+    case 18:
+      return "Probe";
   }
   return "Unknown";
 }

@@ -16,7 +16,10 @@
 //  * FinalRows       — per-partition cover rows delivered to the
 //                      initiator by the partition's terminal peer.
 //  * Ack             — reliability acknowledgement for one sequenced
-//                      session message (peer.h's retransmit layer).
+//                      session message (peer.h's retransmit layer), or
+//                      the answer to a Probe.
+//  * Probe           — tail-loss probe: asks whether a channel's last
+//                      unacked message arrived (peer.h).
 //  * Heartbeat       — cluster membership beacon (cluster/membership.h).
 //  * ShardFetch /    — coordinator ↔ storage shard transfer for the
 //    ShardRows         cluster runtime (cluster/remote_tables.h).
@@ -139,18 +142,39 @@ struct FinalRowsMsg {
   uint64_t seq = 0;         // see SessionInitMsg::seq
 };
 
+/// \brief What an AckMsg answers: the arrival of a sequenced message, or
+/// a ProbeMsg, with whether the receiver holds the probed seq.
+enum class AckType : uint8_t {
+  kArrival = 0,
+  kProbeHeld = 1,
+  kProbeMissing = 2,
+};
+
 /// \brief Acknowledges receipt of one sequenced session message, echoing
 /// the (kind, partition, seq) channel coordinates so the sender can stop
 /// retransmitting it.  `next_expected` is cumulative: every seq below it
 /// has arrived, so one ack covers the ones lost before it, and a
 /// `next_expected` below `seq` names the hole the receiver is waiting
-/// on.  Acks themselves are unsequenced.
+/// on.  The answer to a ProbeMsg is an ack of type kProbeHeld or
+/// kProbeMissing for the probed seq.  Acks themselves are unsequenced.
 struct AckMsg {
   SessionId session = 0;
   uint8_t kind = 0;        // ReliableKind of the message being acked
   uint64_t partition = 0;  // 0 for kinds without a partition
   uint64_t seq = 0;
   uint64_t next_expected = 0;  // the channel's next in-order seq
+  AckType type = AckType::kArrival;
+};
+
+/// \brief Tail-loss probe: asks the receiver of a channel whether it
+/// holds `seq`, the sender's highest unacked seq on the channel.  It
+/// carries no data, is unsequenced, and is answered from the receiver's
+/// channel state (an AckMsg of type kProbeHeld or kProbeMissing).
+struct ProbeMsg {
+  SessionId session = 0;
+  uint8_t kind = 0;
+  uint64_t partition = 0;
+  uint64_t seq = 0;
 };
 
 /// \brief Gnutella-style value search (§1–§2): a selection query flooded
@@ -364,7 +388,7 @@ struct Message {
                CoverBatchMsg, FinalRowsMsg, SearchMsg, SearchHitMsg, AckMsg,
                HeartbeatMsg, ShardFetchMsg, ShardRowsMsg, WriteSliceMsg,
                WriteAckMsg, RepairFetchMsg, HandoffFetchMsg, HandoffRowsMsg,
-               HandoffAckMsg>
+               HandoffAckMsg, ProbeMsg>
       payload;
 
   /// \brief Estimated wire size in bytes (headers + payload).

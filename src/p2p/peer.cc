@@ -167,6 +167,10 @@ void PeerNode::HandleMessage(const Message& msg) {
     OnAck(msg);
     return;
   }
+  if (std::holds_alternative<ProbeMsg>(msg.payload)) {
+    OnProbe(msg);
+    return;
+  }
   // Sequenced session messages pass through the reliability layer (ack,
   // dedup, reorder) first; seq 0 marks unsequenced traffic — discovery,
   // searches, locally delivered copies — which dispatches directly.
@@ -262,13 +266,18 @@ Status PeerNode::SendReliable(SessionId session, uint8_t kind,
   out.phase = phase;
   out.initiator = initiator;
   out.sent_at_us = network_->now_us();
+  out.sent_order = ++tx_order_;
   Status sent = network_->Send(std::move(msg));
   if (!sent.ok()) {
     outstanding_sends_.erase(key);
     return sent;
   }
   Status armed = ArmRetransmitTimer(key);
-  if (!armed.ok()) AbandonSend(key, armed);
+  if (!armed.ok()) {
+    AbandonSend(key, armed);
+    return armed;
+  }
+  ArmProbe(channel, out.timeout_us);
   return armed;
 }
 
@@ -327,21 +336,22 @@ void PeerNode::HandleRetransmitTimer(const SendKey& key) {
     return;
   }
   out.timeout_us *= 2;
-  Retransmit(key, &out, /*fast=*/false);
+  Retransmit(key, &out, Resend::kTimer);
   Status armed = ArmRetransmitTimer(key);
   if (!armed.ok()) AbandonSend(key, armed);
 }
 
 void PeerNode::Retransmit(const SendKey& key, OutstandingSend* out,
-                          bool fast) {
+                          Resend cause) {
   const auto& [session, kind, partition, to, seq] = key;
   out->attempts += 1;
   CountProto("proto.retransmits");
-  if (fast) CountProto("proto.fast_retransmits");
+  if (cause != Resend::kTimer) CountProto("proto.fast_retransmits");
   std::string detail = "to '";
   detail.append(to).append("' attempt ").append(
       std::to_string(out->attempts));
-  if (fast) detail.append(" (hole reported)");
+  if (cause == Resend::kHole) detail.append(" (hole reported)");
+  if (cause == Resend::kProbe) detail.append(" (probe answered missing)");
   TraceProto(network_, id_, "reliable.retransmit", session,
              partition == kErrorPartition ? -1
                                           : static_cast<int64_t>(partition),
@@ -349,7 +359,118 @@ void PeerNode::Retransmit(const SendKey& key, OutstandingSend* out,
   // Best-effort: a retransmission that cannot be sent is equivalent to
   // one that was lost in flight — the retransmit timer fires again, and
   // the attempt cap turns persistent failure into a loud session error.
+  out->sent_order = ++tx_order_;
   IgnoreStatus(network_->Send(out->msg));
+  ArmProbe(ChannelKey{session, kind, partition, to}, out->timeout_us);
+}
+
+void PeerNode::ArmProbe(const ChannelKey& channel, int64_t rto_us) {
+  const int64_t pto = link_rtt_->Pto(id_, std::get<3>(channel));
+  if (pto <= 0 || pto >= rto_us) {
+    DropProbe(channel);
+    return;
+  }
+  ChannelProbe& probe = probes_[channel];
+  probe.due_us = network_->now_us() + pto;
+  probe.backoff = 1;
+  ScheduleProbe(channel, &probe);
+}
+
+void PeerNode::ScheduleProbe(const ChannelKey& channel,
+                             ChannelProbe* probe) {
+  // An armed timer due no later fires first and re-arms for the rest:
+  // a channel streaming many sends moves one timer, not one per send.
+  if (probe->timer != 0) {
+    if (probe->timer_due_us <= probe->due_us) return;
+    network_->CancelTimer(probe->timer);
+  }
+  const int64_t now = network_->now_us();
+  auto timer =
+      network_->ScheduleTimer(id_, std::max<int64_t>(0, probe->due_us - now),
+                              [this, channel] { HandleProbeTimer(channel); });
+  // A probe is only an early question: without its timer the channel
+  // still has its retransmit timers.
+  probe->timer = timer.ok() ? timer.value() : 0;
+  probe->timer_due_us = std::max(probe->due_us, now);
+}
+
+void PeerNode::HandleProbeTimer(const ChannelKey& channel) {
+  auto it = probes_.find(channel);
+  if (it == probes_.end()) return;
+  ChannelProbe& probe = it->second;
+  probe.timer = 0;
+  const int64_t now = network_->now_us();
+  if (now < probe.due_us) {
+    ScheduleProbe(channel, &probe);
+    return;
+  }
+  const auto [first, last] = ChannelSends(channel);
+  if (first == last) {
+    probes_.erase(it);
+    return;
+  }
+  const auto& [session, kind, partition, to] = channel;
+  const uint64_t seq = std::get<4>(std::prev(last)->first);  // the highest
+  ProbeMsg msg;
+  msg.session = session;
+  msg.kind = kind;
+  msg.partition = partition;
+  msg.seq = seq;
+  probe.probe_order = ++tx_order_;
+  CountProto("proto.probes");
+  std::string detail = "to '";
+  detail.append(to).append("'");
+  TraceProto(network_, id_, "reliable.probe", session,
+             partition == kErrorPartition ? -1
+                                          : static_cast<int64_t>(partition),
+             -1, static_cast<int64_t>(seq), std::move(detail));
+  // Best-effort, like an ack: a lost probe is followed by the next one.
+  IgnoreStatus(network_->Send(Message{id_, to, msg}));
+  probe.backoff *= 2;
+  probe.due_us = now + probe.backoff * link_rtt_->Pto(id_, to);
+  ScheduleProbe(channel, &probe);
+}
+
+std::pair<PeerNode::SendIter, PeerNode::SendIter> PeerNode::ChannelSends(
+    const ChannelKey& channel) {
+  const auto& [session, kind, partition, to] = channel;
+  // Seqs start at 1 and never reach ~0.
+  return {outstanding_sends_.lower_bound(
+              SendKey{session, kind, partition, to, 0}),
+          outstanding_sends_.lower_bound(
+              SendKey{session, kind, partition, to, ~0ull})};
+}
+
+void PeerNode::DropProbe(const ChannelKey& channel) {
+  auto it = probes_.find(channel);
+  if (it == probes_.end()) return;
+  if (it->second.timer != 0) network_->CancelTimer(it->second.timer);
+  probes_.erase(it);
+}
+
+void PeerNode::DropSessionProbes(SessionId session) {
+  auto it = probes_.lower_bound(ChannelKey{session, 0, 0, std::string()});
+  while (it != probes_.end() && std::get<0>(it->first) == session) {
+    if (it->second.timer != 0) network_->CancelTimer(it->second.timer);
+    it = probes_.erase(it);
+  }
+}
+
+void PeerNode::OnProbe(const Message& msg) {
+  const auto& probe = std::get<ProbeMsg>(msg.payload);
+  // Answered from the channel's state, never creating any: a channel
+  // never seen expects seq 1.
+  uint64_t next_expected = 1;
+  bool held = false;
+  auto it = recv_channels_.find(
+      ChannelKey{probe.session, probe.kind, probe.partition, msg.from});
+  if (it != recv_channels_.end()) {
+    next_expected = it->second.next_seq;
+    held = probe.seq < next_expected || it->second.parked.count(probe.seq);
+  }
+  SendAck(msg.from, probe.session, probe.kind, probe.partition, probe.seq,
+          next_expected,
+          held ? AckType::kProbeHeld : AckType::kProbeMissing);
 }
 
 void PeerNode::OnAck(const Message& msg) {
@@ -361,12 +482,15 @@ void PeerNode::OnAck(const Message& msg) {
   auto key = [&](uint64_t seq) {
     return SendKey{ack.session, ack.kind, ack.partition, msg.from, seq};
   };
-  // Selective: the acked send itself.  Karn's rule: an ack after a
-  // retransmission cannot say which copy it answers, so only this exact,
-  // first-attempt send gives a round-trip sample.
-  if (auto it = outstanding_sends_.find(key(ack.seq));
+  // Selective: the acked send itself, or a probed send the receiver
+  // holds.  Karn's rule: an ack after a retransmission cannot say which
+  // copy it answers, so only the exact ack of a first-attempt send gives
+  // a round-trip sample (a probe is no attempt; its answer gives none).
+  if (auto it = ack.type == AckType::kProbeMissing
+                    ? outstanding_sends_.end()
+                    : outstanding_sends_.find(key(ack.seq));
       it != outstanding_sends_.end()) {
-    if (it->second.attempts == 1) {
+    if (ack.type == AckType::kArrival && it->second.attempts == 1) {
       const int64_t rtt_us = network_->now_us() - it->second.sent_at_us;
       link_rtt_->AddSample(id_, msg.from, rtt_us);
       if constexpr (obs::kMetricsEnabled) {
@@ -383,28 +507,47 @@ void PeerNode::OnAck(const Message& msg) {
   auto it = outstanding_sends_.lower_bound(key(0));
   const auto below = outstanding_sends_.lower_bound(key(ack.next_expected));
   while (it != below) it = erase(it);
-  // A next_expected below the acked seq is a hole at the receiver.  On a
-  // FIFO link that means a drop, so resend it now rather than after the
-  // RTO; the retransmit timer and its backoff keep running.
-  if (ack.next_expected < ack.seq && !ended_sessions_.count(ack.session)) {
+  const ChannelKey channel{ack.session, ack.kind, ack.partition, msg.from};
+  if (const auto [first, last] = ChannelSends(channel); first == last) {
+    DropProbe(channel);  // nothing left unacked, nothing to probe
+    return;
+  }
+  if (ended_sessions_.count(ack.session)) return;
+  if (ack.type == AckType::kArrival) {
+    // A next_expected below the acked seq is a hole at the receiver.  On
+    // a FIFO link that means a drop, so resend it now rather than after
+    // the RTO; the retransmit timer and its backoff keep running.
+    if (ack.next_expected >= ack.seq) return;
     auto hole = outstanding_sends_.find(key(ack.next_expected));
     if (hole != outstanding_sends_.end() &&
         !hole->second.fast_retransmitted) {
       hole->second.fast_retransmitted = true;
-      Retransmit(hole->first, &hole->second, /*fast=*/true);
+      Retransmit(hole->first, &hole->second, Resend::kHole);
     }
+    return;
+  }
+  // A probe's answer: the receiver still waits for next_expected.  If the
+  // probe left after that send's last transmission, the send was lost
+  // (FIFO link).  Comparing the stamps keeps a duplicated probe or answer
+  // to one resend.
+  auto hole = outstanding_sends_.find(key(ack.next_expected));
+  auto probe = probes_.find(channel);
+  if (hole != outstanding_sends_.end() && probe != probes_.end() &&
+      probe->second.probe_order > hole->second.sent_order) {
+    Retransmit(hole->first, &hole->second, Resend::kProbe);
   }
 }
 
 void PeerNode::SendAck(const std::string& to, SessionId session,
                        uint8_t kind, uint64_t partition, uint64_t seq,
-                       uint64_t next_expected) {
+                       uint64_t next_expected, AckType type) {
   AckMsg ack;
   ack.session = session;
   ack.kind = kind;
   ack.partition = partition;
   ack.seq = seq;
   ack.next_expected = next_expected;
+  ack.type = type;
   // Best-effort: a lost ack is covered by the channel's next ack, or the
   // sender retransmits and the receiver's dedup discards the duplicate.
   IgnoreStatus(network_->Send(Message{id_, to, ack}));
@@ -461,9 +604,11 @@ void PeerNode::EndSession(SessionId session) {
       out.timer = 0;
     }
   }
+  DropSessionProbes(session);
 }
 
 void PeerNode::CancelSessionSends(SessionId session) {
+  DropSessionProbes(session);
   for (auto it = outstanding_sends_.begin();
        it != outstanding_sends_.end();) {
     if (std::get<0>(it->first) == session) {

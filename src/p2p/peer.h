@@ -19,6 +19,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -113,11 +114,11 @@ class PeerNode {
     session_done_ = std::move(done);
   }
 
-  /// \brief Ends `session` here: cancels its retransmit timers, and this
-  /// peer sends nothing more for it.  The send records stay, so an ack
-  /// still in flight gives its round-trip sample.  Run it on this peer's
-  /// timeline (a zero-delay ScheduleTimer), never from another peer's
-  /// handler.
+  /// \brief Ends `session` here: cancels its retransmit and probe
+  /// timers, and this peer sends nothing more for it.  The send records
+  /// stay, so an ack still in flight gives its round-trip sample.  Run it
+  /// on this peer's timeline (a zero-delay ScheduleTimer), never from
+  /// another peer's handler.
   void EndSession(SessionId session);
 
   /// \brief Message entry point (wired by Attach).
@@ -139,8 +140,19 @@ class PeerNode {
   // sender first waits the link's adaptive RTO (link_rtt.h), then
   // retransmits with exponential backoff until acked; exhausting the
   // retries, or failing to arm a retransmit timer, fails the session
-  // loudly, naming the peer and the phase.  EndSession stops all of it
-  // once the initiator is done.
+  // loudly, naming the peer and the phase.
+  //
+  // A channel's last message has no later ack to reveal its loss, so a
+  // channel still holding unacked sends one probe timeout (PTO,
+  // link_rtt.h) after its last transmission sends a tail-loss probe for
+  // its highest unacked seq, then probes again at doubling intervals.
+  // The receiver answers from its channel state: its next_expected, and
+  // whether it holds the probed seq.  The sender drops what the answer
+  // covers and resends next_expected at once if the probe left after
+  // that send's last transmission (on a FIFO link it was lost).  So a
+  // lost tail is resent one PTO and one round trip after it left, not
+  // after a 100 ms RTO; the RTO timer stays as the loss-declaring
+  // fallback.  EndSession stops all of it once the initiator is done.
   enum ReliableKind : uint8_t {
     kRelInit = 0,
     kRelPlan = 1,
@@ -169,8 +181,17 @@ class PeerNode {
     int max_retransmits = 0;
     Network::TimerId timer = 0;
     bool fast_retransmitted = false;  // resent once on a reported hole
+    uint64_t sent_order = 0;  // tx_order_ stamp of the last transmission
     std::string phase;      // human-readable, for failure messages
     std::string initiator;  // where a failure report must go
+  };
+  // Tail-loss probe state of an outgoing channel with unacked sends.
+  struct ChannelProbe {
+    Network::TimerId timer = 0;  // 0 = none armed
+    int64_t timer_due_us = 0;    // when `timer` fires
+    int64_t due_us = 0;          // when the next probe is due
+    int64_t backoff = 1;         // PTO multiple of the wait after a probe
+    uint64_t probe_order = 0;    // tx_order_ stamp of the last probe
   };
   struct RecvChannel {
     uint64_t next_seq = 1;
@@ -186,8 +207,26 @@ class PeerNode {
                       Message msg, int64_t timeout_us, int max_retransmits,
                       const char* phase, const std::string& initiator);
   void HandleRetransmitTimer(const SendKey& key);
-  // Sends `out` again (a timer fired, or an ack reported it missing).
-  void Retransmit(const SendKey& key, OutstandingSend* out, bool fast);
+  // Why a send goes out again: its retransmit timer fired, an ack
+  // reported it as a hole, or a probe's answer reported it missing.
+  enum class Resend { kTimer, kHole, kProbe };
+  // Sends `out` again and restarts its channel's probe cycle.
+  void Retransmit(const SendKey& key, OutstandingSend* out, Resend cause);
+  // Starts the channel's probe cycle after a transmission whose RTO wait
+  // is `rto_us`: the next probe is due one PTO from now.  A link with no
+  // PTO, or a PTO no shorter than the RTO, is not probed.
+  void ArmProbe(const ChannelKey& channel, int64_t rto_us);
+  // Arms the probe timer so that it fires no later than `probe->due_us`.
+  void ScheduleProbe(const ChannelKey& channel, ChannelProbe* probe);
+  // Sends the channel's due probe for its highest unacked seq.
+  void HandleProbeTimer(const ChannelKey& channel);
+  // Cancels and forgets the channel's probe state.
+  void DropProbe(const ChannelKey& channel);
+  // The channel's outstanding sends, as a range of outstanding_sends_.
+  using SendIter = std::map<SendKey, OutstandingSend>::iterator;
+  std::pair<SendIter, SendIter> ChannelSends(const ChannelKey& channel);
+  // Receive side: answers a probe from the channel's state.
+  void OnProbe(const Message& msg);
   // Arms the retransmit timer of the outstanding send `key`; the error
   // names the peer and the phase.
   Status ArmRetransmitTimer(const SendKey& key);
@@ -195,15 +234,18 @@ class PeerNode {
   // and fails the session with `status`.
   void AbandonSend(const SendKey& key, const Status& status);
   // Drops the acked send and every send below the ack's next_expected;
-  // fast-retransmits the hole an ack reports.
+  // fast-retransmits the hole an ack or a probe's answer reports.
   void OnAck(const Message& msg);
   // Receive side: ack, dedup, reorder, then Dispatch in channel order.
   void AdmitSequenced(const Message& msg, uint8_t kind, SessionId session,
                       uint64_t partition, uint64_t seq);
   void SendAck(const std::string& to, SessionId session, uint8_t kind,
-               uint64_t partition, uint64_t seq, uint64_t next_expected);
+               uint64_t partition, uint64_t seq, uint64_t next_expected,
+               AckType type = AckType::kArrival);
   // Drops every outstanding send of `session` and cancels its timers.
   void CancelSessionSends(SessionId session);
+  // Cancels and forgets the probe state of every channel of `session`.
+  void DropSessionProbes(SessionId session);
 
   // ---- information-gathering phase ----
   void OnSessionInit(const Message& msg);
@@ -327,6 +369,10 @@ class PeerNode {
   std::map<ChannelKey, uint64_t> next_send_seq_;
   std::map<SendKey, OutstandingSend> outstanding_sends_;
   std::map<ChannelKey, RecvChannel> recv_channels_;
+  std::map<ChannelKey, ChannelProbe> probes_;
+  // Orders this peer's transmissions and probes: a probe's answer
+  // reveals a loss only of sends stamped before the probe.
+  uint64_t tx_order_ = 0;
   // Sessions EndSession has ended: no sends, no retransmits.
   std::set<SessionId> ended_sessions_;
   std::function<void(SessionId)> session_done_;

@@ -584,6 +584,7 @@ void EncodePayload(const Message& msg, std::string* out) {
     PutU64(ack->partition, out);
     PutU64(ack->seq, out);
     PutU64(ack->next_expected, out);
+    PutU8(static_cast<uint8_t>(ack->type), out);
   } else if (const auto* hb = std::get_if<HeartbeatMsg>(&msg.payload)) {
     PutString(hb->node, out);
     PutU8(hb->role, out);
@@ -658,6 +659,11 @@ void EncodePayload(const Message& msg, std::string* out) {
     PutU64(ha->shard_version, out);
     PutU64(ha->rows, out);
     PutU64(ha->ring_epoch, out);
+  } else if (const auto* probe = std::get_if<ProbeMsg>(&msg.payload)) {
+    PutU64(probe->session, out);
+    PutU8(probe->kind, out);
+    PutU64(probe->partition, out);
+    PutU64(probe->seq, out);
   }
 }
 
@@ -794,6 +800,12 @@ Status DecodePayload(uint8_t tag, Reader* r, Message* msg) {
       HYP_RETURN_IF_ERROR(r->ReadU64(&ack.partition));
       HYP_RETURN_IF_ERROR(r->ReadU64(&ack.seq));
       HYP_RETURN_IF_ERROR(r->ReadU64(&ack.next_expected));
+      uint8_t type = 0;
+      HYP_RETURN_IF_ERROR(r->ReadU8(&type));
+      if (type > static_cast<uint8_t>(AckType::kProbeMissing)) {
+        return Status::InvalidArgument("wire: unknown ack type");
+      }
+      ack.type = static_cast<AckType>(type);
       msg->payload = std::move(ack);
       return Status::OK();
     }
@@ -936,6 +948,15 @@ Status DecodePayload(uint8_t tag, Reader* r, Message* msg) {
       HYP_RETURN_IF_ERROR(r->ReadU64(&ha.rows));
       HYP_RETURN_IF_ERROR(r->ReadU64(&ha.ring_epoch));
       msg->payload = std::move(ha);
+      return Status::OK();
+    }
+    case 18: {
+      ProbeMsg probe;
+      HYP_RETURN_IF_ERROR(r->ReadU64(&probe.session));
+      HYP_RETURN_IF_ERROR(r->ReadU8(&probe.kind));
+      HYP_RETURN_IF_ERROR(r->ReadU64(&probe.partition));
+      HYP_RETURN_IF_ERROR(r->ReadU64(&probe.seq));
+      msg->payload = std::move(probe);
       return Status::OK();
     }
     default:

@@ -5,7 +5,7 @@
 // bytes with full fidelity, because the conformance suite demands
 // byte-identical covers no matter which transport carried the session.
 //
-// Format (version 3, all integers little-endian, fixed width):
+// Format (version 4, all integers little-endian, fixed width):
 //
 //   message  := u8 version | u8 payload-tag | str from | str to | payload
 //   str      := u32 length | bytes
@@ -38,9 +38,11 @@ namespace wire {
 
 // Version 2: ring-epoch fields on cluster messages and the rebalance
 // handoff tags (15–17).  Version 3: the cumulative `next_expected` on
-// acks (tag 8).  Versions never mix on one cluster — peers run the same
-// build — so decoding rejects any other version outright.
-inline constexpr uint8_t kWireVersion = 3;
+// acks (tag 8).  Version 4: the ack's type byte (arrival, or a probe
+// answer: held / missing) and the tail-loss probe (tag 18).  Versions
+// never mix on one cluster — peers run the same build — so decoding
+// rejects any other version outright.
+inline constexpr uint8_t kWireVersion = 4;
 
 /// \brief Frame header: u32 payload length + u64 origin token.
 inline constexpr size_t kFrameHeaderBytes = 12;

@@ -82,6 +82,50 @@ TEST(HistogramTest, BucketBoundariesAreInclusive) {
 #endif
 }
 
+TEST(HistogramTest, LogLinearBucketMatchesTheBoundsScan) {
+  const std::vector<int64_t> bounds = LatencyBoundsUs();
+  ASSERT_EQ(bounds.size(), 104u);
+  EXPECT_EQ(bounds.front(), 1);
+  EXPECT_EQ(bounds.back(), int64_t{1} << 27);
+  auto scan = [&](int64_t v) {
+    size_t i = 0;
+    while (i < bounds.size() && v > bounds[i]) ++i;
+    return i;
+  };
+  for (int64_t v = -2; v <= (int64_t{1} << 16); ++v) {
+    ASSERT_EQ(LogLinearBucket(v), scan(v)) << v;
+  }
+  for (int e = 16; e < 63; ++e) {
+    const int64_t p = int64_t{1} << e;
+    for (int64_t v : {p - 1, p, p + 1}) {
+      ASSERT_EQ(LogLinearBucket(v), scan(v)) << v;
+    }
+  }
+  // Every bucket is at most a quarter wider than its lower edge.
+  for (size_t i = 4; i < bounds.size(); ++i) {
+    EXPECT_LE(4 * (bounds[i] - bounds[i - 1]), bounds[i - 1]) << i;
+  }
+}
+
+TEST(HistogramTest, QuantilesInterpolateWithinBuckets) {
+  MetricRegistry reg;
+  Histogram* h = reg.GetHistogram("h", {10, 20, 40});
+  for (int64_t v : {1, 2, 3, 4, 5, 6, 7, 8, 15, 100}) h->Observe(v);
+  MetricsSnapshot snap = reg.Snapshot();
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  const HistogramSnapshot& hs = snap.histograms[0];
+  EXPECT_EQ(hs.count, kMetricsEnabled ? 10u : 0u);
+#if HYPERION_METRICS
+  // Eight of ten observations fall in [0, 10]: p50 is 5/8 of the way up.
+  EXPECT_EQ(hs.Quantile(0.5), 6);
+  EXPECT_EQ(hs.Quantile(0.8), 10);
+  EXPECT_EQ(hs.Quantile(0.9), 20);
+  // The overflow bucket reads as the last bound.
+  EXPECT_EQ(hs.Quantile(0.99), 40);
+#endif
+  EXPECT_EQ(HistogramSnapshot().Quantile(0.5), 0);
+}
+
 TEST(MetricRegistryTest, SnapshotIsSortedAndComplete) {
   MetricRegistry reg;
   reg.GetCounter("z.last")->Add(1);

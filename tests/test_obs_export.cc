@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
@@ -62,7 +64,8 @@ TEST(MetricsExportTest, GoldenJson) {
             "\"labels\":{\"type\":\"CoverBatch\"},\"value\":3}],"
             "\"gauges\":[{\"name\":\"depth\",\"value\":2}],"
             "\"histograms\":[{\"name\":\"lat\",\"bounds\":[10,100],"
-            "\"bucket_counts\":[1,0,0],\"count\":1,\"sum\":7}]}");
+            "\"bucket_counts\":[1,0,0],\"count\":1,\"sum\":7,"
+            "\"p50\":5,\"p90\":9,\"p99\":10}]}");
 #else
   // Structure is identical; values read zero.
   EXPECT_NE(json.find("\"counters\":[{\"name\":\"msgs\""),
@@ -82,12 +85,23 @@ TEST(MetricsExportTest, CsvHasHeaderAndHistogramBucketRows) {
   EXPECT_EQ(line, "metric,kind,labels,le,value");
   size_t rows = 0;
   size_t histogram_rows = 0;
+  std::vector<std::string> quantile_rows;
   while (std::getline(lines, line)) {
     ++rows;
     if (line.rfind("lat,histogram", 0) == 0) ++histogram_rows;
+    if (line.rfind("lat,quantile", 0) == 0) quantile_rows.push_back(line);
   }
-  EXPECT_EQ(rows, 1 + 2);        // one counter + bounds.size()+1 buckets
+  // One counter, bounds.size()+1 buckets, and p50/p90/p99.
+  EXPECT_EQ(rows, 1 + 2 + 3);
   EXPECT_EQ(histogram_rows, 2u); // le=10 and le=inf
+#if HYPERION_METRICS
+  // One observation of 3 in [0, 10]: interpolated within the bucket.
+  EXPECT_EQ(quantile_rows, (std::vector<std::string>{
+                               "lat,quantile,,p50,5", "lat,quantile,,p90,9",
+                               "lat,quantile,,p99,10"}));
+#else
+  EXPECT_EQ(quantile_rows.size(), 3u);
+#endif
 }
 
 TEST(TraceExportTest, JsonAndCsvCarryAllFields) {

@@ -635,6 +635,7 @@ TEST(WireTest, AckAndComputePlanRoundTrip) {
   EXPECT_EQ(a.partition, 2u);
   EXPECT_EQ(a.seq, 14u);
   EXPECT_EQ(a.next_expected, 12u);
+  EXPECT_EQ(a.type, AckType::kArrival);
 
   ComputePlanMsg plan;
   plan.spec.id = 4;
@@ -645,6 +646,41 @@ TEST(WireTest, AckAndComputePlanRoundTrip) {
   EXPECT_EQ(p.spec.id, 4u);
   EXPECT_EQ(p.spec.path_peers, plan.spec.path_peers);
   EXPECT_EQ(p.seq, 1u);
+}
+
+TEST(WireTest, ProbeAndProbeAnswerRoundTrip) {
+  ProbeMsg probe;
+  probe.session = 9;
+  probe.kind = 2;
+  probe.partition = 3;
+  probe.seq = 11;
+  Message p_env = RoundTrip(Message{"a", "b", probe});
+  const auto& p = std::get<ProbeMsg>(p_env.payload);
+  EXPECT_EQ(p.session, 9u);
+  EXPECT_EQ(p.kind, 2);
+  EXPECT_EQ(p.partition, 3u);
+  EXPECT_EQ(p.seq, 11u);
+
+  for (AckType type : {AckType::kProbeHeld, AckType::kProbeMissing}) {
+    AckMsg answer;
+    answer.session = 9;
+    answer.kind = 2;
+    answer.partition = 3;
+    answer.seq = 11;
+    answer.next_expected = 10;
+    answer.type = type;
+    Message a_env = RoundTrip(Message{"b", "a", answer});
+    const auto& a = std::get<AckMsg>(a_env.payload);
+    EXPECT_EQ(a.seq, 11u);
+    EXPECT_EQ(a.next_expected, 10u);
+    EXPECT_EQ(a.type, type);
+  }
+
+  // An ack type byte past kProbeMissing is malformed.
+  AckMsg ack;
+  std::string bytes = wire::EncodeMessage(Message{"b", "a", ack});
+  bytes.back() = 3;
+  EXPECT_FALSE(wire::DecodeMessage(bytes).ok());
 }
 
 TEST(WireTest, RejectsHostileBytes) {
