@@ -38,9 +38,6 @@ class BloomFilter {
     return bits_[h1 % bits_.size()] && bits_[h2 % bits_.size()];
   }
 
-  /// \brief Wire size in bytes (for traffic accounting).
-  size_t ByteSize() const { return bits_.size() / 8 + 8; }
-
   /// \brief Raw bit vector, for wire serialization (p2p/wire.h).
   const std::vector<bool>& bit_vector() const { return bits_; }
 
@@ -73,7 +70,6 @@ struct ValueFilter {
   bool MayContain(const Value& v) const {
     return pass_all || bloom.MayContain(v);
   }
-  size_t ByteSize() const { return pass_all ? 1 : bloom.ByteSize(); }
 };
 
 }  // namespace hyperion

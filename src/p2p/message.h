@@ -1,11 +1,23 @@
-// Typed messages exchanged by peers.
+// Typed messages exchanged by peers, each with its wire field list.
 //
-// The system runs in one process, so payloads carry real objects rather
-// than wire bytes; ByteSize() estimates the serialized size so the
-// simulated network (network.h) can model transmission cost and report
-// traffic statistics.  Message kinds:
+// The in-process transports hand these objects around; TcpNetwork and
+// the shard write log carry them as wire bytes (wire.h).  Every payload
+// struct names its wire fields once, in wire order, in a static
+// `Fields(m, v)` that calls `v(field...)`.  The codec walks that list to
+// write bytes, to read them back with bounds checks, and to count them:
+// Message::ByteSize() is exactly the length of wire::EncodeMessage(),
+// which every transport charges and reports as net.bytes_sent.
 //
-//  * Ping/Pong       — Gnutella-style discovery flooding (gnutella.h).
+// A field encodes by its C++ type: integers and bools little-endian at
+// their own width (int and int32_t as u32, size_t and uint64_t as u64,
+// bool as u8); strings, vectors, sets and maps as a u32 count and their
+// elements; nested structs by their own field list.  The adaptors below
+// cover the few encodings that are not one member's own.  Adding a
+// field or a message is a recipe in DESIGN.md ("Wire format").
+//
+// Message kinds:
+//
+//  * Ping/Pong       — Gnutella-style discovery flooding (discovery.h).
 //  * SessionInit     — the information-gathering phase (§6.3.1): travels
 //                      P1 → ... → P_{n-1} accumulating inferred-partition
 //                      summaries (attribute sets only; no mappings move).
@@ -21,13 +33,23 @@
 //  * Probe           — tail-loss probe: asks whether a channel's last
 //                      unacked message arrived (peer.h).
 //  * Heartbeat       — cluster membership beacon (cluster/membership.h).
+//  * Search /        — value search flooded along acquaintance edges,
+//    SearchHit         translated through each hop's mapping tables.
 //  * ShardFetch /    — coordinator ↔ storage shard transfer for the
 //    ShardRows         cluster runtime (cluster/remote_tables.h).
+//  * WriteSlice /    — curator writes and anti-entropy repair
+//    WriteAck /        (cluster/write_path.h).
+//    RepairFetch
+//  * HandoffFetch /  — rebalance handoff of whole shards (cluster/node.h).
+//    HandoffRows /
+//    HandoffAck
 
 #ifndef HYPERION_P2P_MESSAGE_H_
 #define HYPERION_P2P_MESSAGE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
 #include <variant>
@@ -42,12 +64,55 @@ namespace hyperion {
 
 using SessionId = uint64_t;
 
+// Field-list adaptors, for the encodings that are not one member's own.
+// Each states the fewest bytes its encoding takes (kMinBytes), which the
+// decoder's count-versus-remaining-bytes check relies on.
+
+/// \brief Wire adaptor: vectors `a` and `b` as one u32 count and then
+/// interleaved (a[i], b[i]) pairs; a missing b[i] is sent as zero.
+template <class A, class B>
+struct Interleaved {
+  static constexpr size_t kMinBytes = 4;
+  A& a;
+  B& b;
+};
+template <class A, class B>
+Interleaved(A&, B&) -> Interleaved<A, B>;
+
+/// \brief Wire adaptor: two count-prefixed vectors, row indices and the
+/// rows they place; decoding rejects counts that disagree.
+template <class I, class R>
+struct Parallel {
+  static constexpr size_t kMinBytes = 8;
+  I& indices;
+  R& rows;
+};
+template <class I, class R>
+Parallel(I&, R&) -> Parallel<I, R>;
+
+/// \brief Wire adaptor: an enum as its underlying integer; decoding
+/// rejects values above `kMax`.  Spelled `AtMost<kMax>(field)`.
+template <auto kMax, class E>
+struct EnumAtMost {
+  static constexpr size_t kMinBytes = sizeof(E);
+  E& value;
+};
+template <auto kMax, class E>
+EnumAtMost<kMax, E> AtMost(E& value) {
+  return {value};
+}
+
 /// \brief Discovery ping, flooded along acquaintance edges with a TTL.
 struct PingMsg {
   uint64_t ping_id = 0;
   std::string origin;
   int ttl = 0;
   int hops = 0;
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.ping_id, m.origin, m.ttl, m.hops);
+  }
 };
 
 /// \brief Reply to a ping, routed back to the origin.
@@ -55,6 +120,11 @@ struct PongMsg {
   uint64_t ping_id = 0;
   std::string responder;
   int hops = 0;
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.ping_id, m.responder, m.hops);
+  }
 };
 
 /// \brief One constraint belonging to a partition: where it lives and
@@ -64,6 +134,11 @@ struct PartitionMemberRef {
   size_t hop = 0;  // hop h spans peers h -> h+1
   std::string table_name;
   std::vector<std::string> attr_names;  // X ∪ Y of the constraint
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.hop, m.table_name, m.attr_names);
+  }
 };
 
 /// \brief Summary of one (inferred) partition: its member constraints and
@@ -74,6 +149,11 @@ struct PartitionSummary {
   std::vector<std::string> attr_names;
   size_t first_hop = 0;
   size_t last_hop = 0;
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.members, m.attr_names, m.first_hop, m.last_hop);
+  }
 };
 
 /// \brief Session parameters every control message carries.
@@ -97,6 +177,13 @@ struct SessionSpec {
   /// retransmits on the same schedule the initiator chose.
   int64_t retransmit_timeout_us = 500'000;  // RTO ceiling (link_rtt.h)
   int max_retransmits = 5;                  // then the peer is unreachable
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.id, m.path_peers, m.x_names, m.y_names, m.cache_capacity,
+      m.materialize_limit, m.max_result_rows, m.semijoin_filters,
+      m.retransmit_timeout_us, m.max_retransmits);
+  }
 };
 
 /// \brief Information-gathering message (forward pass).
@@ -109,6 +196,11 @@ struct SessionInitMsg {
   /// Reliability sequence number, 1-based per sender channel; 0 means
   /// "unsequenced" (delivered straight to the handler, no ack/dedup).
   uint64_t seq = 0;
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.spec, m.partitions, m.forward_filters, m.seq);
+  }
 };
 
 /// \brief The final plan, sent to each participating peer.
@@ -116,6 +208,11 @@ struct ComputePlanMsg {
   SessionSpec spec;
   std::vector<PartitionSummary> partitions;
   uint64_t seq = 0;  // see SessionInitMsg::seq
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.spec, m.partitions, m.seq);
+  }
 };
 
 /// \brief A streamed batch of partial-cover rows for one partition,
@@ -127,6 +224,11 @@ struct CoverBatchMsg {
   std::vector<Mapping> rows;
   bool eos = false;      // no more batches for this partition
   uint64_t seq = 0;      // see SessionInitMsg::seq
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.session, m.partition, m.schema, m.rows, m.eos, m.seq);
+  }
 };
 
 /// \brief Final per-partition cover rows, sent to the initiator.
@@ -140,6 +242,12 @@ struct FinalRowsMsg {
   std::string error;        // nonempty => the session failed at a peer
   int32_t error_code = 0;   // StatusCode of `error` (0 = unset => Internal)
   uint64_t seq = 0;         // see SessionInitMsg::seq
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.session, m.partition, m.schema, m.rows, m.eos, m.satisfiable,
+      m.error, m.error_code, m.seq);
+  }
 };
 
 /// \brief What an AckMsg answers: the arrival of a sequenced message, or
@@ -164,6 +272,12 @@ struct AckMsg {
   uint64_t seq = 0;
   uint64_t next_expected = 0;  // the channel's next in-order seq
   AckType type = AckType::kArrival;
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.session, m.kind, m.partition, m.seq, m.next_expected,
+      AtMost<AckType::kProbeMissing>(m.type));
+  }
 };
 
 /// \brief Tail-loss probe: asks the receiver of a channel whether it
@@ -175,6 +289,11 @@ struct ProbeMsg {
   uint8_t kind = 0;
   uint64_t partition = 0;
   uint64_t seq = 0;
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.session, m.kind, m.partition, m.seq);
+  }
 };
 
 /// \brief Gnutella-style value search (§1–§2): a selection query flooded
@@ -187,6 +306,11 @@ struct SearchMsg {
   SelectionQuery query;
   /// False when some translation along the way had an infinite image.
   bool complete = true;
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.search_id, m.origin, m.ttl, m.query.attrs, m.query.keys, m.complete);
+  }
 };
 
 /// \brief Data tuples a peer found for a search, routed to the origin.
@@ -199,6 +323,11 @@ struct SearchHitMsg {
   /// query was exact (best effort: incomplete hit-less branches are not
   /// reported — flooding has no global termination detection).
   bool complete = true;
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.search_id, m.responder, m.schema, m.tuples, m.complete);
+  }
 };
 
 /// \brief Cluster membership beacon (cluster/membership.h), sent by every
@@ -238,6 +367,13 @@ struct HeartbeatMsg {
   /// authoritative for moves.
   std::vector<std::string> peer_nodes;
   std::vector<std::string> peer_addrs;  // parallel to `peer_nodes`
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.node, m.role, m.listen_addr, m.incarnation, m.beat,
+      Interleaved{m.shards, m.shard_versions}, m.ring_epoch, m.ring_nodes,
+      m.pending_epoch, m.pending_nodes, m.peer_nodes, m.peer_addrs);
+  }
 };
 
 /// \brief Coordinator → storage: send me your slice of one table shard
@@ -252,6 +388,11 @@ struct ShardFetchMsg {
   /// reading a slice the receiver may have dropped.  0 = unstamped
   /// (pre-rebalance sender), always accepted.
   uint64_t ring_epoch = 0;
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.request_id, m.table_name, m.shard, m.ring_epoch);
+  }
 };
 
 /// \brief Storage → coordinator: one shard slice of one table, or a loud
@@ -272,6 +413,13 @@ struct ShardRowsMsg {
   std::string error;         // nonempty => the fetch failed at the node
   int32_t error_code = 0;    // StatusCode of `error` (0 = unset)
   uint64_t ring_epoch = 0;   // responder's committed ring epoch
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.request_id, m.table_name, m.node, m.shard, m.version, m.total_rows,
+      m.x_schema, m.y_schema, Parallel{m.row_indices, m.rows}, m.error,
+      m.error_code, m.ring_epoch);
+  }
 };
 
 /// \brief Coordinator → storage: apply one shard slice of one curator
@@ -307,6 +455,14 @@ struct WriteSliceMsg {
   /// is never behind a replica's, so the stale gate exists as a loud
   /// guardrail against reordered or replayed traffic.
   uint64_t ring_epoch = 0;
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.request_id, m.origin, m.table_name, m.shard, m.shard_version,
+      m.committed_floor, m.table_version, m.total_rows, m.x_schema,
+      m.y_schema, Parallel{m.row_indices, m.rows}, m.repair, m.error,
+      m.error_code, m.ring_epoch);
+  }
 };
 
 /// \brief Storage → coordinator: outcome of applying one WriteSliceMsg.
@@ -322,6 +478,12 @@ struct WriteAckMsg {
   std::string error;         // nonempty => the apply failed at the node
   int32_t error_code = 0;    // StatusCode of `error` (0 = unset)
   uint64_t ring_epoch = 0;   // responder's committed ring epoch
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.request_id, m.node, m.shard, m.applied, m.shard_version, m.error,
+      m.error_code, m.ring_epoch);
+  }
 };
 
 /// \brief Storage → storage: anti-entropy pull.  "Your heartbeat says
@@ -333,6 +495,11 @@ struct RepairFetchMsg {
   std::string node;          // requester's cluster node id
   uint64_t shard = 0;
   uint64_t from_version = 0;  // requester's current shard version
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.request_id, m.node, m.shard, m.from_version);
+  }
 };
 
 /// \brief Storage → storage: rebalance handoff pull (cluster/node.h).
@@ -350,6 +517,11 @@ struct HandoffFetchMsg {
   /// committed epoch rejects the pull (`cluster.epoch.stale`) — the
   /// transition it belonged to is already over.
   uint64_t ring_epoch = 0;
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.request_id, m.node, m.shard, m.ring_epoch);
+  }
 };
 
 /// \brief Storage → storage: full-shard handoff snapshot, or a loud
@@ -366,6 +538,12 @@ struct HandoffRowsMsg {
   std::vector<WriteSliceMsg> slices;  // one per served table on `shard`
   std::string error;         // nonempty => the handoff failed at the node
   int32_t error_code = 0;    // StatusCode of `error` (0 = unset)
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.request_id, m.node, m.shard, m.shard_version, m.slices, m.error,
+      m.error_code);
+  }
 };
 
 /// \brief Storage → coordinator: one gained shard is caught up.  The
@@ -378,9 +556,15 @@ struct HandoffAckMsg {
   uint64_t shard_version = 0;  // version floor the owner installed
   uint64_t rows = 0;         // mapping rows shipped (rows_shipped metric)
   uint64_t ring_epoch = 0;   // the pending epoch being acked
+
+  template <class M, class V>
+  static void Fields(M& m, V& v) {
+    v(m.request_id, m.node, m.shard, m.shard_version, m.rows, m.ring_epoch);
+  }
 };
 
-/// \brief Envelope delivered by the network.
+/// \brief Envelope delivered by the network.  The payload's index in
+/// the variant is its wire tag, so alternatives are only ever appended.
 struct Message {
   std::string from;
   std::string to;
@@ -391,13 +575,21 @@ struct Message {
                HandoffAckMsg, ProbeMsg>
       payload;
 
-  /// \brief Estimated wire size in bytes (headers + payload).
-  size_t ByteSize() const;
-  const char* TypeName() const;
-};
+  /// Payload type names, by variant index (metrics label them "type").
+  static constexpr const char* kTypeNames[] = {
+      "Ping",        "Pong",        "SessionInit", "ComputePlan",
+      "CoverBatch",  "FinalRows",   "Search",      "SearchHit",
+      "Ack",         "Heartbeat",   "ShardFetch",  "ShardRows",
+      "WriteSlice",  "WriteAck",    "RepairFetch", "HandoffFetch",
+      "HandoffRows", "HandoffAck",  "Probe"};
+  static_assert(std::size(kTypeNames) ==
+                std::variant_size_v<decltype(payload)>);
 
-/// \brief Estimated serialized size of one mapping.
-size_t EstimateMappingBytes(const Mapping& m);
+  /// \brief Exact wire size in bytes: envelope and payload, the length
+  /// of wire::EncodeMessage(*this).  Defined with the codec (wire.cc).
+  size_t ByteSize() const;
+  const char* TypeName() const { return kTypeNames[payload.index()]; }
+};
 
 }  // namespace hyperion
 

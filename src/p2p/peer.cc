@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
+#include <variant>
 
 #include "common/hash_util.h"
 #include "core/partition.h"
@@ -162,6 +164,34 @@ Status PeerNode::FloodPing(int ttl) {
   return Status::OK();
 }
 
+template <class Msg>
+auto PeerNode::Sequenced(Msg& msg) {
+  using Seq = std::conditional_t<std::is_const_v<Msg>, const uint64_t,
+                                 uint64_t>;
+  struct Channel {
+    SessionId session = 0;
+    uint8_t kind = 0;
+    uint64_t partition = 0;
+    Seq* seq = nullptr;
+  };
+  return std::visit(
+      [](auto& p) -> Channel {
+        using P = std::decay_t<decltype(p)>;
+        if constexpr (std::is_same_v<P, SessionInitMsg>) {
+          return {p.spec.id, kRelInit, 0, &p.seq};
+        } else if constexpr (std::is_same_v<P, ComputePlanMsg>) {
+          return {p.spec.id, kRelPlan, 0, &p.seq};
+        } else if constexpr (std::is_same_v<P, CoverBatchMsg>) {
+          return {p.session, kRelBatch, p.partition, &p.seq};
+        } else if constexpr (std::is_same_v<P, FinalRowsMsg>) {
+          return {p.session, kRelFinal, p.partition, &p.seq};
+        } else {
+          return {};
+        }
+      },
+      msg.payload);
+}
+
 void PeerNode::HandleMessage(const Message& msg) {
   if (std::holds_alternative<AckMsg>(msg.payload)) {
     OnAck(msg);
@@ -174,31 +204,10 @@ void PeerNode::HandleMessage(const Message& msg) {
   // Sequenced session messages pass through the reliability layer (ack,
   // dedup, reorder) first; seq 0 marks unsequenced traffic — discovery,
   // searches, locally delivered copies — which dispatches directly.
-  uint64_t seq = 0;
-  uint64_t partition = 0;
-  uint8_t kind = 0;
-  SessionId session = 0;
-  if (const auto* init = std::get_if<SessionInitMsg>(&msg.payload)) {
-    seq = init->seq;
-    kind = kRelInit;
-    session = init->spec.id;
-  } else if (const auto* plan = std::get_if<ComputePlanMsg>(&msg.payload)) {
-    seq = plan->seq;
-    kind = kRelPlan;
-    session = plan->spec.id;
-  } else if (const auto* batch = std::get_if<CoverBatchMsg>(&msg.payload)) {
-    seq = batch->seq;
-    kind = kRelBatch;
-    session = batch->session;
-    partition = batch->partition;
-  } else if (const auto* fin = std::get_if<FinalRowsMsg>(&msg.payload)) {
-    seq = fin->seq;
-    kind = kRelFinal;
-    session = fin->session;
-    partition = fin->partition;
-  }
-  if (seq != 0 && msg.from != id_) {
-    AdmitSequenced(msg, kind, session, partition, seq);
+  const auto channel = Sequenced(msg);
+  if (channel.seq != nullptr && *channel.seq != 0 && msg.from != id_) {
+    AdmitSequenced(msg, channel.kind, channel.session, channel.partition,
+                   *channel.seq);
     return;
   }
   Dispatch(msg);
@@ -228,23 +237,6 @@ void PeerNode::Dispatch(const Message& msg) {
 // Reliability layer: ack / retransmit / dedup / reorder
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Stamps the channel sequence number into a sequenced payload.
-void SetSeq(Message* msg, uint64_t seq) {
-  if (auto* init = std::get_if<SessionInitMsg>(&msg->payload)) {
-    init->seq = seq;
-  } else if (auto* plan = std::get_if<ComputePlanMsg>(&msg->payload)) {
-    plan->seq = seq;
-  } else if (auto* batch = std::get_if<CoverBatchMsg>(&msg->payload)) {
-    batch->seq = seq;
-  } else if (auto* fin = std::get_if<FinalRowsMsg>(&msg->payload)) {
-    fin->seq = seq;
-  }
-}
-
-}  // namespace
-
 Status PeerNode::SendReliable(SessionId session, uint8_t kind,
                               uint64_t partition, Message msg,
                               int64_t timeout_us, int max_retransmits,
@@ -255,7 +247,7 @@ Status PeerNode::SendReliable(SessionId session, uint8_t kind,
   if (ended_sessions_.count(session)) return Status::OK();
   ChannelKey channel{session, kind, partition, msg.to};
   uint64_t seq = ++next_send_seq_[channel];
-  SetSeq(&msg, seq);
+  if (uint64_t* stamp = Sequenced(msg).seq) *stamp = seq;
   SendKey key{session, kind, partition, msg.to, seq};
   OutstandingSend& out = outstanding_sends_[key];
   out.msg = msg;

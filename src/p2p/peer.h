@@ -236,6 +236,11 @@ class PeerNode {
   // Drops the acked send and every send below the ack's next_expected;
   // fast-retransmits the hole an ack or a probe's answer reports.
   void OnAck(const Message& msg);
+  // The channel (session, kind, partition) a sequenced session payload
+  // travels on, and its seq field; `seq` is null for every other
+  // payload.  `Msg` is Message or const Message.
+  template <class Msg>
+  static auto Sequenced(Msg& msg);
   // Receive side: ack, dedup, reorder, then Dispatch in channel order.
   void AdmitSequenced(const Message& msg, uint8_t kind, SessionId session,
                       uint64_t partition, uint64_t seq);

@@ -226,8 +226,8 @@ void TcpNetwork::StageFrame(const std::string& dest, std::string frame,
 }
 
 Status TcpNetwork::Send(Message msg) {
-  size_t bytes = msg.ByteSize();
   std::string payload = wire::EncodeMessage(msg);
+  const size_t bytes = payload.size();  // == msg.ByteSize(), counted once
   MutexLock lock(mutex_);
   bool local_dest = peers_.count(msg.to) > 0;
   if (!local_dest && !remote_peers_.count(msg.to)) {

@@ -8,6 +8,8 @@
 // Format (version 4, all integers little-endian, fixed width):
 //
 //   message  := u8 version | u8 payload-tag | str from | str to | payload
+//   payload  := the payload struct's fields, in its Fields order
+//               (message.h)
 //   str      := u32 length | bytes
 //   value    := u8 type (0 string, 1 int) | str / i64
 //   domain   := u8 kind (0 all-strings, 1 all-ints, 2 enumerated)

@@ -19,6 +19,7 @@
 #include "p2p/peer.h"
 #include "service/catalogs.h"
 #include "service/query_service.h"
+#include "test_util.h"
 
 namespace hyperion {
 namespace {
@@ -99,23 +100,11 @@ TEST(AdaptiveRtoEstimatorTest, LinksAreEstimatedPerDirection) {
 
 // ---- fixtures ------------------------------------------------------------
 
-MappingTable PairTable(const std::string& name, const std::string& x_attr,
-                       const std::string& y_attr) {
-  MappingTable t =
-      MappingTable::Create(Schema::Of({Attribute::String(x_attr)}),
-                           Schema::Of({Attribute::String(y_attr)}), name)
-          .value();
-  for (const char* v : {"1", "2", "3"}) {
-    EXPECT_TRUE(t.AddPair({Value(x_attr + v)}, {Value(y_attr + v)}).ok());
-  }
-  return t;
-}
-
 // A chain A -> B -> C -> D, one single-id table per hop.
 ServiceCatalog ChainCatalog() {
   ServiceCatalog catalog;
   catalog.store = std::make_unique<TableStore>();
-  const std::vector<std::string> ids = {"A", "B", "C", "D"};
+  const std::vector<std::string>& ids = testing_util::SimChain::kPath;
   for (size_t i = 0; i < ids.size(); ++i) {
     PeerSpec spec;
     spec.id = ids[i];
@@ -123,8 +112,8 @@ ServiceCatalog ChainCatalog() {
     if (i + 1 < ids.size()) {
       const std::string table = "m" + ids[i] + ids[i + 1];
       EXPECT_TRUE(catalog.store
-                      ->Put(PairTable(table, ids[i] + "_id",
-                                      ids[i + 1] + "_id"))
+                      ->Put(testing_util::PairTable(table, ids[i] + "_id",
+                                                    ids[i + 1] + "_id"))
                       .ok());
       spec.tables_to[ids[i + 1]] = {table};
     }

@@ -16,6 +16,7 @@
 #include "p2p/peer.h"
 #include "service/catalogs.h"
 #include "service/query_service.h"
+#include "test_util.h"
 
 namespace hyperion {
 namespace {
@@ -28,18 +29,6 @@ uint64_t CounterValue(const char* name) {
   return obs::MetricRegistry::Default().GetCounter(name)->value();
 }
 
-MappingTable PairTable(const std::string& name, const std::string& x_attr,
-                       const std::string& y_attr) {
-  MappingTable t =
-      MappingTable::Create(Schema::Of({Attribute::String(x_attr)}),
-                           Schema::Of({Attribute::String(y_attr)}), name)
-          .value();
-  for (const char* v : {"1", "2", "3"}) {
-    EXPECT_TRUE(t.AddPair({Value(x_attr + v)}, {Value(y_attr + v)}).ok());
-  }
-  return t;
-}
-
 // A chain A -> B -> C -> D, one three-row table per hop, on one
 // SimNetwork with round numbers: 10 ms links, 1 ms per delivered message,
 // no byte or compute charge.  With a cache of one row, C streams four
@@ -47,78 +36,10 @@ MappingTable PairTable(const std::string& name, const std::string& x_attr,
 // 1 ms apart: seqs 1-4 leave B at 35, 36, 37 and 38 ms, reach A 10 ms
 // later, and A acks each at 46-49 ms.  The EOS completes the session at
 // A at 49 ms.
-class ChainSession {
+class ChainSession : public testing_util::SimChain {
  public:
-  explicit ChainSession(FaultPlan plan) : net_(ChainOptions()) {
-    net_.SetFaultPlan(std::move(plan));
-    for (const std::string& id : kPath) {
-      peers_.push_back(std::make_unique<PeerNode>(
-          id, AttributeSet::Of({Attribute::String(id + "_id")}), link_rtt_));
-      EXPECT_TRUE(peers_.back()->Attach(&net_).ok());
-    }
-    for (size_t i = 0; i + 1 < kPath.size(); ++i) {
-      const std::string& next = kPath[i + 1];
-      EXPECT_TRUE(peers_[i]
-                      ->AddConstraintTo(
-                          next, MappingConstraint(PairTable(
-                                    "m" + kPath[i] + next, kPath[i] + "_id",
-                                    next + "_id")))
-                      .ok());
-    }
-  }
-
-  // Ends the session at every peer, each on its own timeline, when the
-  // initiator finishes — what QueryService does.
-  void EndSessionsOnCompletion() {
-    peers_.front()->SetSessionDoneCallback([this](SessionId id) {
-      for (const std::unique_ptr<PeerNode>& peer : peers_) {
-        PeerNode* p = peer.get();
-        ASSERT_TRUE(
-            net_.ScheduleTimer(p->id(), 0, [p, id] { p->EndSession(id); })
-                .ok());
-      }
-    });
-  }
-
-  // Runs the session to quiescence; returns the initiator's result and
-  // sets `end_us` to the network's final virtual time.
-  const SessionResult* Run(int64_t* end_us,
-                           int64_t session_deadline_us = 120'000 * kMs) {
-    SessionOptions opts;
-    opts.cache_capacity = 1;
-    opts.session_deadline_us = session_deadline_us;
-    auto session = peers_.front()->StartCoverSession(
-        kPath, {Attribute::String("A_id")}, {Attribute::String("D_id")},
-        opts);
-    EXPECT_TRUE(session.ok()) << session.status();
-    if (!session.ok()) return nullptr;
-    auto end = net_.Run();
-    EXPECT_TRUE(end.ok()) << end.status();
-    *end_us = end.ok() ? end.value() : -1;
-    auto result = peers_.front()->GetResult(session.value());
-    EXPECT_TRUE(result.ok()) << result.status();
-    return result.ok() ? result.value() : nullptr;
-  }
-
-  const SimNetwork& net() const { return net_; }
-  const LinkRttTable& link_rtt() const { return *link_rtt_; }
-
- private:
-  inline static const std::vector<std::string> kPath = {"A", "B", "C",
-                                                         "D"};
-
-  static SimNetwork::Options ChainOptions() {
-    SimNetwork::Options opts;
-    opts.latency_us = kLatencyUs;
-    opts.per_message_overhead_us = kOverheadUs;
-    opts.us_per_byte = 0;
-    opts.compute_scale = 0;
-    return opts;
-  }
-
-  SimNetwork net_;
-  std::shared_ptr<LinkRttTable> link_rtt_ = std::make_shared<LinkRttTable>();
-  std::vector<std::unique_ptr<PeerNode>> peers_;
+  explicit ChainSession(FaultPlan plan)
+      : SimChain(Options(kLatencyUs, kOverheadUs), std::move(plan)) {}
 };
 
 FaultPlan Outage(const std::string& from, const std::string& to,

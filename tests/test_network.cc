@@ -35,7 +35,13 @@ TEST(MessageTest, MappingBytesReflectExclusions) {
   Mapping plain({Cell::Variable(0)});
   Mapping heavy({Cell::Variable(0, {Value("averylongexcludedvalue1"),
                                     Value("averylongexcludedvalue2")})});
-  EXPECT_GT(EstimateMappingBytes(heavy), EstimateMappingBytes(plain) + 20);
+  CoverBatchMsg batch;
+  batch.rows = {plain};
+  const size_t plain_bytes = Message{"a", "b", batch}.ByteSize();
+  batch.rows = {heavy};
+  // Each excluded string value: a type byte, a u32 length, 23 chars.
+  const size_t heavy_bytes = Message{"a", "b", batch}.ByteSize();
+  EXPECT_EQ(heavy_bytes, plain_bytes + 2 * 28);
 }
 
 TEST(SimNetworkTest, RegisterAndSendValidation) {

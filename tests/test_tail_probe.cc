@@ -15,6 +15,7 @@
 #include "p2p/link_rtt.h"
 #include "p2p/network.h"
 #include "p2p/peer.h"
+#include "test_util.h"
 
 namespace hyperion {
 namespace {
@@ -29,8 +30,6 @@ constexpr int kWarmSamples = 8;
 // After eight 12 ms samples RTTVAR has decayed below 3 ms, so 2·max_recent
 // sets the PTO: 24 ms.  The RTO is the 100 ms floor.
 constexpr int64_t kPtoUs = 2 * kRttUs;
-
-const std::vector<std::string> kPath = {"A", "B", "C", "D"};
 
 uint64_t CounterValue(const char* name) {
   return obs::MetricRegistry::Default().GetCounter(name)->value();
@@ -51,18 +50,6 @@ struct Counts {
   uint64_t Probes() const { return CounterValue("proto.probes") - probes; }
 };
 
-MappingTable PairTable(const std::string& name, const std::string& x_attr,
-                       const std::string& y_attr) {
-  MappingTable t =
-      MappingTable::Create(Schema::Of({Attribute::String(x_attr)}),
-                           Schema::Of({Attribute::String(y_attr)}), name)
-          .value();
-  for (const char* v : {"1", "2", "3"}) {
-    EXPECT_TRUE(t.AddPair({Value(x_attr + v)}, {Value(y_attr + v)}).ok());
-  }
-  return t;
-}
-
 RttEstimator WarmEstimator() {
   RttEstimator est;
   for (int i = 0; i < kWarmSamples; ++i) est.AddSample(kRttUs);
@@ -79,93 +66,17 @@ RttEstimator WarmEstimator() {
 // With `split` B's table toward C starts from a second attribute, B_x, so
 // the plan has two partitions: A's own hop, and B-C-D, whose terminal
 // peer B delivers its rows to A as FinalRows at 20-23 ms instead.
-class TailChain {
+class TailChain : public testing_util::SimChain {
  public:
   explicit TailChain(FaultPlan plan, bool split = false,
                      SimNetwork::Options options = ChainOptions())
-      : net_(std::move(options)) {
-    net_.SetFaultPlan(std::move(plan));
-    for (const std::string& from : kPath) {
-      for (const std::string& to : kPath) {
-        if (from == to) continue;
-        for (int i = 0; i < kWarmSamples; ++i) {
-          link_rtt_->AddSample(from, to, kRttUs);
-        }
-      }
-    }
-    for (const std::string& id : kPath) {
-      AttributeSet attrs =
-          split && id == "B"
-              ? AttributeSet::Of({Attribute::String("B_id"),
-                                  Attribute::String("B_x")})
-              : AttributeSet::Of({Attribute::String(id + "_id")});
-      peers_.push_back(
-          std::make_unique<PeerNode>(id, std::move(attrs), link_rtt_));
-      EXPECT_TRUE(peers_.back()->Attach(&net_).ok());
-    }
-    for (size_t i = 0; i + 1 < kPath.size(); ++i) {
-      const std::string& next = kPath[i + 1];
-      const std::string x_attr =
-          split && kPath[i] == "B" ? "B_x" : kPath[i] + "_id";
-      EXPECT_TRUE(peers_[i]
-                      ->AddConstraintTo(
-                          next, MappingConstraint(PairTable(
-                                    "m" + kPath[i] + next, x_attr,
-                                    next + "_id")))
-                      .ok());
-    }
+      : SimChain(std::move(options), std::move(plan), split) {
+    WarmLinks(kRttUs, kWarmSamples);
   }
 
   static SimNetwork::Options ChainOptions() {
-    SimNetwork::Options opts;
-    opts.latency_us = kLatencyUs;
-    opts.per_message_overhead_us = kOverheadUs;
-    opts.us_per_byte = 0;
-    opts.compute_scale = 0;
-    return opts;
+    return Options(kLatencyUs, kOverheadUs);
   }
-
-  // Ends the session at every peer, each on its own timeline, when the
-  // initiator finishes — what QueryService does.
-  void EndSessionsOnCompletion() {
-    peers_.front()->SetSessionDoneCallback([this](SessionId id) {
-      for (const std::unique_ptr<PeerNode>& peer : peers_) {
-        PeerNode* p = peer.get();
-        ASSERT_TRUE(
-            net_.ScheduleTimer(p->id(), 0, [p, id] { p->EndSession(id); })
-                .ok());
-      }
-    });
-  }
-
-  // Runs the session to quiescence; returns the initiator's result and
-  // sets `end_us` to the network's final virtual time.
-  const SessionResult* Run(int64_t* end_us) {
-    SessionOptions opts;
-    opts.cache_capacity = 1;
-    auto session = peers_.front()->StartCoverSession(
-        kPath, {Attribute::String("A_id")}, {Attribute::String("D_id")},
-        opts);
-    EXPECT_TRUE(session.ok()) << session.status();
-    if (!session.ok()) return nullptr;
-    session_ = session.value();
-    auto end = net_.Run();
-    EXPECT_TRUE(end.ok()) << end.status();
-    *end_us = end.ok() ? end.value() : -1;
-    auto result = peers_.front()->GetResult(session.value());
-    EXPECT_TRUE(result.ok()) << result.status();
-    return result.ok() ? result.value() : nullptr;
-  }
-
-  const SimNetwork& net() const { return net_; }
-  const LinkRttTable& link_rtt() const { return *link_rtt_; }
-  SessionId session() const { return session_; }
-
- private:
-  SimNetwork net_;
-  std::shared_ptr<LinkRttTable> link_rtt_ = std::make_shared<LinkRttTable>();
-  std::vector<std::unique_ptr<PeerNode>> peers_;
-  SessionId session_ = 0;
 };
 
 FaultPlan Outages(const std::string& from, const std::string& to,

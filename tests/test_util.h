@@ -1,18 +1,25 @@
 // Shared helpers for the Hyperion test suite: tiny finite domains for
-// brute-force oracles, random mapping-table generation, and set-comparison
-// utilities.
+// brute-force oracles, random mapping-table generation, set-comparison
+// utilities, and the four-peer chain the reliability tests run.
 
 #ifndef HYPERION_TESTS_TEST_UTIL_H_
 #define HYPERION_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "core/compose.h"
 #include "core/mapping_table.h"
+#include "p2p/link_rtt.h"
+#include "p2p/network.h"
+#include "p2p/peer.h"
 
 namespace hyperion {
 namespace testing_util {
@@ -129,6 +136,126 @@ inline std::vector<Tuple> ProjectExtension(const std::vector<Tuple>& ext,
   for (const Tuple& t : ext) out.push_back(ProjectTuple(t, positions));
   return Canon(std::move(out));
 }
+
+/// \brief A three-row table mapping `x_attr` values x1..x3 to `y_attr`
+/// values y1..y3 (each value is its attribute name plus the digit).
+inline MappingTable PairTable(const std::string& name,
+                              const std::string& x_attr,
+                              const std::string& y_attr) {
+  MappingTable t =
+      MappingTable::Create(Schema::Of({Attribute::String(x_attr)}),
+                           Schema::Of({Attribute::String(y_attr)}), name)
+          .value();
+  for (const char* v : {"1", "2", "3"}) {
+    EXPECT_TRUE(t.AddPair({Value(x_attr + v)}, {Value(y_attr + v)}).ok());
+  }
+  return t;
+}
+
+/// \brief The reliability tests' chain A -> B -> C -> D on one
+/// SimNetwork: peer P has attribute P_id, each hop one PairTable named
+/// "m" + from + to, and every peer shares one LinkRttTable.  With
+/// `split`, B's table toward C starts from a second attribute, B_x, so
+/// the plan has two partitions.  Sessions run with a cache of one row.
+class SimChain {
+ public:
+  static inline const std::vector<std::string> kPath = {"A", "B", "C", "D"};
+
+  /// Round-number links with no byte or compute charge, so tests can
+  /// pin exact virtual times.
+  static SimNetwork::Options Options(int64_t latency_us,
+                                     int64_t overhead_us) {
+    SimNetwork::Options opts;
+    opts.latency_us = latency_us;
+    opts.per_message_overhead_us = overhead_us;
+    opts.us_per_byte = 0;
+    opts.compute_scale = 0;
+    return opts;
+  }
+
+  SimChain(SimNetwork::Options options, FaultPlan plan, bool split = false)
+      : net_(std::move(options)) {
+    net_.SetFaultPlan(std::move(plan));
+    for (const std::string& id : kPath) {
+      AttributeSet attrs =
+          split && id == "B"
+              ? AttributeSet::Of({Attribute::String("B_id"),
+                                  Attribute::String("B_x")})
+              : AttributeSet::Of({Attribute::String(id + "_id")});
+      peers_.push_back(
+          std::make_unique<PeerNode>(id, std::move(attrs), link_rtt_));
+      EXPECT_TRUE(peers_.back()->Attach(&net_).ok());
+    }
+    for (size_t i = 0; i + 1 < kPath.size(); ++i) {
+      const std::string& next = kPath[i + 1];
+      const std::string x_attr =
+          split && kPath[i] == "B" ? "B_x" : kPath[i] + "_id";
+      EXPECT_TRUE(peers_[i]
+                      ->AddConstraintTo(
+                          next, MappingConstraint(PairTable(
+                                    "m" + kPath[i] + next, x_attr,
+                                    next + "_id")))
+                      .ok());
+    }
+  }
+
+  /// Feeds every directed link `samples` round trips of `rtt_us`.
+  void WarmLinks(int64_t rtt_us, int samples) {
+    for (const std::string& from : kPath) {
+      for (const std::string& to : kPath) {
+        if (from == to) continue;
+        for (int i = 0; i < samples; ++i) {
+          link_rtt_->AddSample(from, to, rtt_us);
+        }
+      }
+    }
+  }
+
+  /// Ends the session at every peer, each on its own timeline, when the
+  /// initiator finishes — what QueryService does.
+  void EndSessionsOnCompletion() {
+    peers_.front()->SetSessionDoneCallback([this](SessionId id) {
+      for (const std::unique_ptr<PeerNode>& peer : peers_) {
+        PeerNode* p = peer.get();
+        ASSERT_TRUE(
+            net_.ScheduleTimer(p->id(), 0, [p, id] { p->EndSession(id); })
+                .ok());
+      }
+    });
+  }
+
+  /// Runs the session to quiescence; returns the initiator's result and
+  /// sets `end_us` to the network's final virtual time.
+  const SessionResult* Run(
+      int64_t* end_us,
+      int64_t session_deadline_us = SessionOptions{}.session_deadline_us) {
+    SessionOptions opts;
+    opts.cache_capacity = 1;
+    opts.session_deadline_us = session_deadline_us;
+    auto session = peers_.front()->StartCoverSession(
+        kPath, {Attribute::String("A_id")}, {Attribute::String("D_id")},
+        opts);
+    EXPECT_TRUE(session.ok()) << session.status();
+    if (!session.ok()) return nullptr;
+    session_ = session.value();
+    auto end = net_.Run();
+    EXPECT_TRUE(end.ok()) << end.status();
+    *end_us = end.ok() ? end.value() : -1;
+    auto result = peers_.front()->GetResult(session.value());
+    EXPECT_TRUE(result.ok()) << result.status();
+    return result.ok() ? result.value() : nullptr;
+  }
+
+  const SimNetwork& net() const { return net_; }
+  const LinkRttTable& link_rtt() const { return *link_rtt_; }
+  SessionId session() const { return session_; }
+
+ private:
+  SimNetwork net_;
+  std::shared_ptr<LinkRttTable> link_rtt_ = std::make_shared<LinkRttTable>();
+  std::vector<std::unique_ptr<PeerNode>> peers_;
+  SessionId session_ = 0;
+};
 
 }  // namespace testing_util
 }  // namespace hyperion

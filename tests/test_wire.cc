@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/domain.h"
@@ -21,6 +25,7 @@ namespace {
 
 Message RoundTrip(const Message& msg) {
   std::string bytes = wire::EncodeMessage(msg);
+  EXPECT_EQ(msg.ByteSize(), bytes.size());
   Result<Message> decoded = wire::DecodeMessage(bytes);
   EXPECT_TRUE(decoded.ok()) << decoded.status();
   return std::move(decoded).value();
@@ -765,6 +770,27 @@ TEST(WireTest, RejectsOversizedCountsAndEmptyEnumeratedDomain) {
   put_u32(0);   // zero values — must be rejected
   Result<Message> decoded = wire::DecodeMessage(hand);
   EXPECT_FALSE(decoded.ok());
+}
+
+// The committed seeds in fuzz/corpus/wire/ (one per payload tag) pin the
+// wire format byte for byte: each must decode and re-encode to exactly
+// its own bytes, and ByteSize() must count exactly those bytes.  The
+// shard write log stores these same bytes, so a codec change that moves
+// one breaks existing logs too.
+TEST(WireTest, CorpusSeedsReencodeByteForByte) {
+  size_t seeds = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(HYPERION_WIRE_CORPUS_DIR)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    Result<Message> msg = wire::DecodeMessage(bytes);
+    ASSERT_TRUE(msg.ok()) << entry.path() << ": " << msg.status();
+    EXPECT_EQ(wire::EncodeMessage(msg.value()), bytes) << entry.path();
+    EXPECT_EQ(msg.value().ByteSize(), bytes.size()) << entry.path();
+    ++seeds;
+  }
+  EXPECT_EQ(seeds, std::variant_size_v<decltype(Message::payload)>);
 }
 
 TEST(WireTest, FramingRoundTripAndResync) {
