@@ -1,4 +1,5 @@
-// Adaptive retransmit timeouts for the reliability layer (peer.h).
+// Adaptive retransmit timeouts for the reliability layer
+// (reliable_link.h).
 //
 // A sender learns, per directed link (from, to), how long acks take and
 // waits only about that long before retransmitting, instead of a fixed
@@ -24,10 +25,11 @@
 //
 // A sender whose last message on a channel is still unacked one PTO
 // after it left asks the receiver whether it arrived (a tail-loss probe,
-// peer.h) instead of waiting out the RTO.  A probe only asks, so a late
-// ack costs one small message, never a spurious retransmission: that is
-// why the floor stays on the RTO, which still declares the loss, and not
-// on the PTO.  A link with no sample has no PTO and is never probed.
+// reliable_link.h) instead of waiting out the RTO.  A probe only asks,
+// so a late ack costs one small message, never a spurious
+// retransmission: that is why the floor stays on the RTO, which still
+// declares the loss, and not on the PTO.  A link with no sample has no
+// PTO and is never probed.
 //
 // Samples obey Karn's rule: only sends acked on their first attempt
 // produce one (an ack for a retransmitted message cannot say which copy

@@ -28,10 +28,10 @@
 //  * FinalRows       — per-partition cover rows delivered to the
 //                      initiator by the partition's terminal peer.
 //  * Ack             — reliability acknowledgement for one sequenced
-//                      session message (peer.h's retransmit layer), or
+//                      session message (reliable_link.h), or
 //                      the answer to a Probe.
 //  * Probe           — tail-loss probe: asks whether a channel's last
-//                      unacked message arrived (peer.h).
+//                      unacked message arrived (reliable_link.h).
 //  * Heartbeat       — cluster membership beacon (cluster/membership.h).
 //  * Search /        — value search flooded along acquaintance edges,
 //    SearchHit         translated through each hop's mapping tables.

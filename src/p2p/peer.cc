@@ -1,47 +1,17 @@
 #include "p2p/peer.h"
 
 #include <algorithm>
-#include <cassert>
-#include <type_traits>
 #include <variant>
 
 #include "common/hash_util.h"
 #include "core/partition.h"
 #include "core/query.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "p2p/proto_trace.h"
 
 namespace hyperion {
 
 namespace {
-
-// Shorthand for protocol counters in the default registry.
-inline void CountProto(const char* name, uint64_t n = 1) {
-  if constexpr (obs::kMetricsEnabled) {
-    obs::MetricRegistry::Default().GetCounter(name)->Add(n);
-  }
-}
-
-// Structured span/event record for the session tracer.  `net` supplies
-// the virtual clock; everything else identifies the step.
-void TraceProto(const Network* net, const std::string& peer,
-                const char* kind, uint64_t session, int64_t partition,
-                int hop, int64_t value, std::string detail = {}) {
-  if constexpr (obs::kMetricsEnabled) {
-    obs::SessionTracer& tracer = obs::SessionTracer::Default();
-    if (!tracer.enabled()) return;
-    obs::TraceEvent ev;
-    ev.virtual_us = net == nullptr ? 0 : net->now_us();
-    ev.session = session;
-    ev.partition = partition;
-    ev.hop = hop;
-    ev.peer = peer;
-    ev.kind = kind;
-    ev.detail = std::move(detail);
-    ev.value = value;
-    tracer.Record(std::move(ev));
-  }
-}
 
 // Deduplicating append preserving first-seen order.
 void AppendUnique(std::vector<std::string>* out, const std::string& name) {
@@ -91,8 +61,14 @@ PeerNode::PeerNode(std::string id, AttributeSet attributes,
                    std::shared_ptr<LinkRttTable> link_rtt)
     : id_(std::move(id)),
       attributes_(std::move(attributes)),
-      link_rtt_(link_rtt != nullptr ? std::move(link_rtt)
-                                    : std::make_shared<LinkRttTable>()) {}
+      link_(id_,
+            link_rtt != nullptr ? std::move(link_rtt)
+                                : std::make_shared<LinkRttTable>(),
+            [this](const Message& msg) { Dispatch(msg); },
+            [this](const ReliableLink::Abandoned& send) {
+              FailSession(send.session, send.status, send.initiator,
+                          send.timeout_us, send.max_retransmits);
+            }) {}
 
 Status PeerNode::Attach(Network* network) {
   if (network == nullptr) {
@@ -101,6 +77,7 @@ Status PeerNode::Attach(Network* network) {
   HYP_RETURN_IF_ERROR(network->RegisterPeer(
       id_, [this](const Message& msg) { HandleMessage(msg); }));
   network_ = network;
+  link_.Attach(network);
   return Status::OK();
 }
 
@@ -164,54 +141,7 @@ Status PeerNode::FloodPing(int ttl) {
   return Status::OK();
 }
 
-template <class Msg>
-auto PeerNode::Sequenced(Msg& msg) {
-  using Seq = std::conditional_t<std::is_const_v<Msg>, const uint64_t,
-                                 uint64_t>;
-  struct Channel {
-    SessionId session = 0;
-    uint8_t kind = 0;
-    uint64_t partition = 0;
-    Seq* seq = nullptr;
-  };
-  return std::visit(
-      [](auto& p) -> Channel {
-        using P = std::decay_t<decltype(p)>;
-        if constexpr (std::is_same_v<P, SessionInitMsg>) {
-          return {p.spec.id, kRelInit, 0, &p.seq};
-        } else if constexpr (std::is_same_v<P, ComputePlanMsg>) {
-          return {p.spec.id, kRelPlan, 0, &p.seq};
-        } else if constexpr (std::is_same_v<P, CoverBatchMsg>) {
-          return {p.session, kRelBatch, p.partition, &p.seq};
-        } else if constexpr (std::is_same_v<P, FinalRowsMsg>) {
-          return {p.session, kRelFinal, p.partition, &p.seq};
-        } else {
-          return {};
-        }
-      },
-      msg.payload);
-}
-
-void PeerNode::HandleMessage(const Message& msg) {
-  if (std::holds_alternative<AckMsg>(msg.payload)) {
-    OnAck(msg);
-    return;
-  }
-  if (std::holds_alternative<ProbeMsg>(msg.payload)) {
-    OnProbe(msg);
-    return;
-  }
-  // Sequenced session messages pass through the reliability layer (ack,
-  // dedup, reorder) first; seq 0 marks unsequenced traffic — discovery,
-  // searches, locally delivered copies — which dispatches directly.
-  const auto channel = Sequenced(msg);
-  if (channel.seq != nullptr && *channel.seq != 0 && msg.from != id_) {
-    AdmitSequenced(msg, channel.kind, channel.session, channel.partition,
-                   *channel.seq);
-    return;
-  }
-  Dispatch(msg);
-}
+void PeerNode::HandleMessage(const Message& msg) { link_.Receive(msg); }
 
 void PeerNode::Dispatch(const Message& msg) {
   if (std::holds_alternative<PingMsg>(msg.payload)) {
@@ -233,384 +163,7 @@ void PeerNode::Dispatch(const Message& msg) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Reliability layer: ack / retransmit / dedup / reorder
-// ---------------------------------------------------------------------------
-
-Status PeerNode::SendReliable(SessionId session, uint8_t kind,
-                              uint64_t partition, Message msg,
-                              int64_t timeout_us, int max_retransmits,
-                              const char* phase,
-                              const std::string& initiator) {
-  // The initiator is done with an ended session: nobody needs the
-  // message, and a send would re-arm a timer the session just shed.
-  if (ended_sessions_.count(session)) return Status::OK();
-  ChannelKey channel{session, kind, partition, msg.to};
-  uint64_t seq = ++next_send_seq_[channel];
-  if (uint64_t* stamp = Sequenced(msg).seq) *stamp = seq;
-  SendKey key{session, kind, partition, msg.to, seq};
-  OutstandingSend& out = outstanding_sends_[key];
-  out.msg = msg;
-  out.attempts = 1;
-  out.configured_timeout_us = timeout_us > 0 ? timeout_us : 1;
-  out.timeout_us = link_rtt_->Rto(id_, msg.to, out.configured_timeout_us);
-  out.max_retransmits = max_retransmits < 0 ? 0 : max_retransmits;
-  out.phase = phase;
-  out.initiator = initiator;
-  out.sent_at_us = network_->now_us();
-  out.sent_order = ++tx_order_;
-  Status sent = network_->Send(std::move(msg));
-  if (!sent.ok()) {
-    outstanding_sends_.erase(key);
-    return sent;
-  }
-  Status armed = ArmRetransmitTimer(key);
-  if (!armed.ok()) {
-    AbandonSend(key, armed);
-    return armed;
-  }
-  ArmProbe(channel, out.timeout_us);
-  return armed;
-}
-
-Status PeerNode::ArmRetransmitTimer(const SendKey& key) {
-  OutstandingSend& out = outstanding_sends_.at(key);
-  auto timer = network_->ScheduleTimer(
-      id_, out.timeout_us, [this, key] { HandleRetransmitTimer(key); });
-  if (timer.ok()) {
-    out.timer = timer.value();
-    return Status::OK();
-  }
-  out.timer = 0;
-  std::string message = "cannot arm the retransmit timer for peer '";
-  message.append(std::get<3>(key))
-      .append("' during ")
-      .append(out.phase)
-      .append(" of session ")
-      .append(std::to_string(std::get<0>(key)))
-      .append(": ")
-      .append(timer.status().message());
-  return Status(timer.status().code(), std::move(message));
-}
-
-void PeerNode::AbandonSend(const SendKey& key, const Status& status) {
-  const auto& [session, kind, partition, to, seq] = key;
-  const OutstandingSend& out = outstanding_sends_.at(key);
-  const bool is_failure_report =
-      kind == kRelFinal && partition == kErrorPartition;
-  std::string initiator = out.initiator;
-  int64_t configured_timeout = out.configured_timeout_us;
-  int max_retransmits = out.max_retransmits;
-  CancelSessionSends(session);  // invalidates `out`
-  if (!is_failure_report) {
-    FailSession(session, status, initiator, configured_timeout,
-                max_retransmits);
-  }
-  // A failure report we cannot deliver dies here: the initiator's own
-  // session deadline is the backstop.
-}
-
-void PeerNode::HandleRetransmitTimer(const SendKey& key) {
-  auto it = outstanding_sends_.find(key);
-  if (it == outstanding_sends_.end()) return;  // acked in the meantime
-  OutstandingSend& out = it->second;
-  const auto& [session, kind, partition, to, seq] = key;
-  if (out.attempts > out.max_retransmits) {
-    Status status = Status::Unavailable(
-        "peer '" + to + "' unreachable: no ack after " +
-        std::to_string(out.attempts) + " attempts during " + out.phase +
-        " of session " + std::to_string(session));
-    TraceProto(network_, id_, "reliable.unreachable", session,
-               partition == kErrorPartition ? -1
-                                            : static_cast<int64_t>(partition),
-               -1, static_cast<int64_t>(seq), status.ToString());
-    AbandonSend(key, status);
-    return;
-  }
-  out.timeout_us *= 2;
-  Retransmit(key, &out, Resend::kTimer);
-  Status armed = ArmRetransmitTimer(key);
-  if (!armed.ok()) AbandonSend(key, armed);
-}
-
-void PeerNode::Retransmit(const SendKey& key, OutstandingSend* out,
-                          Resend cause) {
-  const auto& [session, kind, partition, to, seq] = key;
-  out->attempts += 1;
-  CountProto("proto.retransmits");
-  if (cause != Resend::kTimer) CountProto("proto.fast_retransmits");
-  std::string detail = "to '";
-  detail.append(to).append("' attempt ").append(
-      std::to_string(out->attempts));
-  if (cause == Resend::kHole) detail.append(" (hole reported)");
-  if (cause == Resend::kProbe) detail.append(" (probe answered missing)");
-  TraceProto(network_, id_, "reliable.retransmit", session,
-             partition == kErrorPartition ? -1
-                                          : static_cast<int64_t>(partition),
-             -1, static_cast<int64_t>(seq), std::move(detail));
-  // Best-effort: a retransmission that cannot be sent is equivalent to
-  // one that was lost in flight — the retransmit timer fires again, and
-  // the attempt cap turns persistent failure into a loud session error.
-  out->sent_order = ++tx_order_;
-  IgnoreStatus(network_->Send(out->msg));
-  ArmProbe(ChannelKey{session, kind, partition, to}, out->timeout_us);
-}
-
-void PeerNode::ArmProbe(const ChannelKey& channel, int64_t rto_us) {
-  const int64_t pto = link_rtt_->Pto(id_, std::get<3>(channel));
-  if (pto <= 0 || pto >= rto_us) {
-    DropProbe(channel);
-    return;
-  }
-  ChannelProbe& probe = probes_[channel];
-  probe.due_us = network_->now_us() + pto;
-  probe.backoff = 1;
-  ScheduleProbe(channel, &probe);
-}
-
-void PeerNode::ScheduleProbe(const ChannelKey& channel,
-                             ChannelProbe* probe) {
-  // An armed timer due no later fires first and re-arms for the rest:
-  // a channel streaming many sends moves one timer, not one per send.
-  if (probe->timer != 0) {
-    if (probe->timer_due_us <= probe->due_us) return;
-    network_->CancelTimer(probe->timer);
-  }
-  const int64_t now = network_->now_us();
-  auto timer =
-      network_->ScheduleTimer(id_, std::max<int64_t>(0, probe->due_us - now),
-                              [this, channel] { HandleProbeTimer(channel); });
-  // A probe is only an early question: without its timer the channel
-  // still has its retransmit timers.
-  probe->timer = timer.ok() ? timer.value() : 0;
-  probe->timer_due_us = std::max(probe->due_us, now);
-}
-
-void PeerNode::HandleProbeTimer(const ChannelKey& channel) {
-  auto it = probes_.find(channel);
-  if (it == probes_.end()) return;
-  ChannelProbe& probe = it->second;
-  probe.timer = 0;
-  const int64_t now = network_->now_us();
-  if (now < probe.due_us) {
-    ScheduleProbe(channel, &probe);
-    return;
-  }
-  const auto [first, last] = ChannelSends(channel);
-  if (first == last) {
-    probes_.erase(it);
-    return;
-  }
-  const auto& [session, kind, partition, to] = channel;
-  const uint64_t seq = std::get<4>(std::prev(last)->first);  // the highest
-  ProbeMsg msg;
-  msg.session = session;
-  msg.kind = kind;
-  msg.partition = partition;
-  msg.seq = seq;
-  probe.probe_order = ++tx_order_;
-  CountProto("proto.probes");
-  std::string detail = "to '";
-  detail.append(to).append("'");
-  TraceProto(network_, id_, "reliable.probe", session,
-             partition == kErrorPartition ? -1
-                                          : static_cast<int64_t>(partition),
-             -1, static_cast<int64_t>(seq), std::move(detail));
-  // Best-effort, like an ack: a lost probe is followed by the next one.
-  IgnoreStatus(network_->Send(Message{id_, to, msg}));
-  probe.backoff *= 2;
-  probe.due_us = now + probe.backoff * link_rtt_->Pto(id_, to);
-  ScheduleProbe(channel, &probe);
-}
-
-std::pair<PeerNode::SendIter, PeerNode::SendIter> PeerNode::ChannelSends(
-    const ChannelKey& channel) {
-  const auto& [session, kind, partition, to] = channel;
-  // Seqs start at 1 and never reach ~0.
-  return {outstanding_sends_.lower_bound(
-              SendKey{session, kind, partition, to, 0}),
-          outstanding_sends_.lower_bound(
-              SendKey{session, kind, partition, to, ~0ull})};
-}
-
-void PeerNode::DropProbe(const ChannelKey& channel) {
-  auto it = probes_.find(channel);
-  if (it == probes_.end()) return;
-  if (it->second.timer != 0) network_->CancelTimer(it->second.timer);
-  probes_.erase(it);
-}
-
-void PeerNode::DropSessionProbes(SessionId session) {
-  auto it = probes_.lower_bound(ChannelKey{session, 0, 0, std::string()});
-  while (it != probes_.end() && std::get<0>(it->first) == session) {
-    if (it->second.timer != 0) network_->CancelTimer(it->second.timer);
-    it = probes_.erase(it);
-  }
-}
-
-void PeerNode::OnProbe(const Message& msg) {
-  const auto& probe = std::get<ProbeMsg>(msg.payload);
-  // Answered from the channel's state, never creating any: a channel
-  // never seen expects seq 1.
-  uint64_t next_expected = 1;
-  bool held = false;
-  auto it = recv_channels_.find(
-      ChannelKey{probe.session, probe.kind, probe.partition, msg.from});
-  if (it != recv_channels_.end()) {
-    next_expected = it->second.next_seq;
-    held = probe.seq < next_expected || it->second.parked.count(probe.seq);
-  }
-  SendAck(msg.from, probe.session, probe.kind, probe.partition, probe.seq,
-          next_expected,
-          held ? AckType::kProbeHeld : AckType::kProbeMissing);
-}
-
-void PeerNode::OnAck(const Message& msg) {
-  const auto& ack = std::get<AckMsg>(msg.payload);
-  auto erase = [this](std::map<SendKey, OutstandingSend>::iterator it) {
-    if (it->second.timer != 0) network_->CancelTimer(it->second.timer);
-    return outstanding_sends_.erase(it);
-  };
-  auto key = [&](uint64_t seq) {
-    return SendKey{ack.session, ack.kind, ack.partition, msg.from, seq};
-  };
-  // Selective: the acked send itself, or a probed send the receiver
-  // holds.  Karn's rule: an ack after a retransmission cannot say which
-  // copy it answers, so only the exact ack of a first-attempt send gives
-  // a round-trip sample (a probe is no attempt; its answer gives none).
-  if (auto it = ack.type == AckType::kProbeMissing
-                    ? outstanding_sends_.end()
-                    : outstanding_sends_.find(key(ack.seq));
-      it != outstanding_sends_.end()) {
-    if (ack.type == AckType::kArrival && it->second.attempts == 1) {
-      const int64_t rtt_us = network_->now_us() - it->second.sent_at_us;
-      link_rtt_->AddSample(id_, msg.from, rtt_us);
-      if constexpr (obs::kMetricsEnabled) {
-        static obs::Histogram* const ack_rtt =
-            obs::MetricRegistry::Default().GetHistogram(
-                "proto.ack_rtt_us", obs::LatencyBoundsUs());
-        ack_rtt->Observe(rtt_us);
-      }
-    }
-    erase(it);
-  }
-  // Cumulative: everything below next_expected has arrived, whether or
-  // not its own ack made it back.
-  auto it = outstanding_sends_.lower_bound(key(0));
-  const auto below = outstanding_sends_.lower_bound(key(ack.next_expected));
-  while (it != below) it = erase(it);
-  const ChannelKey channel{ack.session, ack.kind, ack.partition, msg.from};
-  if (const auto [first, last] = ChannelSends(channel); first == last) {
-    DropProbe(channel);  // nothing left unacked, nothing to probe
-    return;
-  }
-  if (ended_sessions_.count(ack.session)) return;
-  if (ack.type == AckType::kArrival) {
-    // A next_expected below the acked seq is a hole at the receiver.  On
-    // a FIFO link that means a drop, so resend it now rather than after
-    // the RTO; the retransmit timer and its backoff keep running.
-    if (ack.next_expected >= ack.seq) return;
-    auto hole = outstanding_sends_.find(key(ack.next_expected));
-    if (hole != outstanding_sends_.end() &&
-        !hole->second.fast_retransmitted) {
-      hole->second.fast_retransmitted = true;
-      Retransmit(hole->first, &hole->second, Resend::kHole);
-    }
-    return;
-  }
-  // A probe's answer: the receiver still waits for next_expected.  If the
-  // probe left after that send's last transmission, the send was lost
-  // (FIFO link).  Comparing the stamps keeps a duplicated probe or answer
-  // to one resend.
-  auto hole = outstanding_sends_.find(key(ack.next_expected));
-  auto probe = probes_.find(channel);
-  if (hole != outstanding_sends_.end() && probe != probes_.end() &&
-      probe->second.probe_order > hole->second.sent_order) {
-    Retransmit(hole->first, &hole->second, Resend::kProbe);
-  }
-}
-
-void PeerNode::SendAck(const std::string& to, SessionId session,
-                       uint8_t kind, uint64_t partition, uint64_t seq,
-                       uint64_t next_expected, AckType type) {
-  AckMsg ack;
-  ack.session = session;
-  ack.kind = kind;
-  ack.partition = partition;
-  ack.seq = seq;
-  ack.next_expected = next_expected;
-  ack.type = type;
-  // Best-effort: a lost ack is covered by the channel's next ack, or the
-  // sender retransmits and the receiver's dedup discards the duplicate.
-  IgnoreStatus(network_->Send(Message{id_, to, ack}));
-}
-
-void PeerNode::AdmitSequenced(const Message& msg, uint8_t kind,
-                              SessionId session, uint64_t partition,
-                              uint64_t seq) {
-  ChannelKey key{session, kind, partition, msg.from};
-  RecvChannel& channel = recv_channels_[key];
-  if (seq < channel.next_seq) {
-    // Retransmission of something already processed: re-ack (the first
-    // ack may have been lost) and drop.
-    CountProto("net.duplicates_suppressed");
-    SendAck(msg.from, session, kind, partition, seq, channel.next_seq);
-    return;
-  }
-  if (seq > channel.next_seq) {
-    // Out of order.  Park it — but only ack what we can hold; dropping
-    // an acked message would lose it for good.
-    if (channel.parked.size() >= kMaxReorderPerChannel &&
-        !channel.parked.count(seq)) {
-      CountProto("proto.reorder_dropped");
-      return;  // unacked: the sender will retransmit
-    }
-    channel.parked.emplace(seq, msg);
-    SendAck(msg.from, session, kind, partition, seq, channel.next_seq);
-    return;
-  }
-  // Ack before dispatching, counting the parked successors this arrival
-  // releases.
-  uint64_t next_expected = seq + 1;
-  while (channel.parked.count(next_expected)) ++next_expected;
-  SendAck(msg.from, session, kind, partition, seq, next_expected);
-  channel.next_seq = seq + 1;
-  Dispatch(msg);
-  // Drain any parked successors now in order.  `channel` stays valid:
-  // recv_channels_ is a std::map and Dispatch never erases from it.
-  auto parked = channel.parked.find(channel.next_seq);
-  while (parked != channel.parked.end()) {
-    Message queued = std::move(parked->second);
-    channel.parked.erase(parked);
-    channel.next_seq += 1;
-    Dispatch(queued);
-    parked = channel.parked.find(channel.next_seq);
-  }
-}
-
-void PeerNode::EndSession(SessionId session) {
-  ended_sessions_.insert(session);
-  for (auto& [key, out] : outstanding_sends_) {
-    if (std::get<0>(key) == session && out.timer != 0) {
-      network_->CancelTimer(out.timer);
-      out.timer = 0;
-    }
-  }
-  DropSessionProbes(session);
-}
-
-void PeerNode::CancelSessionSends(SessionId session) {
-  DropSessionProbes(session);
-  for (auto it = outstanding_sends_.begin();
-       it != outstanding_sends_.end();) {
-    if (std::get<0>(it->first) == session) {
-      if (it->second.timer != 0) network_->CancelTimer(it->second.timer);
-      it = outstanding_sends_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
+void PeerNode::EndSession(SessionId session) { link_.EndSession(session); }
 
 void PeerNode::OnPing(const Message& msg) {
   const auto& ping = std::get<PingMsg>(msg.payload);
@@ -936,14 +489,12 @@ void PeerNode::OnSessionInit(const Message& msg) {
       forward.forward_filters =
           ComputeForwardFilters(own, incoming_filters_[spec.id]);
     }
-    // SendReliable owns failure handling: it retransmits on a timer
-    // and escalates to a loud session failure at the attempt cap, so
-    // the first send's Status carries no extra information.
-    IgnoreStatus(SendReliable(spec.id, kRelInit, 0,
-                              Message{id_, spec.path_peers[k + 1], forward},
-                              spec.retransmit_timeout_us,
-                              spec.max_retransmits, "information gathering",
-                              spec.path_peers[0]));
+    // The link owns failure handling: it retransmits on a timer and
+    // escalates to a loud session failure at the attempt cap, so the
+    // first send's Status carries no extra information.
+    IgnoreStatus(link_.Send(Message{id_, spec.path_peers[k + 1], forward},
+                            spec.retransmit_timeout_us, spec.max_retransmits,
+                            "information gathering", spec.path_peers[0]));
   }
 }
 
@@ -956,12 +507,10 @@ void PeerNode::DistributePlan(const SessionSpec& spec,
   plan.partitions = std::move(partitions);
   for (size_t i = 0; i + 1 < spec.path_peers.size(); ++i) {
     if (spec.path_peers[i] == id_) continue;  // handled locally below
-    // SendReliable owns failure handling (see ForwardGathering).
-    IgnoreStatus(SendReliable(spec.id, kRelPlan, 0,
-                              Message{id_, spec.path_peers[i], plan},
-                              spec.retransmit_timeout_us,
-                              spec.max_retransmits, "plan distribution",
-                              spec.path_peers[0]));
+    // The link owns failure handling (see OnSessionInit).
+    IgnoreStatus(link_.Send(Message{id_, spec.path_peers[i], plan},
+                            spec.retransmit_timeout_us, spec.max_retransmits,
+                            "plan distribution", spec.path_peers[0]));
   }
   // Handle our own copy synchronously.
   Message local{id_, id_, plan};
@@ -1209,11 +758,10 @@ Status PeerNode::SendBatch(ParticipantState* state, size_t part_idx,
       IntegrateFinalRows(final_rows);
       return Status::OK();
     }
-    return SendReliable(state->spec.id, kRelFinal, part_idx,
-                        Message{id_, initiator, std::move(final_rows)},
-                        state->spec.retransmit_timeout_us,
-                        state->spec.max_retransmits, "final-row delivery",
-                        initiator);
+    return link_.Send(Message{id_, initiator, std::move(final_rows)},
+                      state->spec.retransmit_timeout_us,
+                      state->spec.max_retransmits, "final-row delivery",
+                      initiator);
   }
   CoverBatchMsg batch;
   batch.session = state->spec.id;
@@ -1222,11 +770,10 @@ Status PeerNode::SendBatch(ParticipantState* state, size_t part_idx,
   batch.rows = std::move(rows);
   batch.eos = eos;
   const std::string& upstream = state->spec.path_peers[state->my_hop - 1];
-  return SendReliable(state->spec.id, kRelBatch, part_idx,
-                      Message{id_, upstream, std::move(batch)},
-                      state->spec.retransmit_timeout_us,
-                      state->spec.max_retransmits, "cover streaming",
-                      state->spec.path_peers[0]);
+  return link_.Send(Message{id_, upstream, std::move(batch)},
+                    state->spec.retransmit_timeout_us,
+                    state->spec.max_retransmits, "cover streaming",
+                    state->spec.path_peers[0]);
 }
 
 void PeerNode::OnCoverBatch(const Message& msg) {
@@ -1321,10 +868,10 @@ Result<SessionId> PeerNode::StartCoverSession(
       init.forward_filters = ComputeForwardFilters(
           ConstraintsTo(spec.path_peers[1]), {});
     }
-    HYP_RETURN_IF_ERROR(SendReliable(
-        spec.id, kRelInit, 0, Message{id_, spec.path_peers[1], init},
-        spec.retransmit_timeout_us, spec.max_retransmits,
-        "information gathering", id_));
+    HYP_RETURN_IF_ERROR(link_.Send(Message{id_, spec.path_peers[1], init},
+                                   spec.retransmit_timeout_us,
+                                   spec.max_retransmits,
+                                   "information gathering", id_));
   }
   return spec.id;
 }
@@ -1441,7 +988,7 @@ void PeerNode::MarkInitiatorFailed(InitiatorState* session, Status status) {
     network_->CancelTimer(session->deadline_timer);
     session->deadline_timer = 0;
   }
-  CancelSessionSends(session->spec.id);
+  link_.CancelSession(session->spec.id);
   auto part_it = participant_sessions_.find(session->spec.id);
   if (part_it != participant_sessions_.end()) part_it->second.failed = true;
   if (session_done_) session_done_(session->spec.id);
@@ -1496,7 +1043,7 @@ void PeerNode::FailSession(SessionId id, const Status& status,
   CountProto("cover.sessions_failed");
   TraceProto(network_, id_, "session.failed", id, -1, -1, 0,
              status.ToString());
-  CancelSessionSends(id);
+  link_.CancelSession(id);
 
   // Who do we tell?  Participant state knows the spec; otherwise the
   // caller's hint (taken from the undeliverable message) is all we have.
@@ -1512,7 +1059,7 @@ void PeerNode::FailSession(SessionId id, const Status& status,
 
   FinalRowsMsg final_rows;
   final_rows.session = id;
-  final_rows.partition = kErrorPartition;
+  final_rows.partition = ReliableLink::kErrorPartition;
   final_rows.error = status.message();
   final_rows.error_code = static_cast<int32_t>(status.code());
   final_rows.eos = true;
@@ -1522,13 +1069,12 @@ void PeerNode::FailSession(SessionId id, const Status& status,
   }
   if (timeout_us <= 0) timeout_us = SessionSpec{}.retransmit_timeout_us;
   if (max_retransmits < 0) max_retransmits = SessionSpec{}.max_retransmits;
-  // SendReliable owns failure handling; this is already the failure
-  // path, and a notification that cannot leave at all surfaces at the
+  // The link owns failure handling; this is already the failure path,
+  // and a notification that cannot leave at all surfaces at the
   // initiator as the session timeout it was about to declare anyway.
-  IgnoreStatus(SendReliable(id, kRelFinal, kErrorPartition,
-                            Message{id_, initiator, std::move(final_rows)},
-                            timeout_us, max_retransmits,
-                            "failure notification", initiator));
+  IgnoreStatus(link_.Send(Message{id_, initiator, std::move(final_rows)},
+                          timeout_us, max_retransmits,
+                          "failure notification", initiator));
 }
 
 Result<const SessionResult*> PeerNode::GetResult(SessionId session) const {

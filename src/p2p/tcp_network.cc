@@ -285,9 +285,9 @@ Result<Network::TimerId> TcpNetwork::ScheduleTimer(const std::string& peer,
   entry.peer = peer;
   entry.cb = std::move(cb);
   TimerId id = entry.id;
-  live_timers_.insert(id);
-  ++outstanding_;
   const int64_t due = now_us() + delay_us;
+  live_timers_.emplace(id, due);
+  ++outstanding_;
   // The loop sleeps no later than the earliest pending entry, so only a
   // new earliest one needs to wake it.
   const bool earliest = pending_.empty() || due < pending_.begin()->first;
@@ -299,18 +299,19 @@ Result<Network::TimerId> TcpNetwork::ScheduleTimer(const std::string& peer,
 void TcpNetwork::CancelTimer(TimerId id) {
   if (id == 0) return;
   MutexLock lock(mutex_);
-  if (!live_timers_.count(id)) return;  // already ran (or never existed)
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+  auto live = live_timers_.find(id);
+  if (live == live_timers_.end()) return;  // already ran (or never existed)
+  // A live timer is still pending (the loop pops an entry and retires its
+  // id under one lock), among the entries due at its own instant.
+  for (auto [it, last] = pending_.equal_range(live->second); it != last;
+       ++it) {
     if (it->second.id == id) {
       pending_.erase(it);
-      live_timers_.erase(id);
+      live_timers_.erase(live);
       DecrementOutstanding();
       return;
     }
   }
-  // Due but not yet fired (the loop is between popping and running it):
-  // mark it so the loop skips the callback.
-  cancelled_timers_.insert(id);
 }
 
 void TcpNetwork::StartConnect(OutConn* conn) {
@@ -381,8 +382,8 @@ void TcpNetwork::AbandonConn(OutConn* conn, bool retry) {
   conn->connecting = false;
   // The front frame may be partially written: its bytes on the wire are
   // now a truncated stream the receiver discards, so every queued frame
-  // is lost here.  The reliability layer (peer.h) sees plain loss and
-  // retransmits.
+  // is lost here.  The reliability layer (reliable_link.h) sees plain
+  // loss and retransmits.
   for (OutFrame& frame : conn->queue) {
     tcp_stats_.connect_failures += 1;
     RecordTcpCounter("net.tcp.connect_failures");
@@ -475,10 +476,6 @@ void TcpNetwork::LoopThread() {
         continue;
       }
       live_timers_.erase(entry.id);
-      if (cancelled_timers_.erase(entry.id) > 0) {
-        DecrementOutstanding();
-        continue;
-      }
       if (faults_.PeerDownAt(entry.peer, now_us())) {
         stats_.crash_discards += 1;
         RecordFaultEvent("net.crash_discards", "tcp");
@@ -742,7 +739,6 @@ void TcpNetwork::Stop(int64_t drain_timeout_us) {
   out_conns_.clear();
   pending_.clear();
   live_timers_.clear();
-  cancelled_timers_.clear();
   outstanding_ = 0;
   running_ = false;
   stopping_ = false;

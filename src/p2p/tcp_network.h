@@ -1,9 +1,9 @@
 // TcpNetwork: the Network interface over real POSIX TCP sockets — every
 // frame a peer sends crosses the kernel's loopback (or a real NIC when
 // peers live in another process), serialized through the wire codec
-// (wire.h).  This is the transport the ROADMAP's remaining items
-// (cross-peer cache coherence, incremental maintenance) need: a byte
-// pipe between genuinely separate QueryService replicas.
+// (wire.h).  It is the byte pipe between separate processes: the
+// service's tcp transport, and every message between cluster nodes
+// (src/cluster/).
 //
 // Topology: every registered peer gets its own listening socket
 // (ephemeral port by default; ListenPort() reports it).  Sends open one
@@ -49,7 +49,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -257,8 +256,8 @@ class TcpNetwork : public Network {
   std::multimap<int64_t, PendingEntry> pending_
       GUARDED_BY(mutex_);  // due wall µs
   TimerId next_timer_id_ GUARDED_BY(mutex_) = 1;
-  std::set<TimerId> live_timers_ GUARDED_BY(mutex_);
-  std::set<TimerId> cancelled_timers_ GUARDED_BY(mutex_);
+  // Timers not yet run, by id, with their due time (their pending_ key).
+  std::map<TimerId, int64_t> live_timers_ GUARDED_BY(mutex_);
   int64_t outstanding_ GUARDED_BY(mutex_) = 0;
   bool running_ GUARDED_BY(mutex_) = false;
   std::thread::id loop_id_ GUARDED_BY(mutex_);  // set while the loop runs

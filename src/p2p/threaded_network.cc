@@ -117,9 +117,10 @@ Result<Network::TimerId> ThreadedNetwork::ScheduleTimer(
   entry.peer = peer;
   entry.cb = std::move(cb);
   TimerId id = entry.id;
-  live_timers_.insert(id);
+  const int64_t due = now_us() + delay_us;
+  live_timers_.emplace(id, due);
   ++outstanding_;
-  pending_.emplace(now_us() + delay_us, std::move(entry));
+  pending_.emplace(due, std::move(entry));
   scheduler_cv_.NotifyAll();
   return id;
 }
@@ -127,18 +128,20 @@ Result<Network::TimerId> ThreadedNetwork::ScheduleTimer(
 void ThreadedNetwork::CancelTimer(TimerId id) {
   if (id == 0) return;
   MutexLock lock(mutex_);
-  if (!live_timers_.count(id)) return;  // already ran (or never existed)
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+  auto live = live_timers_.find(id);
+  if (live == live_timers_.end()) return;  // ran, cancelled, or never was
+  // Only entries due at the timer's own instant can be it.
+  for (auto [it, last] = pending_.equal_range(live->second); it != last;
+       ++it) {
     if (it->second.id == id) {
       pending_.erase(it);
-      live_timers_.erase(id);
       DecrementOutstanding();
-      return;
+      break;
     }
   }
-  // Already moved to a worker queue: mark it so the worker skips the
-  // callback when it gets there.
-  cancelled_timers_.insert(id);
+  // A timer already on its worker's queue is skipped there once its id
+  // is no longer live.
+  live_timers_.erase(live);
 }
 
 void ThreadedNetwork::SchedulerLoop() {
@@ -214,16 +217,12 @@ void ThreadedNetwork::WorkerLoop(PeerWorker* worker) {
     if (faults_.PeerDownAt(worker->id, now_us())) {
       stats_.crash_discards += 1;
       RecordFaultEvent("net.crash_discards", "threaded");
-      if (queued.timer_id != 0) {
-        live_timers_.erase(queued.timer_id);
-        cancelled_timers_.erase(queued.timer_id);
-      }
+      live_timers_.erase(queued.timer_id);
       DecrementOutstanding();
       continue;
     }
     if (queued.timer_id != 0) {
-      live_timers_.erase(queued.timer_id);
-      if (cancelled_timers_.erase(queued.timer_id) > 0) {
+      if (live_timers_.erase(queued.timer_id) == 0) {  // cancelled
         DecrementOutstanding();
         continue;
       }

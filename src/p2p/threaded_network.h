@@ -25,7 +25,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -134,10 +133,9 @@ class ThreadedNetwork : public Network {
   CondVar scheduler_cv_;
   std::thread scheduler_;  // owned by the thread driving Run()
   TimerId next_timer_id_ GUARDED_BY(mutex_) = 1;
-  // Timers that exist but have not yet run their callback (pending or on
-  // a worker queue), and those cancelled after moving to a worker queue.
-  std::set<TimerId> live_timers_ GUARDED_BY(mutex_);
-  std::set<TimerId> cancelled_timers_ GUARDED_BY(mutex_);
+  // Timers that have neither run nor been cancelled (pending or on a
+  // worker queue), with their due time (their pending_ key).
+  std::map<TimerId, int64_t> live_timers_ GUARDED_BY(mutex_);
 
   const std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
