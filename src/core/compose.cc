@@ -110,9 +110,7 @@ bool FreeTable::MatchesGround(const Tuple& t) const {
 }
 
 FreeTable FreeTable::FromMappingTable(const MappingTable& table) {
-  FreeTable out(table.schema());
-  for (const Mapping& row : table.rows()) out.AddRow(row);
-  return out;
+  return table.free_table();
 }
 
 Result<MappingTable> FreeTable::ToMappingTable(
@@ -508,9 +506,9 @@ Result<FreeTable> SemiJoinReduce(const FreeTable& table,
 Result<MappingTable> ComposeConstraints(const MappingConstraint& a,
                                         const MappingConstraint& b,
                                         const ComposeOptions& opts) {
-  FreeTable fa = FreeTable::FromMappingTable(a.table());
-  FreeTable fb = FreeTable::FromMappingTable(b.table());
-  HYP_ASSIGN_OR_RETURN(FreeTable joined, fa.NaturalJoin(fb, opts));
+  HYP_ASSIGN_OR_RETURN(
+      FreeTable joined,
+      a.table().free_table().NaturalJoin(b.table().free_table(), opts));
   // Keep a's X side plus b's Y side (dropping the shared middle).
   std::vector<std::string> keep;
   for (const Attribute& attr : a.x_schema().attrs()) {

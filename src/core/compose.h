@@ -1,8 +1,8 @@
-// FreeTable and the relational algebra of free-tuple tables: natural join,
-// projection and Cartesian product.  These three operations implement the
-// cover computation of §6: the cover of a conjunction of mapping
-// constraints is the projection of the natural join of their tables onto
-// the endpoint attributes.
+// The relational algebra of free-tuple tables (free_table.h): natural
+// join, projection and Cartesian product.  These three operations
+// implement the cover computation of §6: the cover of a conjunction of
+// mapping constraints is the projection of the natural join of their
+// tables onto the endpoint attributes.
 //
 // ext(table) = ⋃ over rows of ext(row) (rows are variable-disjoint), and
 // join/projection distribute over that union, so row-pairwise unification
@@ -19,92 +19,13 @@
 
 #include "common/status.h"
 #include "core/constraint.h"
+#include "core/free_table.h"
 #include "core/mapping.h"
 #include "core/mapping_table.h"
-#include "core/row_index.h"
 #include "core/schema.h"
 #include "core/tuple.h"
 
 namespace hyperion {
-
-/// \brief Tuning knobs for free-table operations.
-struct ComposeOptions {
-  /// Projection of a variable class with a finite domain on a dropped
-  /// position must enumerate ("materialize") the class; this bounds how
-  /// many values a single class may expand to.
-  size_t materialize_limit = 4096;
-  /// Hard cap on the number of rows any single result may hold (fail with
-  /// InvalidArgument instead of exhausting memory; combined covers are
-  /// Cartesian products of per-partition covers and can explode).
-  size_t max_result_rows = 2'000'000;
-};
-
-/// \brief A set of free tuples over one schema — a mapping table without
-/// the X|Y split.  Intermediate results of cover computation live here.
-class FreeTable {
- public:
-  FreeTable() = default;
-  explicit FreeTable(Schema schema) : schema_(std::move(schema)) {}
-
-  const Schema& schema() const { return schema_; }
-  size_t size() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
-  const std::vector<Mapping>& rows() const { return rows_; }
-
-  /// \brief Adds `row` (normalized, deduplicated).  Unsatisfiable rows are
-  /// silently dropped — they denote the empty set.  Returns whether the
-  /// row was actually inserted (false for duplicates and empty rows).
-  bool AddRow(Mapping row);
-
-  /// \brief Whether an identical row (up to variable renaming) exists.
-  bool ContainsRow(const Mapping& row) const {
-    return row_index_.ContainsUpToRenaming(rows_, row);
-  }
-
-  /// \brief Whether a valuation makes some row match the ground tuple.
-  bool MatchesGround(const Tuple& t) const;
-
-  /// \brief View of a mapping table as a free table (same rows).
-  static FreeTable FromMappingTable(const MappingTable& table);
-
-  /// \brief Splits the schema into the `x_names` attributes and the rest
-  /// to produce a mapping table.  Fails when a name is missing or when
-  /// either side would be empty.  Rows are reordered to X ++ Y.
-  Result<MappingTable> ToMappingTable(const std::vector<std::string>& x_names,
-                                      std::string name = "") const;
-
-  /// \brief Natural join on attributes shared by name.  The output schema
-  /// is this schema followed by `other`'s non-shared attributes.  The two
-  /// schemas must agree on shared attributes' domains by name.  Output
-  /// rows follow this table's row order (see JoinIndex).
-  Result<FreeTable> NaturalJoin(const FreeTable& other,
-                                const ComposeOptions& opts = {}) const;
-
-  /// \brief Projection onto `names` (in that order).  Exact: variable
-  /// classes spanning kept and dropped positions keep their accumulated
-  /// exclusions, and classes restricted by finite domains on dropped
-  /// positions are materialized.
-  Result<FreeTable> ProjectOnto(const std::vector<std::string>& names,
-                                const ComposeOptions& opts = {}) const;
-
-  /// \brief Cartesian product; schemas must be disjoint.
-  Result<FreeTable> CartesianProduct(const FreeTable& other,
-                                     const ComposeOptions& opts = {}) const;
-
-  /// \brief Whether ext(table) is nonempty.  Rows are satisfiable by
-  /// construction, so this is just non-emptiness.
-  bool IsSatisfiable() const { return !rows_.empty(); }
-
-  /// \brief Brute-force extension for finite domains (test oracle).
-  Result<std::vector<Tuple>> EnumerateExtension(size_t limit = 100000) const;
-
-  std::string ToString() const;
-
- private:
-  Schema schema_;
-  std::vector<Mapping> rows_;  // normalized, each stored once
-  RowIndex row_index_;         // dedup of rows_ by position
-};
 
 /// \brief A natural-join index built once over one table and probed by
 /// many.  Join(probe) equals build.NaturalJoin(probe) row for row and in
@@ -124,6 +45,9 @@ class JoinIndex {
   /// built for.
   Result<FreeTable> Join(const FreeTable& probe,
                          const ComposeOptions& opts = {}) const;
+
+  const FreeTable& build() const { return *build_; }
+  const Schema& probe_schema() const { return probe_schema_; }
 
  private:
   JoinIndex() = default;

@@ -211,8 +211,7 @@ Result<bool> ExtensionContained(const FreeTable& lhs, const FreeTable& rhs,
 
 Result<bool> TableContained(const MappingTable& lhs, const MappingTable& rhs,
                             const ContainmentOptions& opts) {
-  return ExtensionContained(FreeTable::FromMappingTable(lhs),
-                            FreeTable::FromMappingTable(rhs), opts);
+  return ExtensionContained(lhs.free_table(), rhs.free_table(), opts);
 }
 
 Result<bool> TablesEquivalent(const MappingTable& lhs,

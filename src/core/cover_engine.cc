@@ -36,12 +36,12 @@ Result<FreeTable> JoinPartition(
     const ConstraintPath& path, const InferredPartition& partition,
     const std::vector<std::string>& keep, const CoverEngineOptions& opts,
     JoinTrace* trace = nullptr) {
-  // Fetch member tables in hop order.
-  std::vector<FreeTable> tables;
+  // Member tables in hop order, read in place.
+  std::vector<const FreeTable*> tables;
   std::vector<std::string> names;
   for (const ConstraintRef& ref : partition.members) {
     const MappingConstraint& c = path.hop_constraints(ref.hop)[ref.index];
-    tables.push_back(FreeTable::FromMappingTable(c.table()));
+    tables.push_back(&c.table().free_table());
     names.push_back(c.name());
   }
   std::vector<bool> used(tables.size(), false);
@@ -50,24 +50,27 @@ Result<FreeTable> JoinPartition(
   // results (and dedup hashing) cheap.
   size_t start = 0;
   for (size_t i = 1; i < tables.size(); ++i) {
-    if (tables[i].size() < tables[start].size()) start = i;
+    if (tables[i]->size() < tables[start]->size()) start = i;
   }
   used[start] = true;
-  FreeTable acc = std::move(tables[start]);
+  // The accumulator is the start table itself until the first join or
+  // projection result lands in `owned`.
+  const FreeTable* acc = tables[start];
+  FreeTable owned;
   if (trace != nullptr) {
     trace->joined.push_back(names[start]);
-    if (acc.empty()) trace->emptied_at = names[start];
+    if (acc->empty()) trace->emptied_at = names[start];
   }
   size_t remaining = tables.size() - 1;
   while (remaining > 0) {
     // Pick the smallest unused table overlapping acc; inferred partitions
     // are connected, so one exists unless partitioning is ablated away.
     size_t pick = tables.size();
-    AttributeSet acc_attrs = acc.schema().ToSet();
+    AttributeSet acc_attrs = acc->schema().ToSet();
     for (size_t i = 0; i < tables.size(); ++i) {
-      if (!used[i] && acc_attrs.Overlaps(tables[i].schema().ToSet()) &&
+      if (!used[i] && acc_attrs.Overlaps(tables[i]->schema().ToSet()) &&
           (pick == tables.size() ||
-           tables[i].size() < tables[pick].size())) {
+           tables[i]->size() < tables[pick]->size())) {
         pick = i;
       }
     }
@@ -83,12 +86,13 @@ Result<FreeTable> JoinPartition(
         }
       }
     }
-    HYP_ASSIGN_OR_RETURN(acc,
-                         JoinOrProduct(acc, tables[pick], opts.compose));
+    HYP_ASSIGN_OR_RETURN(owned,
+                         JoinOrProduct(*acc, *tables[pick], opts.compose));
+    acc = &owned;
     used[pick] = true;
     --remaining;
     if (trace != nullptr) trace->joined.push_back(names[pick]);
-    if (acc.empty()) {
+    if (acc->empty()) {
       if (trace != nullptr) trace->emptied_at = names[pick];
       break;  // join already empty: nothing more to learn
     }
@@ -97,16 +101,16 @@ Result<FreeTable> JoinPartition(
     std::set<std::string> needed(keep.begin(), keep.end());
     for (size_t i = 0; i < tables.size(); ++i) {
       if (used[i]) continue;
-      for (const Attribute& a : tables[i].schema().attrs()) {
+      for (const Attribute& a : tables[i]->schema().attrs()) {
         needed.insert(a.name());
       }
     }
     std::vector<std::string> project_to;
-    for (const Attribute& a : acc.schema().attrs()) {
+    for (const Attribute& a : acc->schema().attrs()) {
       if (needed.count(a.name())) project_to.push_back(a.name());
     }
-    if (project_to.size() < acc.schema().arity() && !project_to.empty()) {
-      HYP_ASSIGN_OR_RETURN(acc, acc.ProjectOnto(project_to, opts.compose));
+    if (project_to.size() < acc->schema().arity() && !project_to.empty()) {
+      HYP_ASSIGN_OR_RETURN(owned, acc->ProjectOnto(project_to, opts.compose));
     }
   }
   // Lazy mode leaves every column in place; reduce to keep ∩ schema here
@@ -114,15 +118,17 @@ Result<FreeTable> JoinPartition(
   if (!opts.eager_projection) {
     std::vector<std::string> project_to;
     std::set<std::string> keep_set(keep.begin(), keep.end());
-    for (const Attribute& a : acc.schema().attrs()) {
+    for (const Attribute& a : acc->schema().attrs()) {
       if (keep_set.count(a.name())) project_to.push_back(a.name());
     }
     if (!project_to.empty() &&
-        project_to.size() < acc.schema().arity()) {
-      HYP_ASSIGN_OR_RETURN(acc, acc.ProjectOnto(project_to, opts.compose));
+        project_to.size() < acc->schema().arity()) {
+      HYP_ASSIGN_OR_RETURN(owned, acc->ProjectOnto(project_to, opts.compose));
+      acc = &owned;
     }
   }
-  return acc;
+  if (acc != &owned) return *acc;
+  return owned;
 }
 
 }  // namespace

@@ -49,11 +49,11 @@ Result<MappingTable> MergeIntersect(const MappingTable& a,
                                     const MappingTable& b, std::string name,
                                     const ComposeOptions& opts) {
   HYP_ASSIGN_OR_RETURN(std::vector<Mapping> b_rows, AlignRows(a, b));
-  FreeTable fa = FreeTable::FromMappingTable(a);
   FreeTable fb(a.schema());
   for (const Mapping& row : b_rows) fb.AddRow(row);
   // Join over every column: exactly the intersection of the extensions.
-  HYP_ASSIGN_OR_RETURN(FreeTable joined, fa.NaturalJoin(fb, opts));
+  HYP_ASSIGN_OR_RETURN(FreeTable joined,
+                       a.free_table().NaturalJoin(fb, opts));
   std::vector<std::string> x_names;
   for (const Attribute& attr : a.x_schema().attrs()) {
     x_names.push_back(attr.name());

@@ -35,46 +35,42 @@ Result<MappingTable> MappingTable::Create(Schema x_schema, Schema y_schema,
   t.name_ = std::move(name);
   t.x_schema_ = std::move(x_schema);
   t.y_schema_ = std::move(y_schema);
-  t.schema_ = std::move(combined);
+  t.table_ = FreeTable(std::move(combined));
   return t;
 }
 
 Status MappingTable::AddRow(Mapping row) {
-  if (row.arity() != schema_.arity()) {
+  if (row.arity() != schema().arity()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(row.arity()) + " != table arity " +
-        std::to_string(schema_.arity()));
+        std::to_string(schema().arity()));
   }
   for (size_t i = 0; i < row.arity(); ++i) {
     const Cell& c = row.cell(i);
-    const DomainPtr& dom = schema_.attr(i).domain();
+    const DomainPtr& dom = schema().attr(i).domain();
     if (c.is_constant()) {
       if (!dom->Contains(c.value())) {
         return Status::InvalidArgument(
             "constant " + c.value().ToString() + " outside domain of '" +
-            schema_.attr(i).name() + "'");
+            schema().attr(i).name() + "'");
       }
     } else {
       for (const Value& v : c.exclusions()) {
         if (v.type() != dom->value_type()) {
           return Status::InvalidArgument(
               "exclusion value " + v.ToString() +
-              " has wrong type for attribute '" + schema_.attr(i).name() +
+              " has wrong type for attribute '" + schema().attr(i).name() +
               "'");
         }
       }
     }
   }
-  if (!row.IsSatisfiable(schema_)) {
+  if (!row.IsSatisfiable(schema())) {
     return Status::InvalidArgument("row " + row.ToString() +
                                    " is unsatisfiable over its domains");
   }
-  if (!row.IsNormalized()) row = row.Normalized();
-  const size_t hash = row.Hash();
-  if (row_index_.Contains(rows_, row, hash)) return Status::OK();  // duplicate
-  rows_.push_back(std::move(row));
-  row_index_.Insert(hash, rows_.size() - 1);
-  IndexRow(rows_.size() - 1);
+  // False for a duplicate, which is not an error.
+  if (table_.AddRow(std::move(row))) IndexRow(table_.size() - 1);
   return Status::OK();
 }
 
@@ -88,11 +84,11 @@ Status MappingTable::AddPair(const Tuple& x, const Tuple& y) {
 }
 
 bool MappingTable::ContainsRow(const Mapping& row) const {
-  return row_index_.ContainsUpToRenaming(rows_, row);
+  return table_.ContainsRow(row);
 }
 
 void MappingTable::IndexRow(size_t row_idx) {
-  const Mapping& row = rows_[row_idx];
+  const Mapping& row = rows()[row_idx];
   bool ground_x = true;
   Tuple x(x_arity());
   for (size_t i = 0; i < x_arity(); ++i) {
@@ -110,16 +106,16 @@ void MappingTable::IndexRow(size_t row_idx) {
 }
 
 bool MappingTable::SatisfiesTuple(const Tuple& t) const {
-  if (t.size() != schema_.arity()) return false;
+  if (t.size() != schema().arity()) return false;
   Tuple x(t.begin(), t.begin() + static_cast<ptrdiff_t>(x_arity()));
   auto it = ground_x_index_.find(x);
   if (it != ground_x_index_.end()) {
     for (size_t idx : it->second) {
-      if (rows_[idx].MatchesGround(t, schema_)) return true;
+      if (rows()[idx].MatchesGround(t, schema())) return true;
     }
   }
   for (size_t idx : variable_x_rows_) {
-    if (rows_[idx].MatchesGround(t, schema_)) return true;
+    if (rows()[idx].MatchesGround(t, schema())) return true;
   }
   return false;
 }
@@ -133,7 +129,7 @@ std::optional<Mapping> MappingTable::BindX(const Mapping& row,
       if (!(c.value() == x[i])) return std::nullopt;
       continue;
     }
-    if (!c.AdmitsValue(x[i]) || !schema_.attr(i).domain()->Contains(x[i])) {
+    if (!c.AdmitsValue(x[i]) || !schema().attr(i).domain()->Contains(x[i])) {
       return std::nullopt;
     }
     auto [it, inserted] = binding.emplace(c.var(), x[i]);
@@ -141,7 +137,7 @@ std::optional<Mapping> MappingTable::BindX(const Mapping& row,
   }
   std::vector<Cell> y_cells;
   y_cells.reserve(y_schema_.arity());
-  for (size_t i = x_arity(); i < schema_.arity(); ++i) {
+  for (size_t i = x_arity(); i < schema().arity(); ++i) {
     const Cell& c = row.cell(i);
     if (c.is_constant()) {
       y_cells.push_back(c);
@@ -166,7 +162,7 @@ Result<std::vector<Tuple>> MappingTable::YmGround(const Tuple& x,
   std::unordered_set<Tuple, TupleHash> seen;
   std::vector<Tuple> out;
   auto consider = [&](size_t row_idx) -> Status {
-    auto y_mapping = BindX(rows_[row_idx], x);
+    auto y_mapping = BindX(rows()[row_idx], x);
     if (!y_mapping) return Status::OK();
     HYP_ASSIGN_OR_RETURN(std::vector<Tuple> ys,
                          y_mapping->EnumerateExtension(y_schema_, limit));
@@ -186,7 +182,7 @@ Result<std::vector<Tuple>> MappingTable::YmGround(const Tuple& x,
 bool MappingTable::XValueHasImage(const Tuple& x) const {
   if (x.size() != x_arity()) return false;
   auto check = [&](size_t row_idx) {
-    auto y_mapping = BindX(rows_[row_idx], x);
+    auto y_mapping = BindX(rows()[row_idx], x);
     return y_mapping && y_mapping->IsSatisfiable(y_schema_);
   };
   auto it = ground_x_index_.find(x);
@@ -205,9 +201,9 @@ Result<std::vector<Tuple>> MappingTable::EnumerateExtension(
     size_t limit) const {
   std::unordered_set<Tuple, TupleHash> seen;
   std::vector<Tuple> out;
-  for (const Mapping& row : rows_) {
+  for (const Mapping& row : rows()) {
     HYP_ASSIGN_OR_RETURN(std::vector<Tuple> tuples,
-                         row.EnumerateExtension(schema_, limit));
+                         row.EnumerateExtension(schema(), limit));
     for (Tuple& t : tuples) {
       if (out.size() >= limit) {
         return Status::InvalidArgument("extension exceeds enumeration limit");
@@ -219,8 +215,8 @@ Result<std::vector<Tuple>> MappingTable::EnumerateExtension(
 }
 
 bool MappingTable::IsSatisfiable() const {
-  for (const Mapping& row : rows_) {
-    if (row.IsSatisfiable(schema_)) return true;
+  for (const Mapping& row : rows()) {
+    if (row.IsSatisfiable(schema())) return true;
   }
   return false;
 }
@@ -228,7 +224,7 @@ bool MappingTable::IsSatisfiable() const {
 Result<Relation> MappingTable::FilterRelation(const Relation& combined) const {
   // Locate our X and Y attributes inside the combined schema.
   std::vector<std::string> names;
-  for (const Attribute& a : schema_.attrs()) names.push_back(a.name());
+  for (const Attribute& a : schema().attrs()) names.push_back(a.name());
   HYP_ASSIGN_OR_RETURN(std::vector<size_t> positions,
                        combined.schema().PositionsOf(names));
   Relation out(combined.schema());
@@ -354,7 +350,7 @@ std::string MappingTable::Serialize() const {
   if (!name_.empty()) os << "name: " << name_ << "\n";
   os << "x: " << SerializeSchemaLine(x_schema_) << "\n";
   os << "y: " << SerializeSchemaLine(y_schema_) << "\n";
-  for (const Mapping& row : rows_) {
+  for (const Mapping& row : rows()) {
     std::vector<std::string> cells;
     cells.reserve(row.arity());
     for (const Cell& c : row.cells()) cells.push_back(SerializeCell(c));
@@ -430,8 +426,8 @@ Result<MappingTable> MappingTable::Parse(std::string_view text) {
 
 MappingTable::Stats MappingTable::Describe() const {
   Stats stats;
-  stats.rows = rows_.size();
-  for (const Mapping& row : rows_) {
+  stats.rows = table_.size();
+  for (const Mapping& row : rows()) {
     bool ground = true;
     for (const Cell& c : row.cells()) {
       if (c.is_variable()) {
@@ -464,7 +460,7 @@ MappingTable::MappingShape MappingTable::Classify() const {
   bool many_to_one = false;
   std::unordered_map<Tuple, Tuple, TupleHash> y_of_x;
   std::unordered_map<Tuple, Tuple, TupleHash> x_of_y;
-  for (const Mapping& row : rows_) {
+  for (const Mapping& row : rows()) {
     if (!row.IsGround()) {
       // A variable row is bidirectionally functional only when it is
       // identity-shaped: every Y variable also appears on the X side and
@@ -521,11 +517,11 @@ std::string MappingTable::ToString() const {
   os << "MappingTable";
   if (!name_.empty()) os << " '" << name_ << "'";
   os << " " << x_schema_.ToString() << " -> " << y_schema_.ToString() << " ["
-     << rows_.size() << " rows]\n";
+     << table_.size() << " rows]\n";
   size_t shown = 0;
-  for (const Mapping& row : rows_) {
+  for (const Mapping& row : rows()) {
     if (shown++ >= 20) {
-      os << "  ... (" << rows_.size() - 20 << " more)\n";
+      os << "  ... (" << table_.size() - 20 << " more)\n";
       break;
     }
     os << "  " << row.ToString() << "\n";

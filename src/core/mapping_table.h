@@ -4,6 +4,11 @@
 // (the "double line" in the paper's figures).  Variables are scoped to a
 // single row, which realizes the paper's restriction that each variable
 // appears in at most one mapping: rows are independent by construction.
+//
+// The rows live in a FreeTable over X ++ Y (free_table.h), exposed by
+// const reference: readers that want the table without its X|Y split
+// (the cover engine, a peer's local side of the cover join) use it in
+// place rather than copying every row.
 
 #ifndef HYPERION_CORE_MAPPING_TABLE_H_
 #define HYPERION_CORE_MAPPING_TABLE_H_
@@ -14,8 +19,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/free_table.h"
 #include "core/mapping.h"
-#include "core/row_index.h"
 #include "core/schema.h"
 #include "core/tuple.h"
 
@@ -34,14 +39,17 @@ class MappingTable {
   void set_name(std::string name) { name_ = std::move(name); }
 
   /// \brief Combined schema (X attributes first, then Y attributes).
-  const Schema& schema() const { return schema_; }
+  const Schema& schema() const { return table_.schema(); }
   const Schema& x_schema() const { return x_schema_; }
   const Schema& y_schema() const { return y_schema_; }
   size_t x_arity() const { return x_schema_.arity(); }
 
-  size_t size() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
-  const std::vector<Mapping>& rows() const { return rows_; }
+  size_t size() const { return table_.size(); }
+  bool empty() const { return table_.empty(); }
+  const std::vector<Mapping>& rows() const { return table_.rows(); }
+
+  /// \brief The rows as a free table over schema(), in insertion order.
+  const FreeTable& free_table() const { return table_; }
 
   /// \brief Adds a row (validated, normalized, deduplicated).
   ///
@@ -124,10 +132,7 @@ class MappingTable {
   std::string name_;
   Schema x_schema_;
   Schema y_schema_;
-  Schema schema_;  // X ++ Y
-  std::vector<Mapping> rows_;  // normalized, each stored once
-  // Dedup of rows_ by position.
-  RowIndex row_index_;
+  FreeTable table_;  // over X ++ Y; normalized, each stored once
   // Rows whose X part is all constants, keyed by that X tuple.
   std::unordered_map<Tuple, std::vector<size_t>, TupleHash> ground_x_index_;
   // Rows with at least one variable in the X part (checked linearly).

@@ -1,6 +1,7 @@
 #include "p2p/peer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <variant>
 
 #include "common/hash_util.h"
@@ -12,6 +13,11 @@
 namespace hyperion {
 
 namespace {
+
+// The low 32 bits of every session id, drawn process-wide: a QueryService
+// builds fresh peers for every session, so a per-peer count would give
+// every session it starts at one initiator the same id.
+std::atomic<uint32_t> next_session_ordinal{1};
 
 // Deduplicating append preserving first-seen order.
 void AppendUnique(std::vector<std::string>* out, const std::string& name) {
@@ -58,7 +64,8 @@ std::vector<std::string> NeededNamesFor(const PartitionSummary& partition,
 }  // namespace
 
 PeerNode::PeerNode(std::string id, AttributeSet attributes,
-                   std::shared_ptr<LinkRttTable> link_rtt)
+                   std::shared_ptr<LinkRttTable> link_rtt,
+                   std::shared_ptr<JoinIndexStore> join_indexes)
     : id_(std::move(id)),
       attributes_(std::move(attributes)),
       link_(id_,
@@ -68,7 +75,10 @@ PeerNode::PeerNode(std::string id, AttributeSet attributes,
             [this](const ReliableLink::Abandoned& send) {
               FailSession(send.session, send.status, send.initiator,
                           send.timeout_us, send.max_retransmits);
-            }) {}
+            }),
+      join_indexes_(join_indexes != nullptr
+                        ? std::move(join_indexes)
+                        : std::make_shared<JoinIndexStore>()) {}
 
 Status PeerNode::Attach(Network* network) {
   if (network == nullptr) {
@@ -595,35 +605,43 @@ void PeerNode::OnComputePlan(const Message& msg) {
     ps.is_terminal = (partition.first_hop == my_hop);
 
     // Join my member tables (overlap order with Cartesian fallback),
-    // after applying any semi-join prefilters from upstream.
+    // after applying any semi-join prefilters from upstream.  A lone
+    // unfiltered member is read in place.
     static const std::map<std::string, ValueFilter> kNoFilters;
     const std::map<std::string, ValueFilter>* filters = &kNoFilters;
     if (spec.semijoin_filters) {
       auto fit = incoming_filters_.find(spec.id);
       if (fit != incoming_filters_.end()) filters = &fit->second;
     }
-    auto reduced_table = [&](const MappingTable& t) {
-      FreeTable f(t.schema());
-      for (Mapping& row : ReducedRows(t, *filters)) f.AddRow(std::move(row));
-      return f;
-    };
-    FreeTable local = reduced_table(members[0]->table());
-    ComposeOptions compose;
-    compose.materialize_limit = spec.materialize_limit;
-    compose.max_result_rows = spec.max_result_rows;
-    for (size_t i = 1; i < members.size(); ++i) {
-      auto joined =
-          JoinOrProduct(local, reduced_table(members[i]->table()), compose);
-      if (!joined.ok()) {
-        FailSession(spec.id, joined.status());
-        return;
+    if (members.size() == 1 && filters->empty()) {
+      const MappingConstraint& c = *members[0];
+      ps.local = std::shared_ptr<const FreeTable>(c.table_ptr(),
+                                                  &c.table().free_table());
+      ps.local_table = c.name();
+    } else {
+      auto reduced_table = [&](const MappingTable& t) {
+        FreeTable f(t.schema());
+        for (Mapping& row : ReducedRows(t, *filters)) f.AddRow(std::move(row));
+        return f;
+      };
+      FreeTable local = reduced_table(members[0]->table());
+      ComposeOptions compose;
+      compose.materialize_limit = spec.materialize_limit;
+      compose.max_result_rows = spec.max_result_rows;
+      for (size_t i = 1; i < members.size(); ++i) {
+        auto joined =
+            JoinOrProduct(local, reduced_table(members[i]->table()), compose);
+        if (!joined.ok()) {
+          FailSession(spec.id, joined.status());
+          return;
+        }
+        local = std::move(joined).value();
       }
-      local = std::move(joined).value();
+      ps.local = std::make_shared<const FreeTable>(std::move(local));
     }
-    ps.local = std::move(local);
     TraceProto(network_, id_, "partition.local_join", spec.id,
                static_cast<int64_t>(p), static_cast<int>(my_hop),
-               static_cast<int64_t>(ps.local.rows().size()));
+               static_cast<int64_t>(ps.local->size()));
   }
 
   // Starters begin streaming immediately.
@@ -669,18 +687,19 @@ Status PeerNode::ProcessRows(ParticipantState* state, size_t part_idx,
   const FreeTable* joined = nullptr;
   FreeTable batch_joined;
   if (incoming == nullptr) {
-    joined = &ps.local;
+    joined = ps.local.get();
   } else if (!incoming->empty()) {
-    if (ps.local.schema().ToSet().Overlaps(incoming->schema().ToSet())) {
-      if (!ps.join_index) {
-        HYP_ASSIGN_OR_RETURN(ps.join_index,
-                             JoinIndex::Build(ps.local, incoming->schema()));
+    if (ps.local->schema().ToSet().Overlaps(incoming->schema().ToSet())) {
+      if (ps.join_index == nullptr) {
+        HYP_ASSIGN_OR_RETURN(
+            ps.join_index,
+            join_indexes_->Get(ps.local_table, ps.local, incoming->schema()));
       }
       HYP_ASSIGN_OR_RETURN(batch_joined,
                            ps.join_index->Join(*incoming, compose));
     } else {
       HYP_ASSIGN_OR_RETURN(batch_joined,
-                           ps.local.CartesianProduct(*incoming, compose));
+                           ps.local->CartesianProduct(*incoming, compose));
     }
     joined = &batch_joined;
   }
@@ -826,7 +845,7 @@ Result<SessionId> PeerNode::StartCoverSession(
 
   SessionSpec spec;
   spec.id = ((std::hash<std::string>{}(id_) & 0xffff) << 32) |
-            next_local_id_++;
+            next_session_ordinal++;
   spec.path_peers = std::move(path_peers);
   for (const Attribute& a : x_attrs) spec.x_names.push_back(a.name());
   for (const Attribute& a : y_attrs) spec.y_names.push_back(a.name());

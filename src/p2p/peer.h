@@ -26,6 +26,7 @@
 #include "core/constraint.h"
 #include "core/cover_engine.h"
 #include "core/schema.h"
+#include "p2p/join_index_store.h"
 #include "p2p/link_rtt.h"
 #include "p2p/message.h"
 #include "p2p/network_interface.h"
@@ -41,9 +42,12 @@ class PeerNode {
  public:
   /// `link_rtt` holds the round-trip estimates behind the adaptive
   /// retransmit timeouts (link_rtt.h); pass one shared table to let
-  /// estimates outlive this peer.  Null gives the peer a private table.
+  /// estimates outlive this peer.  `join_indexes` holds the join indexes
+  /// over member tables (join_index_store.h); pass one shared store to
+  /// let them outlive this peer.  Null gives the peer a private one.
   PeerNode(std::string id, AttributeSet attributes,
-           std::shared_ptr<LinkRttTable> link_rtt = nullptr);
+           std::shared_ptr<LinkRttTable> link_rtt = nullptr,
+           std::shared_ptr<JoinIndexStore> join_indexes = nullptr);
 
   const std::string& id() const { return id_; }
   const AttributeSet& attributes() const { return attributes_; }
@@ -145,10 +149,17 @@ class PeerNode {
     bool is_terminal = false;  // my hop == partition's first hop
     std::vector<std::string> keep_names;    // endpoint attrs kept
     std::vector<std::string> needed_names;  // what downstream-of-me needs
-    FreeTable local;           // join of my member tables
-    // Index over `local`, built on the first non-empty batch that shares
-    // attributes with it; every later batch only probes it.
-    std::optional<JoinIndex> join_index;
+    // Join of my member tables.  One member with no semijoin filter is
+    // read in place: `local` shares ownership of the constraint's
+    // immutable table and `local_table` names it.  Otherwise `local` is
+    // this session's own table and `local_table` is empty.
+    std::shared_ptr<const FreeTable> local;
+    std::string local_table;
+    // Index over `local`, fetched from join_indexes_ on the first
+    // non-empty batch that shares attributes with it (kept there across
+    // sessions when `local_table` is set, built for this session
+    // otherwise); every later batch only probes it.
+    std::shared_ptr<const JoinIndex> join_index;
     std::optional<FreeTable> emitted;  // dedup of rows already streamed
     std::unique_ptr<MappingCache> cache;
     bool any_rows = false;     // satisfiability witness seen
@@ -248,6 +259,7 @@ class PeerNode {
   std::deque<Message> parked_unknown_session_;
   // Sequencing, acks, retransmission and reordering (reliable_link.h).
   ReliableLink link_;
+  std::shared_ptr<JoinIndexStore> join_indexes_;
   std::function<void(SessionId)> session_done_;
   // Per-session semi-join filters received during information gathering.
   std::map<SessionId, std::map<std::string, ValueFilter>> incoming_filters_;

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -570,9 +571,13 @@ void TcpNetwork::LoopThread() {
             closed = true;  // EOF or error; partial frame is discarded
             break;
           }
+          // Frames are consumed by offset; the buffer drops them all at
+          // once below, so each byte moves at most once per read.
           bool corrupt = false;
+          size_t consumed = 0;
           for (;;) {
-            Result<wire::FrameView> peeked = wire::PeekFrame(conn.inbuf);
+            Result<wire::FrameView> peeked = wire::PeekFrame(
+                std::string_view(conn.inbuf).substr(consumed));
             if (!peeked.ok()) {
               corrupt = true;
               break;
@@ -593,8 +598,9 @@ void TcpNetwork::LoopThread() {
             d.msg = std::move(msg).value();
             d.counted = view.origin_token == origin_token_;
             deliveries.push_back(std::move(d));
-            conn.inbuf.erase(0, view.consumed);
+            consumed += view.consumed;
           }
+          conn.inbuf.erase(0, consumed);
           if (corrupt) {
             tcp_stats_.frames_bad += 1;
             RecordTcpCounter("net.tcp.frames_bad");

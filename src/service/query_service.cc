@@ -288,8 +288,8 @@ Result<MappingTable> QueryService::RunSession(const QueryRequest& request,
   // threads.  sim and threaded sessions get a fresh network too (the
   // sim's virtual clock must start at 0).  A tcp session takes a running
   // network from idle_tcp_ and keeps its listeners, loop thread and
-  // connections.  Only those networks and the link RTT estimates
-  // (link_rtt_) carry over between sessions.
+  // connections.  Only those networks, the link RTT estimates (link_rtt_)
+  // and the join indexes (join_indexes_) carry over between sessions.
   std::unique_ptr<SimNetwork> sim;
   std::unique_ptr<ThreadedNetwork> threaded;
   std::unique_ptr<TcpNetwork> tcp;
@@ -347,7 +347,8 @@ Result<MappingTable> QueryService::RunSession(const QueryRequest& request,
   peers.reserve(snapshot.specs.size());
   for (const PeerSpec* spec : snapshot.specs) {
     peers.push_back(
-        std::make_unique<PeerNode>(spec->id, spec->attributes, link_rtt_));
+        std::make_unique<PeerNode>(spec->id, spec->attributes, link_rtt_,
+                                   join_indexes_));
     HYP_RETURN_IF_ERROR(peers.back()->Attach(net));
   }
   for (size_t hop = 0; hop + 1 < peers.size(); ++hop) {

@@ -27,10 +27,13 @@
 // this is cheap) and runs them on a network no other session uses while
 // it runs; workers therefore never share protocol state, and the
 // service is safe to drive from any number of client threads.  Sessions
-// share two things.  One is the service's table of per-link round-trip
+// share three things.  One is the service's table of per-link round-trip
 // estimates (p2p/link_rtt.h): every session's peers read and refine it,
 // so retransmit timeouts track the links from the first message on
-// instead of restarting from the configured timeout.  The other, on the
+// instead of restarting from the configured timeout.  Another is its
+// store of join indexes (p2p/join_index_store.h): a peer joins streamed
+// batches with a member table read in place, through an index built once
+// per table version rather than once per session.  The third, on the
 // tcp transport, is a pool of running networks: a session takes an idle
 // one and hands it back at quiescence, so sockets and the loop thread
 // outlive it.
@@ -54,6 +57,7 @@
 #include "common/status.h"
 #include "common/synchronization.h"
 #include "core/schema.h"
+#include "p2p/join_index_store.h"
 #include "p2p/link_rtt.h"
 #include "p2p/network.h"
 #include "p2p/protocol.h"
@@ -239,6 +243,11 @@ class QueryService {
   // Round-trip estimates shared by the peers of every session (internally
   // locked; a leaf like the cache's mutex).
   std::shared_ptr<LinkRttTable> link_rtt_ = std::make_shared<LinkRttTable>();
+  // Join indexes over member tables, shared by the peers of every session
+  // (internally locked; a leaf too).  One per (table, probe schema), so
+  // its size is bounded by the catalog (join_index_store.h).
+  std::shared_ptr<JoinIndexStore> join_indexes_ =
+      std::make_shared<JoinIndexStore>();
 
   // Lock hierarchy (DESIGN.md §12): mu_ is a leaf — no code path holds
   // it while acquiring the cache's, the store's, or a transport's mutex.

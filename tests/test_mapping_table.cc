@@ -330,6 +330,38 @@ TEST(MappingTableTest, SerializeParseRoundTripWithVariables) {
   }
 }
 
+TEST(MappingTableTest, FreeTableInPlaceEqualsRowCopy) {
+  // Ground rows, variable rows, a duplicate up to renaming and a row
+  // whose variables are not yet in normal order.
+  MappingTable t = Figure1Table();
+  ASSERT_TRUE(t.AddRow(Mapping({Cell::Variable(3, {Value("GDB:1")}),
+                                Cell::Variable(3)}))
+                  .ok());
+  ASSERT_TRUE(t.AddRow(Mapping({Cell::Variable(7, {Value("GDB:1")}),
+                                Cell::Variable(7)}))
+                  .ok());
+  ASSERT_TRUE(
+      t.AddRow(Mapping({Cell::Variable(5), Cell::Constant(Value("P1"))}))
+          .ok());
+  ASSERT_TRUE(t.AddPair({Value("GDB:120232")}, {Value("P35240")}).ok());
+  ASSERT_EQ(t.size(), 7u);
+
+  // What a reader used to build: a FreeTable fed every row in order.
+  FreeTable copy(t.schema());
+  for (const Mapping& row : t.rows()) copy.AddRow(row);
+
+  const FreeTable& in_place = t.free_table();
+  EXPECT_EQ(&in_place.rows(), &t.rows());
+  EXPECT_TRUE(in_place.schema() == copy.schema());
+  ASSERT_EQ(in_place.size(), copy.size());
+  for (size_t i = 0; i < copy.size(); ++i) {
+    EXPECT_EQ(in_place.rows()[i], copy.rows()[i]) << "row " << i;
+  }
+  for (const Mapping& row : copy.rows()) {
+    EXPECT_TRUE(in_place.ContainsRow(row)) << row.ToString();
+  }
+}
+
 TEST(MappingTableTest, ParseWithIntDomain) {
   const char* text =
       "name: ages\n"

@@ -265,6 +265,34 @@ TEST(ProtocolTest, StartValidation) {
   EXPECT_FALSE(hugo->GetResult(123456).ok());
 }
 
+TEST(ProtocolTest, FreshPeersWithOneNameStartDistinctSessionIds) {
+  // A QueryService builds fresh peers for every session it runs, so two
+  // sessions started at one initiator name come from two fresh peers.
+  MappingTable table =
+      MappingTable::Create(Schema::Of({Attribute::String("A_id")}),
+                           Schema::Of({Attribute::String("B_id")}), "mAB")
+          .value();
+  ASSERT_TRUE(table.AddPair({Value("a1")}, {Value("b1")}).ok());
+  MappingConstraint mab(std::move(table));
+  std::vector<SessionId> ids;
+  for (int i = 0; i < 2; ++i) {
+    SimNetwork net;
+    PeerNode a("A", AttributeSet::Of({Attribute::String("A_id")}));
+    PeerNode b("B", AttributeSet::Of({Attribute::String("B_id")}));
+    ASSERT_TRUE(a.Attach(&net).ok());
+    ASSERT_TRUE(b.Attach(&net).ok());
+    ASSERT_TRUE(a.AddConstraintTo("B", mab).ok());
+    auto session = a.StartCoverSession({"A", "B"}, {Attribute::String("A_id")},
+                                       {Attribute::String("B_id")});
+    ASSERT_TRUE(session.ok()) << session.status();
+    ASSERT_TRUE(net.Run().ok());
+    ids.push_back(session.value());
+  }
+  EXPECT_NE(ids[0], ids[1]);
+  // The high half still names the initiator.
+  EXPECT_EQ(ids[0] >> 32, ids[1] >> 32);
+}
+
 TEST(ProtocolTest, ConstraintStorageValidation) {
   PeerNode peer("p", AttributeSet::Of({Attribute::String("A")}));
   MappingTable named =

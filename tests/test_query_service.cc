@@ -20,6 +20,7 @@
 #include "core/containment.h"
 #include "core/cover_engine.h"
 #include "obs/metrics.h"
+#include "p2p/peer.h"
 #include "service/catalogs.h"
 
 namespace hyperion {
@@ -521,6 +522,170 @@ TEST(QueryServiceTcpReuseTest, FaultWindowsAreRelativeToEachSession) {
     ASSERT_TRUE(r->status.ok()) << "query " << i << ": " << r->status;
     EXPECT_EQ(r->cover->Serialize(), chain) << "query " << i;
     EXPECT_GE(r->latency_us, 100'000) << "query " << i;
+  }
+}
+
+// ---- join indexes kept across sessions ----------------------------------
+
+// A four-peer chain A --mAB--> B --mBC--> C --mCD--> D.  C starts the
+// stream; B probes an index over mBC and A one over mAB.
+ServiceCatalog LongChainCatalog() {
+  ServiceCatalog catalog = ChainCatalog();
+  EXPECT_TRUE(catalog.store
+                  ->Put(PairTable("mCD", "C_id", "D_id",
+                                  {{"c1", "d1"}, {"c2", "d2"}}))
+                  .ok());
+  PeerSpec d;
+  d.id = "D";
+  d.attributes = AttributeSet::Of({Attribute::String("D_id")});
+  catalog.peers.push_back(std::move(d));
+  catalog.peers[2].tables_to["D"] = {"mCD"};
+  return catalog;
+}
+
+QueryRequest LongChainRequest() {
+  QueryRequest req;
+  req.path_peers = {"A", "B", "C", "D"};
+  req.x_attrs = {Attribute::String("A_id")};
+  req.y_attrs = {Attribute::String("D_id")};
+  return req;
+}
+
+// The cover of `req` as bare peers compute it, each with a private index
+// store, on a fresh simulated network.
+std::string PrivateStoreCoverBytes(const ServiceCatalog& catalog,
+                                   const QueryRequest& req) {
+  std::map<std::string, const PeerSpec*> by_id;
+  for (const PeerSpec& spec : catalog.peers) by_id[spec.id] = &spec;
+  SimNetwork net;
+  std::vector<std::unique_ptr<PeerNode>> peers;
+  for (const std::string& id : req.path_peers) {
+    peers.push_back(
+        std::make_unique<PeerNode>(id, by_id.at(id)->attributes));
+    EXPECT_TRUE(peers.back()->Attach(&net).ok());
+  }
+  for (size_t hop = 0; hop + 1 < peers.size(); ++hop) {
+    const std::string& next = req.path_peers[hop + 1];
+    for (const std::string& name :
+         by_id.at(req.path_peers[hop])->tables_to.at(next)) {
+      EXPECT_TRUE(peers[hop]
+                      ->AddConstraintTo(
+                          next, MappingConstraint(
+                                    catalog.store->Get(name).value()))
+                      .ok());
+    }
+  }
+  auto session = peers[0]->StartCoverSession(req.path_peers, req.x_attrs,
+                                             req.y_attrs, req.options);
+  EXPECT_TRUE(session.ok()) << session.status();
+  if (!session.ok()) return "";
+  EXPECT_TRUE(net.Run().ok());
+  auto result = peers[0]->GetResult(session.value());
+  EXPECT_TRUE(result.ok() && result.value()->done &&
+              result.value()->error.ok());
+  return result.ok() ? result.value()->cover.Serialize() : "";
+}
+
+uint64_t IndexBuilds() {
+  return obs::MetricRegistry::Default()
+      .GetCounter("cover.join_index_builds")
+      ->value();
+}
+
+// Runs 20 sessions of the long chain, then 5 more after a curator write
+// to mBC, checking every cover against private-store peers and counting
+// the indexes built.
+void ExpectIndexesBuiltOncePerTableVersion(ServiceTransport transport) {
+  ServiceCatalog catalog = LongChainCatalog();
+  QueryServiceOptions opts;
+  opts.num_workers = 1;
+  opts.cache_entries = 0;  // every query runs a session
+  opts.transport = transport;
+  QueryService service(catalog.store.get(), catalog.peers, opts);
+  const std::string v1 = PrivateStoreCoverBytes(catalog, LongChainRequest());
+  ASSERT_FALSE(v1.empty());
+  const uint64_t before = IndexBuilds();
+  for (int i = 0; i < 20; ++i) {
+    QueryResponsePtr r = service.Execute(LongChainRequest());
+    ASSERT_TRUE(r->status.ok()) << "query " << i << ": " << r->status;
+    EXPECT_EQ(r->cover->Serialize(), v1) << "query " << i;
+  }
+  if constexpr (obs::kMetricsEnabled) {
+    // One index over mAB (at A), one over mBC (at B), for all 20.
+    EXPECT_EQ(IndexBuilds() - before, 2u);
+  }
+
+  // The curator rewrites mBC: b2 now maps to c1.  Only mBC's index is
+  // rebuilt; mAB's, over the unchanged table object, is kept.
+  ASSERT_TRUE(catalog.store
+                  ->PutOrReplace(PairTable("mBC", "B_id", "C_id",
+                                           {{"b1", "c1"}, {"b2", "c1"}}))
+                  .ok());
+  const std::string v2 = PrivateStoreCoverBytes(catalog, LongChainRequest());
+  ASSERT_FALSE(v2.empty());
+  EXPECT_NE(v2, v1);
+  const uint64_t after_write = IndexBuilds();
+  for (int i = 0; i < 5; ++i) {
+    QueryResponsePtr r = service.Execute(LongChainRequest());
+    ASSERT_TRUE(r->status.ok()) << "query " << i << ": " << r->status;
+    EXPECT_EQ(r->cover->Serialize(), v2) << "query " << i;
+  }
+  if constexpr (obs::kMetricsEnabled) {
+    EXPECT_EQ(IndexBuilds() - after_write, 1u);
+  }
+}
+
+TEST(QueryServiceJoinIndexTest, SimBuildsEachIndexOncePerTableVersion) {
+  ExpectIndexesBuiltOncePerTableVersion(ServiceTransport::kSim);
+}
+
+TEST(QueryServiceJoinIndexTest, TcpBuildsEachIndexOncePerTableVersion) {
+  ExpectIndexesBuiltOncePerTableVersion(ServiceTransport::kTcp);
+}
+
+TEST(QueryServiceJoinIndexTest, TcpWorkersShareTheStore) {
+  // Three workers run sessions at once on three tcp networks, each with
+  // its own loop thread, so the store is read and filled from several
+  // threads.  The three paths share mAB and mBC under different probes.
+  ServiceCatalog catalog = LongChainCatalog();
+  std::vector<QueryRequest> requests = {LongChainRequest(), ChainRequest()};
+  QueryRequest bcd;
+  bcd.path_peers = {"B", "C", "D"};
+  bcd.x_attrs = {Attribute::String("B_id")};
+  bcd.y_attrs = {Attribute::String("D_id")};
+  requests.push_back(bcd);
+  std::vector<std::string> expected;
+  for (const QueryRequest& req : requests) {
+    expected.push_back(PrivateStoreCoverBytes(catalog, req));
+  }
+  QueryServiceOptions opts;
+  opts.num_workers = 3;
+  opts.cache_entries = 0;
+  opts.transport = ServiceTransport::kTcp;
+  QueryService service(catalog.store.get(), catalog.peers, opts);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<QueryFuture> futures;
+    for (int i = 0; i < 9; ++i) {
+      auto f = service.Submit(requests[i % requests.size()]);
+      ASSERT_TRUE(f.ok()) << f.status();
+      futures.push_back(f.value());
+    }
+    for (size_t i = 0; i < futures.size(); ++i) {
+      QueryResponsePtr r = futures[i].get();
+      ASSERT_TRUE(r->status.ok()) << "query " << i << ": " << r->status;
+      EXPECT_EQ(r->cover->Serialize(), expected[i % requests.size()])
+          << "round " << round << ", query " << i;
+    }
+  }
+  // Every index is kept by now: one more session per path builds none.
+  const uint64_t before = IndexBuilds();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    QueryResponsePtr r = service.Execute(requests[i]);
+    ASSERT_TRUE(r->status.ok()) << r->status;
+    EXPECT_EQ(r->cover->Serialize(), expected[i]);
+  }
+  if constexpr (obs::kMetricsEnabled) {
+    EXPECT_EQ(IndexBuilds(), before);
   }
 }
 

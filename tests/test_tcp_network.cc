@@ -26,6 +26,7 @@
 #include "core/containment.h"
 #include "p2p/network.h"
 #include "p2p/peer.h"
+#include "p2p/wire.h"
 #include "workload/bio_network.h"
 
 namespace hyperion {
@@ -278,6 +279,58 @@ TEST(TcpNetworkTest, HostileBytesOnListenerAreRejected) {
   net.Stop();
   EXPECT_EQ(received.load(), 0);
   EXPECT_GE(net.tcp_stats().frames_bad, 1u);
+}
+
+TEST(TcpNetworkTest, BurstOfSmallFramesArrivesCompleteAndInOrder) {
+  // A foreign client writes 2000 small frames back to back, so most
+  // reads carry hundreds of complete frames: the loop must deliver every
+  // one, once and in order, however the kernel splits the stream.
+  TcpNetwork net;
+  Mutex mu;
+  std::vector<uint64_t> got;  // guarded by mu (locals can't be annotated)
+  std::atomic<int> received{0};
+  ASSERT_TRUE(net.RegisterPeer("rx", [&](const Message& msg) {
+                   {
+                     MutexLock lock(mu);
+                     got.push_back(std::get<PingMsg>(msg.payload).ping_id);
+                   }
+                   ++received;
+                 }).ok());
+  uint16_t port = net.ListenPort("rx").value();
+  ASSERT_TRUE(net.Start().ok());
+  constexpr int kFrames = 2000;
+  std::string burst;
+  for (int i = 0; i < kFrames; ++i) {
+    PingMsg ping;
+    ping.ping_id = static_cast<uint64_t>(i);
+    ping.origin = "tx";
+    wire::AppendFrame(wire::EncodeMessage(Message{"tx", "rx", ping}),
+                      /*origin_token=*/0, &burst);
+  }
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  for (size_t sent = 0; sent < burst.size();) {
+    ssize_t n = ::send(fd, burst.data() + sent, burst.size() - sent, 0);
+    ASSERT_GT(n, 0);
+    sent += static_cast<size_t>(n);
+  }
+  EXPECT_TRUE(net.RunUntil([&] { return received.load() == kFrames; },
+                           10'000'000));
+  ::close(fd);
+  net.Stop();
+  EXPECT_EQ(net.tcp_stats().frames_received, static_cast<uint64_t>(kFrames));
+  EXPECT_EQ(net.tcp_stats().frames_bad, 0u);
+  MutexLock lock(mu);
+  ASSERT_EQ(got.size(), static_cast<size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(got[i], static_cast<uint64_t>(i)) << "frame " << i;
+  }
 }
 
 TEST(TcpNetworkTest, CoverSessionMatchesSimulatedNetwork) {
