@@ -7,7 +7,7 @@
 //
 //   $ ./bench/fig_service_throughput [entities] [repeat-per-thread]
 //                                    [transport]
-//     (defaults 1500, 150, sim; transport ∈ sim | threaded | tcp)
+//     (defaults 1500, 150, sim; transport ∈ sim | tcp)
 
 #include <atomic>
 #include <chrono>

@@ -5,8 +5,9 @@
 //
 // Design constraints:
 //  * Thread-safe mutation.  Instruments mutate via relaxed atomics so
-//    ThreadedNetwork's per-peer workers never contend; the registry mutex
-//    guards only registration and snapshotting.
+//    the query service's workers and the tcp loop threads never
+//    contend; the registry mutex guards only registration and
+//    snapshotting.
 //  * Stable handles.  Get*() returns a pointer that stays valid for the
 //    registry's lifetime, so hot paths register once and mutate freely.
 //  * Compile-out-able.  Building with -DHYPERION_METRICS=0 turns every

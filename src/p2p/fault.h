@@ -4,8 +4,8 @@
 // the message is dropped, how many copies are delivered, and how much
 // extra delay each copy suffers.  The caller owns all bookkeeping
 // (stats, metrics, actually enqueueing copies); the injector only rolls
-// the dice, so SimNetwork and ThreadedNetwork cannot drift apart in how
-// they interpret a plan.
+// the dice, so SimNetwork and TcpNetwork cannot drift apart in how they
+// interpret a plan.
 
 #ifndef HYPERION_P2P_FAULT_H_
 #define HYPERION_P2P_FAULT_H_
@@ -21,7 +21,7 @@ namespace hyperion {
 
 /// \brief Deterministic per-send fault decisions for a FaultPlan.
 /// Not thread-safe; callers serialize access (SimNetwork is
-/// single-threaded, ThreadedNetwork consults it under its mutex).
+/// single-threaded, TcpNetwork consults it under its mutex).
 class FaultInjector {
  public:
   FaultInjector() : rng_(1) {}

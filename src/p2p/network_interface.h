@@ -1,18 +1,14 @@
-// The network abstraction peers run on.  Three implementations:
+// The network abstraction peers run on.  Two implementations:
 //
 //  * SimNetwork (network.h) — single-threaded discrete-event simulation
 //    with a virtual clock; deterministic, models latency/bandwidth, and
 //    charges measured compute to the clock.  The default for tests and
 //    for the calibrated experiment harnesses.
-//  * ThreadedNetwork (threaded_network.h) — one worker thread per peer,
-//    real wall-clock time, real parallelism.  Demonstrates that the
-//    protocol tolerates true concurrency (per-peer state is only ever
-//    touched by the owning peer's thread).
 //  * TcpNetwork (tcp_network.h) — real POSIX sockets driven by one
 //    event-loop thread, wall-clock time; peers may live in separate
 //    processes.  The cluster runtime (src/cluster/) runs on it.
 //
-// All three transports accept a FaultPlan: a deterministic (seedable)
+// Both transports accept a FaultPlan: a deterministic (seedable)
 // description of message loss, duplication, delay jitter, scripted link
 // outages and peer crash/restart windows.  The fault layer sits below
 // the peers — a dropped message simply never arrives — so the protocol
@@ -50,7 +46,7 @@ struct NetworkStats {
 ///
 /// All probabilities are per message copy; all times are in the owning
 /// network's clock (virtual µs for SimNetwork, wall µs since
-/// construction for ThreadedNetwork and TcpNetwork).  A QueryService
+/// construction for TcpNetwork).  A QueryService
 /// plan is relative to each session's start instead: the service
 /// installs it ShiftedBy() the session network's now_us(), since its tcp
 /// networks outlive sessions.  Given the same seed and the same send
@@ -158,7 +154,7 @@ class Network {
   virtual Status Send(Message msg) = 0;
 
   /// \brief Runs `cb` at `peer` after `delay_us` of this network's time
-  /// (virtual for SimNetwork, wall for ThreadedNetwork and TcpNetwork).
+  /// (virtual for SimNetwork, wall for TcpNetwork).
   /// The callback executes like a message handler: on the peer's
   /// timeline, never concurrently with the peer's other handlers, and not
   /// at all while the peer is inside a crash window.  Returns an id for
@@ -176,7 +172,7 @@ class Network {
   virtual void SetFaultPlan(FaultPlan plan) = 0;
 
   /// \brief Time in microseconds — virtual for SimNetwork, wall for
-  /// ThreadedNetwork and TcpNetwork.
+  /// TcpNetwork.
   virtual int64_t now_us() const = 0;
 
   /// \brief Extra compute charge for the current handler's peer (no-op
@@ -187,8 +183,7 @@ class Network {
   virtual NetworkStats stats() const = 0;
 
   /// \brief Zeroes the traffic counters (bench harnesses reset between
-  /// sessions; ThreadedNetwork and TcpNetwork otherwise accumulate
-  /// forever).
+  /// sessions; TcpNetwork otherwise accumulates forever).
   virtual void ResetStats() = 0;
 };
 

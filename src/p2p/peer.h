@@ -52,9 +52,9 @@ class PeerNode {
   const std::string& id() const { return id_; }
   const AttributeSet& attributes() const { return attributes_; }
 
-  /// \brief Registers this peer's handler with `network` (any transport:
-  /// SimNetwork, ThreadedNetwork or TcpNetwork).  The network must outlive
-  /// the peer's use.
+  /// \brief Registers this peer's handler with `network` (either
+  /// transport: SimNetwork or TcpNetwork).  The network must outlive the
+  /// peer's use.
   Status Attach(Network* network);
 
   /// \brief Stores a mapping table from this peer to `neighbor` as a

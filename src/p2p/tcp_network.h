@@ -15,10 +15,10 @@
 // Concurrency contract: a single event-loop thread owns all sockets and
 // runs every handler and timer callback, so handlers for one peer (in
 // fact for all peers of this instance) never run concurrently — the
-// same invariant SimNetwork and ThreadedNetwork provide.  Send() is
-// thread-safe and callable from inside handlers; calls made on the loop
-// thread skip the wakeup pipe, since the loop rebuilds its poll set
-// after every callback anyway.
+// same invariant SimNetwork provides.  Send() is thread-safe and
+// callable from inside handlers; calls made on the loop thread skip the
+// wakeup pipe, since the loop rebuilds its poll set after every callback
+// anyway.
 //
 // Quiescence: WaitQuiescent() returns once every frame this instance
 // sent has been flushed (remote destinations) or fully handled (local
@@ -155,7 +155,7 @@ class TcpNetwork : public Network {
   Status WaitQuiescent();
 
   /// \brief Start() + WaitQuiescent() + Stop().  Returns elapsed wall
-  /// µs.  The single-instance equivalent of ThreadedNetwork::Run.
+  /// µs.  The wall-clock equivalent of SimNetwork::Run.
   Result<int64_t> Run();
 
   /// \brief Wall-clock µs since this network was constructed.

@@ -7,24 +7,20 @@
 #include "obs/metrics.h"
 #include "p2p/peer.h"
 #include "p2p/tcp_network.h"
-#include "p2p/threaded_network.h"
 
 namespace hyperion {
 
 Result<ServiceTransport> ParseServiceTransport(const std::string& name) {
   if (name == "sim") return ServiceTransport::kSim;
-  if (name == "threaded") return ServiceTransport::kThreaded;
   if (name == "tcp") return ServiceTransport::kTcp;
   return Status::InvalidArgument("unknown transport '" + name +
-                                 "' (expected sim | threaded | tcp)");
+                                 "' (expected sim | tcp)");
 }
 
 const char* ServiceTransportName(ServiceTransport transport) {
   switch (transport) {
     case ServiceTransport::kSim:
       return "sim";
-    case ServiceTransport::kThreaded:
-      return "threaded";
     case ServiceTransport::kTcp:
       return "tcp";
   }
@@ -285,13 +281,12 @@ void QueryService::WorkerLoop() {
 Result<MappingTable> QueryService::RunSession(const QueryRequest& request,
                                               const PathSnapshot& snapshot) {
   // Fresh peers per execution: protocol state never crosses worker
-  // threads.  sim and threaded sessions get a fresh network too (the
-  // sim's virtual clock must start at 0).  A tcp session takes a running
-  // network from idle_tcp_ and keeps its listeners, loop thread and
-  // connections.  Only those networks, the link RTT estimates (link_rtt_)
-  // and the join indexes (join_indexes_) carry over between sessions.
+  // threads.  A sim session gets a fresh network too (its virtual clock
+  // must start at 0).  A tcp session takes a running network from
+  // idle_tcp_ and keeps its listeners, loop thread and connections.  Only
+  // those networks, the link RTT estimates (link_rtt_) and the join
+  // indexes (join_indexes_) carry over between sessions.
   std::unique_ptr<SimNetwork> sim;
-  std::unique_ptr<ThreadedNetwork> threaded;
   std::unique_ptr<TcpNetwork> tcp;
   Network* net = nullptr;
   std::function<Status()> run;
@@ -300,11 +295,6 @@ Result<MappingTable> QueryService::RunSession(const QueryRequest& request,
       sim = std::make_unique<SimNetwork>(options_.net_options);
       net = sim.get();
       run = [&sim] { return sim->Run().status(); };
-      break;
-    case ServiceTransport::kThreaded:
-      threaded = std::make_unique<ThreadedNetwork>();
-      net = threaded.get();
-      run = [&threaded] { return threaded->Run().status(); };
       break;
     case ServiceTransport::kTcp:
       {
@@ -360,9 +350,12 @@ Result<MappingTable> QueryService::RunSession(const QueryRequest& request,
   PeerNode& initiator = *peers.front();
   // Once the initiator is done the cover is complete (or failed), and
   // nothing still pending can change it: end the session at every path
-  // peer, on its own timeline, so run() returns once the frames in
-  // flight are handled instead of after the retransmit timers for acks
-  // that were lost.
+  // peer, so run() returns once the frames in flight are handled instead
+  // of after the retransmit timers for acks that were lost.  Each peer
+  // ends it on its own timeline, by a zero-delay timer rather than a
+  // call from this callback: on sim that is at the peer's own virtual
+  // time, and on tcp it is after the initiator's handler has returned,
+  // like any other handler of that peer.
   initiator.SetSessionDoneCallback([&peers, net](SessionId id) {
     for (const std::unique_ptr<PeerNode>& peer : peers) {
       PeerNode* p = peer.get();

@@ -114,15 +114,14 @@ using QueryFuture = std::shared_future<QueryResponsePtr>;
 
 /// \brief Which Network implementation session executions run on.
 enum class ServiceTransport {
-  kSim,       // single-threaded discrete-event simulation (default)
-  kThreaded,  // worker thread per peer, wall clock
-  kTcp,       // real loopback TCP sockets (tcp_network.h)
+  kSim,  // single-threaded discrete-event simulation (default)
+  kTcp,  // real loopback TCP sockets (tcp_network.h)
 };
 
-/// \brief Parses "sim" / "threaded" / "tcp"; InvalidArgument otherwise.
+/// \brief Parses "sim" / "tcp"; InvalidArgument otherwise.
 Result<ServiceTransport> ParseServiceTransport(const std::string& name);
 
-/// \brief Stable name for a transport ("sim" / "threaded" / "tcp").
+/// \brief Stable name for a transport ("sim" / "tcp").
 const char* ServiceTransportName(ServiceTransport transport);
 
 struct QueryServiceOptions {
@@ -141,11 +140,11 @@ struct QueryServiceOptions {
   /// Latency/bandwidth model for the sessions' simulated networks
   /// (transport == kSim only).
   SimNetwork::Options net_options;
-  /// Transport each session's network uses.  sim and threaded sessions
-  /// each get a fresh network.  kTcp sessions reuse running networks,
-  /// one per concurrently running session, whose loopback listeners
-  /// (one per peer ever on a path), loop threads and connections live as
-  /// long as the service.
+  /// Transport each session's network uses.  Each sim session gets a
+  /// fresh network.  kTcp sessions reuse running networks, one per
+  /// concurrently running session, whose loopback listeners (one per
+  /// peer ever on a path), loop threads and connections live as long as
+  /// the service.
   ServiceTransport transport = ServiceTransport::kSim;
 };
 
@@ -227,9 +226,9 @@ class QueryService {
   // resolves its promise (never throws the promise away).
   void ExecuteFlight(const std::shared_ptr<Flight>& flight);
   // The protocol run itself: fresh peers and one session, on a fresh sim
-  // or threaded network or a pooled tcp one.  The session ends at every
-  // path peer when its initiator finishes (PeerNode::EndSession), so the
-  // run returns once the frames in flight are handled.
+  // network or a pooled tcp one.  The session ends at every path peer
+  // when its initiator finishes (PeerNode::EndSession), so the run
+  // returns once the frames in flight are handled.
   Result<MappingTable> RunSession(const QueryRequest& request,
                                   const PathSnapshot& snapshot);
   void WorkerLoop();

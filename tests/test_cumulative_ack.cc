@@ -1,7 +1,8 @@
 // Cumulative acks, fast retransmit and session end (DESIGN.md §9).  The
 // sim tests run a four-peer chain at exact virtual times and drop chosen
-// messages with link outages; the service test runs a lossy session on
-// ThreadedNetwork, where each peer ends the session on its own thread.
+// messages with link outages; the service test runs lossy sessions on
+// TcpNetwork, where each peer ends the session after the initiator's
+// handler has returned.
 
 #include <gtest/gtest.h>
 
@@ -144,7 +145,7 @@ TEST(CumulativeAckTest, FailedSessionStopsEveryPeersRetransmits) {
   }
 }
 
-// ---- a lossy service session on real threads -----------------------------
+// ---- lossy service sessions on real sockets --------------------------------
 
 std::string CoverBytes(const QueryResponsePtr& r) {
   EXPECT_NE(r, nullptr);
@@ -153,9 +154,10 @@ std::string CoverBytes(const QueryResponsePtr& r) {
   return r->status.ok() ? r->cover->Serialize() : "";
 }
 
-TEST(SessionEndServiceTest, LossyThreadedSessionsMatchTheSimCover) {
-  // Each ThreadedNetwork peer runs EndSession on its own thread.  Under
-  // 10% loss the sessions still produce the sim's cover bytes.
+TEST(SessionEndServiceTest, LossyTcpSessionsMatchTheSimCover) {
+  // Each TcpNetwork peer runs EndSession from its own zero-delay timer,
+  // while frames of the session may still be in flight.  Under 10% loss
+  // the sessions still produce the sim's cover bytes.
   BioConfig bio;
   bio.num_entities = 200;
   auto catalog = BuildBioCatalog(bio);
@@ -178,13 +180,12 @@ TEST(SessionEndServiceTest, LossyThreadedSessionsMatchTheSimCover) {
   ASSERT_FALSE(expected.empty());
 
   QueryServiceOptions opts = sim_opts;
-  opts.transport = ServiceTransport::kThreaded;
+  opts.transport = ServiceTransport::kTcp;
   opts.fault_plan.seed = 5;
   opts.fault_plan.default_link.drop_rate = 0.10;
-  QueryService threaded(catalog.value().store.get(), catalog.value().peers,
-                        opts);
+  QueryService tcp(catalog.value().store.get(), catalog.value().peers, opts);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(CoverBytes(threaded.Execute(req)), expected) << "session " << i;
+    EXPECT_EQ(CoverBytes(tcp.Execute(req)), expected) << "session " << i;
   }
 }
 

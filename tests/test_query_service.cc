@@ -407,38 +407,50 @@ TEST(QueryServiceTest, ConcurrentCuratorWritesNeverTearResults) {
   EXPECT_GE(catalog.store->VersionOf("mAB"), 21u);
 }
 
-// Teardown race surface for the wall-clock transports: destroying the
+TEST(QueryServiceTest, TransportNamesAreSimAndTcpOnly) {
+  for (ServiceTransport transport :
+       {ServiceTransport::kSim, ServiceTransport::kTcp}) {
+    auto parsed = ParseServiceTransport(ServiceTransportName(transport));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(parsed.value(), transport);
+  }
+  for (const char* name : {"threaded", "", "TCP"}) {
+    auto parsed = ParseServiceTransport(name);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(parsed.status().ToString().find("sim | tcp"),
+              std::string::npos)
+        << parsed.status();
+  }
+}
+
+// Teardown race surface for the wall-clock transport: destroying the
 // service while sessions are still in flight must join every worker and
 // every transport thread — no response may be lost, no network may be
 // touched after its session's peers are gone.  (Runs under TSan in CI.)
 TEST(QueryServiceTest, DestroyWithSessionsInFlightOnWallClockTransports) {
-  for (ServiceTransport transport :
-       {ServiceTransport::kThreaded, ServiceTransport::kTcp}) {
-    SCOPED_TRACE(ServiceTransportName(transport));
-    ServiceCatalog catalog = ChainCatalog();
-    QueryServiceOptions opts;
-    opts.num_workers = 4;
-    opts.cache_entries = 0;  // every admitted request runs a real session
-    opts.transport = transport;
-    auto service = std::make_unique<QueryService>(catalog.store.get(),
-                                                  catalog.peers, opts);
-    std::vector<QueryFuture> futures;
-    for (int i = 0; i < 12; ++i) {
-      auto future = service->Submit(ChainRequest());
-      ASSERT_TRUE(future.ok()) << future.status();
-      futures.push_back(std::move(future).value());
-    }
-    // Destruct with most flights queued or mid-protocol.  Every future
-    // must still resolve: a cover, or a loud Unavailable for flights the
-    // shutdown failed before a worker picked them up.
-    service.reset();
-    for (QueryFuture& future : futures) {
-      QueryResponsePtr response = future.get();
-      ASSERT_NE(response, nullptr);
-      EXPECT_TRUE(response->status.ok() ||
-                  IsLoudOverloadOrPartition(response->status))
-          << response->status;
-    }
+  ServiceCatalog catalog = ChainCatalog();
+  QueryServiceOptions opts;
+  opts.num_workers = 4;
+  opts.cache_entries = 0;  // every admitted request runs a real session
+  opts.transport = ServiceTransport::kTcp;
+  auto service = std::make_unique<QueryService>(catalog.store.get(),
+                                                catalog.peers, opts);
+  std::vector<QueryFuture> futures;
+  for (int i = 0; i < 12; ++i) {
+    auto future = service->Submit(ChainRequest());
+    ASSERT_TRUE(future.ok()) << future.status();
+    futures.push_back(std::move(future).value());
+  }
+  // Destruct with most flights queued or mid-protocol.  Every future
+  // must still resolve: a cover, or a loud Unavailable for flights the
+  // shutdown failed before a worker picked them up.
+  service.reset();
+  for (QueryFuture& future : futures) {
+    QueryResponsePtr response = future.get();
+    ASSERT_NE(response, nullptr);
+    EXPECT_TRUE(response->status.ok() ||
+                IsLoudOverloadOrPartition(response->status))
+        << response->status;
   }
 }
 

@@ -111,6 +111,16 @@ class RebalanceE2ETest : public ::testing::Test {
   // boot config — exactly the operator `join` flow) and asks the
   // coordinator to fold it into the ring.
   void JoinNode(const std::string& id) {
+    uint16_t port = 0;
+    ASSERT_NO_FATAL_FAILURE(BindJoiner(id, &port));
+    ASSERT_TRUE(storage_.back()->Start().ok());
+    ASSERT_NO_FATAL_FAILURE(AskToJoin(id, port));
+  }
+
+  // Creates the joining node and binds its listener, but does not start
+  // it: until Start() it cannot pull a handoff, so its join cannot
+  // commit.
+  void BindJoiner(const std::string& id, uint16_t* port) {
     ClusterConfig extended = resolved_;
     extended.nodes.push_back({id, NodeRole::kStorage, "127.0.0.1", 0});
     auto catalog = BuildBioCatalog(bio_);
@@ -119,12 +129,15 @@ class RebalanceE2ETest : public ::testing::Test {
                                     std::move(*catalog.value().store));
     ASSERT_TRUE(node.ok()) << node.status();
     ASSERT_TRUE(node.value()->Bind().ok());
-    auto port = node.value()->ListenPort();
-    ASSERT_TRUE(port.ok());
-    ASSERT_TRUE(node.value()->Start().ok());
+    auto listen_port = node.value()->ListenPort();
+    ASSERT_TRUE(listen_port.ok());
+    *port = listen_port.value();
     storage_.push_back(std::move(node).value());
-    auto epoch = coord_->StartJoin(
-        id, "127.0.0.1:" + std::to_string(port.value()));
+  }
+
+  void AskToJoin(const std::string& id, uint16_t port) {
+    auto epoch =
+        coord_->StartJoin(id, "127.0.0.1:" + std::to_string(port));
     ASSERT_TRUE(epoch.ok()) << epoch.status();
   }
 
@@ -276,11 +289,16 @@ TEST_F(RebalanceE2ETest, DecommissionRehomesShardsAndRetiresTheNode) {
 
 TEST_F(RebalanceE2ETest, JoinRefusedWhileTransitionInFlight) {
   StartCluster();
-  JoinNode("s4");
+  // s4 starts only after the refusal is checked, so the join cannot
+  // commit before the second request, however slow this host is.
+  uint16_t port = 0;
+  ASSERT_NO_FATAL_FAILURE(BindJoiner("s4", &port));
+  ASSERT_NO_FATAL_FAILURE(AskToJoin("s4", port));
   // A second topology change must be refused until the first commits.
   auto refused = coord_->StartDecommission("s1");
   EXPECT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(StorageNode("s4")->Start().ok());
   ASSERT_TRUE(WaitForStableEpoch(2));
   auto now_ok = coord_->StartDecommission("s1");
   EXPECT_TRUE(now_ok.ok()) << now_ok.status();

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "p2p/network.h"
 #include "p2p/peer.h"
 #include "p2p/wire.h"
+#include "workload/b2b_network.h"
 #include "workload/bio_network.h"
 
 namespace hyperion {
@@ -375,6 +377,65 @@ TEST(TcpNetworkTest, CoverSessionMatchesSimulatedNetwork) {
   ASSERT_TRUE(equivalent.ok());
   EXPECT_TRUE(equivalent.value())
       << "sim " << sim_cover.size() << " rows vs tcp " << tcp_cover.size();
+}
+
+TEST(TcpNetworkTest, ConcurrentSessionsOnOneNetwork) {
+  // Several cover sessions from one initiator in flight at once:
+  // exercises interleaved handler execution across peers.
+  B2bConfig config;
+  config.rows_per_table = 60;
+  auto workload = B2bWorkload::Generate(config);
+  ASSERT_TRUE(workload.ok());
+  auto peers = workload.value().BuildPeers().value();
+  TcpNetwork net;
+  std::map<std::string, PeerNode*> by_id;
+  for (auto& p : peers) {
+    ASSERT_TRUE(p->Attach(&net).ok());
+    by_id[p->id()] = p.get();
+  }
+  std::vector<SessionId> sessions;
+  for (int i = 0; i < 4; ++i) {
+    auto session = by_id.at("P1")->StartCoverSession(
+        {"P1", "P2", "P3"}, workload.value().XAttrs(),
+        workload.value().YAttrs());
+    ASSERT_TRUE(session.ok());
+    sessions.push_back(session.value());
+  }
+  ASSERT_TRUE(net.Run().ok());
+  std::optional<size_t> expected;
+  for (SessionId id : sessions) {
+    auto result = by_id.at("P1")->GetResult(id);
+    ASSERT_TRUE(result.ok());
+    ASSERT_TRUE(result.value()->done);
+    ASSERT_TRUE(result.value()->error.ok()) << result.value()->error;
+    if (!expected) expected = result.value()->cover.size();
+    EXPECT_EQ(result.value()->cover.size(), *expected);
+  }
+}
+
+TEST(TcpNetworkTest, ValueSearchWorks) {
+  BioConfig config;
+  config.num_entities = 40;
+  config.alias_rate = 0;
+  config.protein_extra_rate = 0;
+  auto workload = BioWorkload::Generate(config);
+  ASSERT_TRUE(workload.ok());
+  auto peers = workload.value().BuildPeers().value();
+  TcpNetwork net;
+  std::map<std::string, PeerNode*> by_id;
+  for (auto& p : peers) {
+    ASSERT_TRUE(p->Attach(&net).ok());
+    by_id[p->id()] = p.get();
+  }
+  SelectionQuery q;
+  q.attrs = {"Hugo_id"};
+  q.keys = {{Value("AAA0")}};
+  auto search = by_id.at("Hugo")->StartValueSearch(q, 4);
+  ASSERT_TRUE(search.ok());
+  ASSERT_TRUE(net.Run().ok());
+  auto state = by_id.at("Hugo")->Search(search.value());
+  ASSERT_TRUE(state.ok());
+  EXPECT_TRUE(state.value()->hits.count("Hugo"));  // local data always hits
 }
 
 // ---- reuse across runs: one running loop, many WaitQuiescent rounds ----

@@ -1,9 +1,9 @@
 // Cross-transport conformance: the distributed cover protocol must
-// behave identically on every Network implementation — the
-// single-threaded simulator, the thread-per-peer wall-clock network,
-// and real loopback TCP sockets.  Each scenario replays one session on
-// all three transports and asserts byte-identical covers (or matching
-// terminal status codes when the scenario is built to fail loudly).
+// behave identically on both Network implementations — the
+// single-threaded simulator and real loopback TCP sockets.  Each
+// scenario replays one session on both transports and asserts
+// byte-identical covers (or matching terminal status codes when the
+// scenario is built to fail loudly).
 //
 // The second half is a randomized differential harness: seeded random
 // topologies, and a query-service interleaving of curator writes and
@@ -23,7 +23,6 @@
 #include "p2p/network.h"
 #include "p2p/peer.h"
 #include "p2p/tcp_network.h"
-#include "p2p/threaded_network.h"
 #include "service/catalogs.h"
 #include "service/query_service.h"
 #include "test_util.h"
@@ -35,16 +34,13 @@ namespace {
 using testing_util::FiniteAttr;
 using testing_util::RandomCell;
 
-enum class Transport { kSim, kThreaded, kTcp };
-constexpr Transport kAllTransports[] = {Transport::kSim, Transport::kThreaded,
-                                        Transport::kTcp};
+enum class Transport { kSim, kTcp };
+constexpr Transport kAllTransports[] = {Transport::kSim, Transport::kTcp};
 
 const char* Name(Transport t) {
   switch (t) {
     case Transport::kSim:
       return "sim";
-    case Transport::kThreaded:
-      return "threaded";
     case Transport::kTcp:
       return "tcp";
   }
@@ -74,7 +70,6 @@ struct Outcome {
 
 Outcome RunOn(Transport transport, const Scenario& s) {
   std::unique_ptr<SimNetwork> sim;
-  std::unique_ptr<ThreadedNetwork> threaded;
   std::unique_ptr<TcpNetwork> tcp;
   Network* net = nullptr;
   std::function<Result<int64_t>()> run;
@@ -83,11 +78,6 @@ Outcome RunOn(Transport transport, const Scenario& s) {
       sim = std::make_unique<SimNetwork>();
       net = sim.get();
       run = [&sim] { return sim->Run(); };
-      break;
-    case Transport::kThreaded:
-      threaded = std::make_unique<ThreadedNetwork>();
-      net = threaded.get();
-      run = [&threaded] { return threaded->Run(); };
       break;
     case Transport::kTcp:
       tcp = std::make_unique<TcpNetwork>();
@@ -125,28 +115,26 @@ Outcome RunOn(Transport transport, const Scenario& s) {
   return out;
 }
 
-// Runs `s` on all three transports and asserts the sim outcome is
-// reproduced everywhere: same termination, same status code, and (on
-// success) the byte-identical cover.
+// Runs `s` on sim and tcp and asserts the sim outcome is reproduced on
+// tcp: same termination, same status code, and (on success) the
+// byte-identical cover.
 Outcome ExpectConformance(const Scenario& s, bool expect_ok = true) {
   Outcome reference = RunOn(Transport::kSim, s);
   EXPECT_TRUE(reference.done) << "sim session did not terminate";
   EXPECT_EQ(reference.error.ok(), expect_ok) << reference.error;
-  for (Transport t : {Transport::kThreaded, Transport::kTcp}) {
-    Outcome got = RunOn(t, s);
-    EXPECT_TRUE(got.done) << Name(t) << " session did not terminate";
-    EXPECT_EQ(got.error.code(), reference.error.code())
-        << Name(t) << ": " << got.error << " vs sim: " << reference.error;
-    EXPECT_EQ(got.partitions, reference.partitions) << Name(t);
-    EXPECT_EQ(got.cover, reference.cover)
-        << Name(t) << " cover diverged from sim (" << got.rows << " vs "
-        << reference.rows << " rows)";
-  }
+  Outcome got = RunOn(Transport::kTcp, s);
+  EXPECT_TRUE(got.done) << "tcp session did not terminate";
+  EXPECT_EQ(got.error.code(), reference.error.code())
+      << "tcp: " << got.error << " vs sim: " << reference.error;
+  EXPECT_EQ(got.partitions, reference.partitions) << "tcp";
+  EXPECT_EQ(got.cover, reference.cover)
+      << "tcp cover diverged from sim (" << got.rows << " vs "
+      << reference.rows << " rows)";
   return reference;
 }
 
-// Keeps retransmissions cheap in wall-clock time: the threaded and TCP
-// transports pay these timeouts for real.
+// Keeps retransmissions cheap in wall-clock time: the TCP transport
+// pays these timeouts for real.
 SessionOptions FastRetransmits() {
   SessionOptions opts;
   opts.retransmit_timeout_us = 15'000;
@@ -343,7 +331,7 @@ TEST(TransportConformanceTest, CrashedMidPathPeerFailsUnavailableEverywhere) {
   s.faults.crashes["SwissProt"] = {0, -1};
   // Above the simulator's 80ms virtual round trip (so live hops ack in
   // time), small enough that exhausting the budget on the dead hop costs
-  // about a second of wall clock on the threaded and TCP transports.
+  // about a second of wall clock on the TCP transport.
   s.opts.retransmit_timeout_us = 150'000;
   s.opts.max_retransmits = 2;
   for (Transport t : kAllTransports) {

@@ -1126,7 +1126,7 @@ int Usage() {
          "        print (plan) or validate (check) the shard placement\n"
          "  service flags: --entities E --workers W --queue Q --no-cache\n"
          "        --drop-rate P --dup-rate P --fault-seed N\n"
-         "        --transport sim|threaded|tcp  (tcp = sessions on real\n"
+         "        --transport sim|tcp  (tcp = sessions on real\n"
          "        loopback sockets; flags also accept --flag=value form)\n"
          "global flags:\n"
          "  --metrics-json=<path>   dump the metric registry after the "
