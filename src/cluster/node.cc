@@ -236,6 +236,12 @@ ClusterNode::PeerShardVersions() const {
   return peer_shard_versions_;
 }
 
+std::map<std::string, std::map<uint64_t, uint64_t>>
+ClusterNode::HandoffRowsInstalled() const {
+  MutexLock lock(mu_);
+  return handoff_rows_;
+}
+
 void ClusterNode::SetPeerAddress(const std::string& node,
                                  const std::string& host_port) {
   bool apply;
@@ -927,6 +933,7 @@ void ClusterNode::HandleHandoffAck(const Message& msg) {
     const auto key = std::make_pair(ack.shard, ack.node);
     if (transition_->waiting.erase(key) != 0) {
       transition_->acked[key] = ack.shard_version;
+      handoff_rows_[ack.node][ack.shard] = ack.rows;
       counted = true;
     } else {
       // Duplicate ack after a re-pull: keep the freshest version.

@@ -165,6 +165,14 @@ class ClusterNode {
   std::map<std::string, std::map<uint64_t, uint64_t>> PeerShardVersions()
       const;
 
+  /// \brief Coordinator only: the rows each node installed for each
+  /// shard it gained by a handoff, as its ack reported them: node →
+  /// (shard → rows).  A later handoff of the same shard to the same node
+  /// overwrites its entry.  The REPL's `handoffs` verb prints this; the
+  /// rebalance drill polls it, so it needs no metrics build.
+  std::map<std::string, std::map<uint64_t, uint64_t>> HandoffRowsInstalled()
+      const;
+
   /// \brief Storage only: every shard this node replicates (primary or
   /// backup) under the committed ring — exactly the slices it serves.
   std::vector<uint64_t> owned_shards() const;
@@ -290,6 +298,10 @@ class ClusterNode {
     size_t moves = 0;
   };
   std::unique_ptr<Transition> transition_ GUARDED_BY(mu_);
+  // Coordinator: rows installed per (node, gained shard), from the
+  // handoff acks that completed a transition's wait.
+  std::map<std::string, std::map<uint64_t, uint64_t>> handoff_rows_
+      GUARDED_BY(mu_);
   // Owned shard slices.  Filled by Start() (driver thread, before the
   // event loop runs) and thereafter mutated only by the write/repair/
   // handoff/adoption handlers on the loop thread — the same thread that

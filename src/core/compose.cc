@@ -138,7 +138,7 @@ Result<MappingTable> FreeTable::ToMappingTable(
 Result<FreeTable> FreeTable::NaturalJoin(const FreeTable& other,
                                          const ComposeOptions& opts) const {
   HYP_ASSIGN_OR_RETURN(JoinIndex index, JoinIndex::Build(*this, other.schema_));
-  return index.Join(other, opts);
+  return index.Join(other.schema_, other.rows_, opts);
 }
 
 Result<JoinIndex> JoinIndex::Build(const FreeTable& build,
@@ -196,11 +196,12 @@ void JoinIndex::JoinPair(const Mapping& a, const Mapping& b,
   out->AddRow(Mapping(std::move(cells)));
 }
 
-Result<FreeTable> JoinIndex::Join(const FreeTable& probe,
+Result<FreeTable> JoinIndex::Join(const Schema& probe_schema,
+                                  std::span<const Mapping> rows,
                                   const ComposeOptions& opts) const {
-  if (!(probe.schema() == probe_schema_)) {
+  if (!(probe_schema == probe_schema_)) {
     return Status::InvalidArgument("JoinIndex: probe schema " +
-                                   probe.schema().ToString() +
+                                   probe_schema.ToString() +
                                    " is not the indexed " +
                                    probe_schema_.ToString());
   }
@@ -221,9 +222,9 @@ Result<FreeTable> JoinIndex::Join(const FreeTable& probe,
   };
   std::vector<Candidate> candidates;
   Tuple key;
-  for (size_t r = 0; r < probe.rows().size(); ++r) {
+  for (size_t r = 0; r < rows.size(); ++r) {
     const auto pr = static_cast<uint32_t>(r);
-    if (GroundKey<1>(probe.rows()[r], shared_, &key)) {
+    if (GroundKey<1>(rows[r], shared_, &key)) {
       auto it = ground_rows_.find(key);
       if (it != ground_rows_.end()) {
         for (uint32_t a : it->second) candidates.push_back({a, 0, pr});
@@ -240,7 +241,7 @@ Result<FreeTable> JoinIndex::Join(const FreeTable& probe,
   FreeTable out(out_schema_);
   for (size_t i = 0; i < candidates.size(); ++i) {
     const Candidate& c = candidates[i];
-    JoinPair(build_->rows()[c.build], probe.rows()[c.probe], &out);
+    JoinPair(build_->rows()[c.build], rows[c.probe], &out);
     bool row_done =
         i + 1 == candidates.size() || candidates[i + 1].build != c.build;
     if (row_done && out.size() > opts.max_result_rows) {
@@ -384,12 +385,13 @@ Result<FreeTable> FreeTable::ProjectOnto(const std::vector<std::string>& names,
 }
 
 Result<FreeTable> FreeTable::CartesianProduct(
-    const FreeTable& other, const ComposeOptions& opts) const {
-  HYP_ASSIGN_OR_RETURN(Schema out_schema, schema_.Concat(other.schema_));
+    const Schema& other_schema, std::span<const Mapping> other_rows,
+    const ComposeOptions& opts) const {
+  HYP_ASSIGN_OR_RETURN(Schema out_schema, schema_.Concat(other_schema));
   FreeTable out(std::move(out_schema));
   for (const Mapping& a : rows_) {
     VarId offset = VarSpan(a);
-    for (const Mapping& b : other.rows_) {
+    for (const Mapping& b : other_rows) {
       Mapping shifted = b.WithVarOffset(offset);
       std::vector<Cell> cells = a.cells();
       cells.insert(cells.end(), shifted.cells().begin(),

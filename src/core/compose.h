@@ -12,6 +12,7 @@
 #define HYPERION_CORE_COMPOSE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -41,10 +42,18 @@ class JoinIndex {
   static Result<JoinIndex> Build(const FreeTable& build,
                                  const Schema& probe_schema);
 
-  /// \brief build ⋈ probe; `probe` must have the schema the index was
-  /// built for.
-  Result<FreeTable> Join(const FreeTable& probe,
+  /// \brief build ⋈ probe, for the probe rows `rows` over
+  /// `probe_schema`, which must be the schema the index was built for.
+  /// The rows are read in place; like a FreeTable's, they must be
+  /// normalized, satisfiable and distinct, or the result is not the
+  /// join of the FreeTable they would make.
+  Result<FreeTable> Join(const Schema& probe_schema,
+                         std::span<const Mapping> rows,
                          const ComposeOptions& opts = {}) const;
+  Result<FreeTable> Join(const FreeTable& probe,
+                         const ComposeOptions& opts = {}) const {
+    return Join(probe.schema(), probe.rows(), opts);
+  }
 
   const FreeTable& build() const { return *build_; }
   const Schema& probe_schema() const { return probe_schema_; }

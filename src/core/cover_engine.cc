@@ -238,16 +238,20 @@ Result<MappingTable> CoverEngine::CombinePartitionCovers(
     if (!pc.keep_names.empty() && pc.cover.empty()) return empty_result;
   }
 
-  // Cartesian product of the partition covers that touch the endpoints.
-  std::optional<FreeTable> acc;
+  // Cartesian product of the partition covers that touch the endpoints;
+  // the first is read in place, not copied.
+  const FreeTable* acc = nullptr;
+  FreeTable product;
   std::set<std::string> covered;
   for (const PartitionCover& pc : covers) {
     if (pc.keep_names.empty()) continue;
     covered.insert(pc.keep_names.begin(), pc.keep_names.end());
-    if (!acc) {
-      acc = pc.cover;
+    if (acc == nullptr) {
+      acc = &pc.cover;
     } else {
-      HYP_ASSIGN_OR_RETURN(acc, acc->CartesianProduct(pc.cover, opts.compose));
+      HYP_ASSIGN_OR_RETURN(product,
+                           acc->CartesianProduct(pc.cover, opts.compose));
+      acc = &product;
     }
   }
   // Unconstrained endpoint attributes: one row of fresh variables.
@@ -265,14 +269,15 @@ Result<MappingTable> CoverEngine::CombinePartitionCovers(
       cells.push_back(Cell::Variable(static_cast<VarId>(i)));
     }
     free_table.AddRow(Mapping(std::move(cells)));
-    if (!acc) {
-      acc = std::move(free_table);
+    if (acc == nullptr) {
+      product = std::move(free_table);
     } else {
-      HYP_ASSIGN_OR_RETURN(acc,
+      HYP_ASSIGN_OR_RETURN(product,
                            acc->CartesianProduct(free_table, opts.compose));
     }
+    acc = &product;
   }
-  if (!acc) {
+  if (acc == nullptr) {
     return Status::Internal("cover combination produced no attributes");
   }
   // Order columns X then Y and split.

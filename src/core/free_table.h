@@ -12,6 +12,7 @@
 #define HYPERION_CORE_FREE_TABLE_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,6 +55,9 @@ class FreeTable {
   /// row was actually inserted (false for duplicates and empty rows).
   bool AddRow(Mapping row);
 
+  /// \brief Moves the rows out of an expiring table, in order.
+  std::vector<Mapping> TakeRows() && { return std::move(rows_); }
+
   /// \brief Whether an identical row (up to variable renaming) exists.
   bool ContainsRow(const Mapping& row) const {
     return row_index_.ContainsUpToRenaming(rows_, row);
@@ -88,6 +92,14 @@ class FreeTable {
 
   /// \brief Cartesian product; schemas must be disjoint.
   Result<FreeTable> CartesianProduct(const FreeTable& other,
+                                     const ComposeOptions& opts = {}) const {
+    return CartesianProduct(other.schema(), other.rows(), opts);
+  }
+  /// \brief Cartesian product with the rows `other_rows` over
+  /// `other_schema`, read in place (normalized, satisfiable and
+  /// distinct, as a FreeTable's are).
+  Result<FreeTable> CartesianProduct(const Schema& other_schema,
+                                     std::span<const Mapping> other_rows,
                                      const ComposeOptions& opts = {}) const;
 
   /// \brief Whether ext(table) is nonempty.  Rows are satisfiable by

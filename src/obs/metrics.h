@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -197,6 +198,17 @@ class MetricRegistry {
   std::map<Key, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
   std::map<Key, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mu_);
   std::map<Key, std::unique_ptr<Histogram>> histograms_ GUARDED_BY(mu_);
+};
+
+/// \brief A string literal as a template argument, so that a call site
+/// can name its instrument at compile time and look its handle up once
+/// (a function-local static per name), not on every use.
+template <size_t N>
+struct MetricName {
+  constexpr MetricName(const char (&name)[N]) {
+    std::copy_n(name, N, text);
+  }
+  char text[N];
 };
 
 }  // namespace obs

@@ -48,10 +48,41 @@ std::string SlotKey(const std::string& table, const Schema& probe_schema) {
 Result<std::shared_ptr<const JoinIndex>> BuildIndex(
     std::shared_ptr<const FreeTable> build, const Schema& probe_schema) {
   HYP_ASSIGN_OR_RETURN(JoinIndex index, JoinIndex::Build(*build, probe_schema));
-  CountProto("cover.join_index_builds");
+  CountProto<"cover.join_index_builds">();
   auto owned = std::make_shared<const OwnedIndex>(
       OwnedIndex{std::move(build), std::move(index)});
   return std::shared_ptr<const JoinIndex>(owned, &owned->index);
+}
+
+std::string ProjectionKey(const std::string& table,
+                          const std::vector<std::string>& names,
+                          const ComposeOptions& opts) {
+  std::string key = table;
+  for (const std::string& name : names) {
+    key += '\n';
+    key += name;
+  }
+  key += '\n';
+  key += std::to_string(opts.materialize_limit);
+  key += '/';
+  key += std::to_string(opts.max_result_rows);
+  return key;
+}
+
+// A projection together with the table it was projected from.
+struct OwnedProjection {
+  std::shared_ptr<const FreeTable> source;
+  FreeTable projection;
+};
+
+Result<std::shared_ptr<const FreeTable>> BuildProjection(
+    std::shared_ptr<const FreeTable> local,
+    const std::vector<std::string>& names, const ComposeOptions& opts) {
+  HYP_ASSIGN_OR_RETURN(FreeTable projection, local->ProjectOnto(names, opts));
+  CountProto<"cover.starter_projection_builds">();
+  auto owned = std::make_shared<const OwnedProjection>(
+      OwnedProjection{std::move(local), std::move(projection)});
+  return std::shared_ptr<const FreeTable>(owned, &owned->projection);
 }
 
 }  // namespace
@@ -82,9 +113,40 @@ Result<std::shared_ptr<const JoinIndex>> JoinIndexStore::Get(
   return index;
 }
 
+Result<std::shared_ptr<const FreeTable>> JoinIndexStore::GetProjection(
+    const std::string& table, std::shared_ptr<const FreeTable> local,
+    const std::vector<std::string>& names, const ComposeOptions& opts) {
+  if (table.empty()) return BuildProjection(std::move(local), names, opts);
+  const std::string key = ProjectionKey(table, names, opts);
+  const FreeTable* source = local.get();
+  {
+    MutexLock lock(mu_);
+    auto it = projections_.find(key);
+    if (it != projections_.end() && it->second.source == source) {
+      return it->second.projection;
+    }
+  }
+  HYP_ASSIGN_OR_RETURN(std::shared_ptr<const FreeTable> projection,
+                       BuildProjection(std::move(local), names, opts));
+  std::shared_ptr<const FreeTable> replaced;  // destroyed after unlocking
+  MutexLock lock(mu_);
+  ProjectionSlot& slot = projections_[key];
+  // Another session may have built the same projection meanwhile: keep
+  // one.
+  if (slot.source == source) return slot.projection;
+  replaced = std::move(slot.projection);
+  slot = ProjectionSlot{source, projection};
+  return projection;
+}
+
 size_t JoinIndexStore::size() const {
   MutexLock lock(mu_);
   return slots_.size();
+}
+
+size_t JoinIndexStore::projections() const {
+  MutexLock lock(mu_);
+  return projections_.size();
 }
 
 }  // namespace hyperion

@@ -16,17 +16,6 @@ int64_t WallNowNs() {
 
 }  // namespace
 
-void RecordNetworkSend(const char* network_kind, const Message& msg,
-                       size_t bytes) {
-  if constexpr (obs::kMetricsEnabled) {
-    obs::MetricRegistry& reg = obs::MetricRegistry::Default();
-    obs::LabelSet labels{{"type", msg.TypeName()},
-                         {"network", network_kind}};
-    reg.GetCounter("net.messages_sent", labels)->Add(1);
-    reg.GetCounter("net.bytes_sent", std::move(labels))->Add(bytes);
-  }
-}
-
 SimNetwork::SimNetwork() : options_(Options()) {}
 
 Status SimNetwork::RegisterPeer(const std::string& id, Handler handler) {
@@ -71,7 +60,7 @@ Status SimNetwork::Send(Message msg) {
   stats_.messages_sent += 1;
   stats_.bytes_sent += bytes;
   stats_.messages_by_type[msg.TypeName()] += 1;
-  RecordNetworkSend("sim", msg, bytes);
+  RecordNetworkSend<"sim">(msg, bytes);
 
   int64_t depart = now_us();
   FaultInjector::SendDecision decision =

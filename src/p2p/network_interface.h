@@ -18,14 +18,19 @@
 #ifndef HYPERION_P2P_NETWORK_INTERFACE_H_
 #define HYPERION_P2P_NETWORK_INTERFACE_H_
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "p2p/message.h"
 
 namespace hyperion {
@@ -189,9 +194,31 @@ class Network {
 
 /// \brief Records one send into the default MetricRegistry
 /// (net.messages_sent / net.bytes_sent, labeled by message type and
-/// network kind).  Shared by every Network implementation.
-void RecordNetworkSend(const char* network_kind, const Message& msg,
-                       size_t bytes);
+/// network kind).  Shared by every Network implementation.  The handles
+/// are resolved on each (type, network)'s first send, not per send.
+template <obs::MetricName network_kind>
+void RecordNetworkSend(const Message& msg, size_t bytes) {
+  if constexpr (obs::kMetricsEnabled) {
+    constexpr size_t kTypes = std::size(Message::kTypeNames);
+    static std::array<std::atomic<obs::Counter*>, kTypes> sent_messages{};
+    static std::array<std::atomic<obs::Counter*>, kTypes> sent_bytes{};
+    const size_t type = msg.payload.index();
+    obs::Counter* messages = sent_messages[type].load();
+    obs::Counter* byte_count = sent_bytes[type].load();
+    if (messages == nullptr || byte_count == nullptr) {
+      // Racing first sends resolve the same handles.
+      obs::MetricRegistry& reg = obs::MetricRegistry::Default();
+      obs::LabelSet labels{{"type", msg.TypeName()},
+                           {"network", network_kind.text}};
+      messages = reg.GetCounter("net.messages_sent", labels);
+      byte_count = reg.GetCounter("net.bytes_sent", std::move(labels));
+      sent_messages[type].store(messages);
+      sent_bytes[type].store(byte_count);
+    }
+    messages->Add(1);
+    byte_count->Add(bytes);
+  }
+}
 
 /// \brief Records one injected fault event (`net.drops_injected`,
 /// `net.duplicates_injected`, `net.crash_discards`) labeled by network

@@ -61,6 +61,24 @@ std::vector<std::string> NeededNamesFor(const PartitionSummary& partition,
   return needed;
 }
 
+// The members of `names` that `schema` has, in `names`' order.
+std::vector<std::string> NamesIn(const std::vector<std::string>& names,
+                                 const Schema& schema) {
+  std::vector<std::string> present;
+  for (const std::string& n : names) {
+    if (schema.IndexOf(n)) present.push_back(n);
+  }
+  return present;
+}
+
+// The compose limits the session's initiator chose.
+ComposeOptions ComposeOptionsOf(const SessionSpec& spec) {
+  ComposeOptions compose;
+  compose.materialize_limit = spec.materialize_limit;
+  compose.max_result_rows = spec.max_result_rows;
+  return compose;
+}
+
 }  // namespace
 
 PeerNode::PeerNode(std::string id, AttributeSet attributes,
@@ -250,7 +268,7 @@ Result<uint64_t> PeerNode::StartValueSearch(SelectionQuery query, int ttl) {
   SearchState& state = searches_[id];
   state.query = query;
 
-  CountProto("search.started");
+  CountProto<"search.started">();
   SearchMsg search;
   search.search_id = id;
   search.origin = id_;
@@ -325,8 +343,8 @@ void PeerNode::OnSearchHit(const Message& msg) {
   if (it == searches_.end()) return;
   SearchState& state = it->second;
   state.complete = state.complete && hit.complete;
-  CountProto("search.hits");
-  CountProto("search.hit_tuples", hit.tuples.size());
+  CountProto<"search.hits">();
+  CountProto<"search.hit_tuples">(hit.tuples.size());
   if (state.first_hit_us < 0) state.first_hit_us = network_->now_us();
   auto [rel_it, inserted] =
       state.hits.emplace(hit.responder, Relation(hit.schema));
@@ -429,8 +447,8 @@ std::vector<Mapping> PeerNode::ReducedRows(
   // Semi-join effectiveness: rows_kept / rows_in is the filter's
   // reduction ratio (paper §7's traffic discussion).
   if (!filters.empty()) {
-    CountProto("semijoin.rows_in", table.rows().size());
-    CountProto("semijoin.rows_kept", out.size());
+    CountProto<"semijoin.rows_in">(table.rows().size());
+    CountProto<"semijoin.rows_kept">(out.size());
   }
   return out;
 }
@@ -486,7 +504,7 @@ void PeerNode::OnSessionInit(const Message& msg) {
       ConstraintsTo(spec.path_peers[k + 1]);
   std::vector<PartitionSummary> merged =
       MergeSummaries(init.partitions, k, own);
-  CountProto("cover.gather_hops");
+  CountProto<"cover.gather_hops">();
   TraceProto(network_, id_, "gather.forward", spec.id, -1,
              static_cast<int>(k), static_cast<int64_t>(merged.size()));
   if (k == n - 2) {
@@ -625,9 +643,7 @@ void PeerNode::OnComputePlan(const Message& msg) {
         return f;
       };
       FreeTable local = reduced_table(members[0]->table());
-      ComposeOptions compose;
-      compose.materialize_limit = spec.materialize_limit;
-      compose.max_result_rows = spec.max_result_rows;
+      const ComposeOptions compose = ComposeOptionsOf(spec);
       for (size_t i = 1; i < members.size(); ++i) {
         auto joined =
             JoinOrProduct(local, reduced_table(members[i]->table()), compose);
@@ -665,7 +681,7 @@ void PeerNode::OnComputePlan(const Message& msg) {
 void PeerNode::StartPartitions(ParticipantState* state) {
   for (auto& [p, ps] : state->parts) {
     if (ps.involved && ps.is_starter && !ps.done) {
-      Status s = ProcessRows(state, p, /*incoming=*/nullptr, /*eos=*/true);
+      Status s = StartPartition(state, p);
       if (!s.ok()) {
         FailSession(state->spec.id, s);
         return;
@@ -674,54 +690,73 @@ void PeerNode::StartPartitions(ParticipantState* state) {
   }
 }
 
-Status PeerNode::ProcessRows(ParticipantState* state, size_t part_idx,
-                             const FreeTable* incoming, bool eos) {
+Status PeerNode::StartPartition(ParticipantState* state, size_t part_idx) {
   PartState& ps = state->parts.at(part_idx);
-  if (ps.done) return Status::OK();
-
-  ComposeOptions compose;
-  compose.materialize_limit = state->spec.materialize_limit;
-  compose.max_result_rows = state->spec.max_result_rows;
-  // Starters project their local join directly; a batch is joined
-  // with it first.
-  const FreeTable* joined = nullptr;
-  FreeTable batch_joined;
-  if (incoming == nullptr) {
-    joined = ps.local.get();
-  } else if (!incoming->empty()) {
-    if (ps.local->schema().ToSet().Overlaps(incoming->schema().ToSet())) {
-      if (ps.join_index == nullptr) {
-        HYP_ASSIGN_OR_RETURN(
-            ps.join_index,
-            join_indexes_->Get(ps.local_table, ps.local, incoming->schema()));
-      }
-      HYP_ASSIGN_OR_RETURN(batch_joined,
-                           ps.join_index->Join(*incoming, compose));
-    } else {
-      HYP_ASSIGN_OR_RETURN(batch_joined,
-                           ps.local->CartesianProduct(*incoming, compose));
-    }
-    joined = &batch_joined;
-  }
-
-  std::vector<Mapping> fresh;
-  if (joined != nullptr && !joined->empty()) {
-    // Project onto what is still needed (endpoint attrs + earlier hops).
-    std::vector<std::string> project_to;
-    for (const std::string& n : ps.needed_names) {
-      if (joined->schema().IndexOf(n)) project_to.push_back(n);
-    }
+  std::vector<Mapping> rows;
+  if (!ps.local->empty()) {
+    std::vector<std::string> project_to =
+        NamesIn(ps.needed_names, ps.local->schema());
     if (project_to.empty()) {
       // Terminal of a middle-only partition: only satisfiability matters.
       ps.any_rows = true;
     } else {
-      HYP_ASSIGN_OR_RETURN(FreeTable projected,
-                           joined->ProjectOnto(project_to, compose));
-      if (!ps.emitted) ps.emitted.emplace(projected.schema());
-      for (const Mapping& row : projected.rows()) {
-        if (ps.emitted->AddRow(row)) fresh.push_back(row);
+      // A starter streams its local join's projection once, with eos, so
+      // the projection is exactly the set it emits: no dedup is needed.
+      // For a member table read in place it is kept in the store.
+      HYP_ASSIGN_OR_RETURN(
+          std::shared_ptr<const FreeTable> projected,
+          join_indexes_->GetProjection(ps.local_table, ps.local, project_to,
+                                       ComposeOptionsOf(state->spec)));
+      ps.stream_schema = projected->schema();
+      ps.any_rows = !projected->empty();
+      rows.assign(projected->rows().begin(), projected->rows().end());
+    }
+  }
+  return EmitRows(state, part_idx, std::move(rows), /*eos=*/true);
+}
+
+Status PeerNode::ProcessBatch(ParticipantState* state, size_t part_idx,
+                              const Schema& schema,
+                              std::span<const Mapping> rows, bool eos) {
+  PartState& ps = state->parts.at(part_idx);
+  if (ps.done) return Status::OK();
+
+  std::vector<Mapping> fresh;
+  if (!rows.empty()) {
+    const ComposeOptions compose = ComposeOptionsOf(state->spec);
+    FreeTable joined;
+    if (ps.local->schema().ToSet().Overlaps(schema.ToSet())) {
+      if (ps.join_index == nullptr) {
+        HYP_ASSIGN_OR_RETURN(
+            ps.join_index,
+            join_indexes_->Get(ps.local_table, ps.local, schema));
       }
-      ps.any_rows = ps.any_rows || !ps.emitted->empty();
+      HYP_ASSIGN_OR_RETURN(joined, ps.join_index->Join(schema, rows, compose));
+    } else {
+      HYP_ASSIGN_OR_RETURN(joined,
+                           ps.local->CartesianProduct(schema, rows, compose));
+    }
+    if (!joined.empty()) {
+      // Project onto what is still needed (endpoint attrs + earlier hops).
+      std::vector<std::string> project_to =
+          NamesIn(ps.needed_names, joined.schema());
+      if (project_to.empty()) {
+        // Terminal of a middle-only partition: only satisfiability
+        // matters.
+        ps.any_rows = true;
+      } else {
+        HYP_ASSIGN_OR_RETURN(FreeTable projected,
+                             joined.ProjectOnto(project_to, compose));
+        if (!ps.emitted) {
+          ps.emitted.emplace(projected.schema());
+          ps.stream_schema = projected.schema();
+        }
+        // Each fresh row is copied once, into `emitted`, and moved on.
+        for (Mapping& row : std::move(projected).TakeRows()) {
+          if (ps.emitted->AddRow(row)) fresh.push_back(std::move(row));
+        }
+        ps.any_rows = ps.any_rows || !ps.emitted->empty();
+      }
     }
   }
   return EmitRows(state, part_idx, std::move(fresh), eos);
@@ -748,15 +783,16 @@ Status PeerNode::SendBatch(ParticipantState* state, size_t part_idx,
                            std::vector<Mapping> rows, bool eos) {
   if (rows.empty() && !eos) return Status::OK();
   PartState& ps = state->parts.at(part_idx);
-  Schema schema;
-  if (ps.emitted) schema = ps.emitted->schema();
+  const Schema& schema = ps.stream_schema;
 
-  CountProto("cover.batches_sent");
-  CountProto("cover.rows_streamed", rows.size());
+  CountProto<"cover.batches_sent">();
+  CountProto<"cover.rows_streamed">(rows.size());
   if constexpr (obs::kMetricsEnabled) {
-    obs::MetricRegistry::Default()
-        .GetHistogram("cover.batch_rows", obs::SizeBounds())
-        ->Observe(static_cast<int64_t>(rows.size()));
+    // Looked up once: this runs on every batch sent.
+    static obs::Histogram* const batch_rows =
+        obs::MetricRegistry::Default().GetHistogram("cover.batch_rows",
+                                                    obs::SizeBounds());
+    batch_rows->Observe(static_cast<int64_t>(rows.size()));
   }
   TraceProto(network_, id_,
              ps.is_terminal ? "cover.final_sent" : "cover.batch_sent",
@@ -811,9 +847,13 @@ void PeerNode::OnCoverBatch(const Message& msg) {
                                  + id_ + ") does not own"));
     return;
   }
-  FreeTable incoming(batch.schema);
-  for (const Mapping& row : batch.rows) incoming.AddRow(row);
-  Status s = ProcessRows(&state, batch.partition, &incoming, batch.eos);
+  // The decoded rows are probed in place.  Every one of them passed the
+  // sending peer's `emitted` dedup (or is a row of a starter's
+  // projection) under this same schema, so they are normalized,
+  // satisfiable and distinct: adding them to a FreeTable first would
+  // drop none and reorder none.
+  Status s = ProcessBatch(&state, batch.partition, batch.schema, batch.rows,
+                          batch.eos);
   if (!s.ok()) FailSession(state.spec.id, s);
 }
 
@@ -862,7 +902,7 @@ Result<SessionId> PeerNode::StartCoverSession(
   session.y_attrs = std::move(y_attrs);
   session.opts = opts;
   session.result.stats.start_us = network_->now_us();
-  CountProto("cover.sessions_started");
+  CountProto<"cover.sessions_started">();
   TraceProto(network_, id_, "session.start", spec.id, -1, 0,
              static_cast<int64_t>(spec.path_peers.size()));
 
@@ -935,7 +975,7 @@ void PeerNode::IntegrateFinalRows(const FinalRowsMsg& final_rows) {
     if (!stats.partition_first_row_us.count(p)) {
       stats.partition_first_row_us[p] = now;
     }
-    CountProto("cover.final_rows_received", final_rows.rows.size());
+    CountProto<"cover.final_rows_received">(final_rows.rows.size());
     stats.rows_received += final_rows.rows.size();
     FreeTable& cover = session.result.partition_covers[p];
     if (cover.schema().arity() == 0) {
@@ -964,11 +1004,12 @@ void PeerNode::FinishSession(InitiatorState* session) {
   }
   SessionResult& result = session->result;
   if (session->opts.combine_partitions) {
+    // The partition covers move into the combination and back, uncopied.
     std::vector<PartitionCover> covers;
     for (size_t p = 0; p < result.partition_covers.size(); ++p) {
       PartitionCover pc;
       pc.keep_names = result.partition_keep_names[p];
-      pc.cover = result.partition_covers[p];
+      pc.cover = std::move(result.partition_covers[p]);
       pc.satisfiable = result.partition_satisfiable[p];
       covers.push_back(std::move(pc));
     }
@@ -976,6 +1017,9 @@ void PeerNode::FinishSession(InitiatorState* session) {
     engine_opts.compose = session->opts.compose;
     auto combined = CoverEngine::CombinePartitionCovers(
         covers, session->x_attrs, session->y_attrs, engine_opts);
+    for (size_t p = 0; p < covers.size(); ++p) {
+      result.partition_covers[p] = std::move(covers[p].cover);
+    }
     if (!combined.ok()) {
       result.error = combined.status();
     } else {
@@ -987,11 +1031,13 @@ void PeerNode::FinishSession(InitiatorState* session) {
     result.stats.first_row_us = result.stats.complete_us;
   }
   result.done = true;
-  CountProto("cover.sessions_completed");
+  CountProto<"cover.sessions_completed">();
   if constexpr (obs::kMetricsEnabled) {
-    obs::MetricRegistry::Default()
-        .GetHistogram("cover.session_duration_us", obs::LatencyBoundsUs())
-        ->Observe(result.stats.complete_us - result.stats.start_us);
+    static obs::Histogram* const session_duration =
+        obs::MetricRegistry::Default().GetHistogram(
+            "cover.session_duration_us", obs::LatencyBoundsUs());
+    session_duration->Observe(result.stats.complete_us -
+                              result.stats.start_us);
   }
   TraceProto(network_, id_, "session.complete", session->spec.id, -1, 0,
              static_cast<int64_t>(result.stats.rows_received));
@@ -1019,7 +1065,7 @@ void PeerNode::OnSessionDeadline(SessionId session_id) {
   InitiatorState& session = it->second;
   session.deadline_timer = 0;  // it just fired
   if (session.result.done) return;
-  CountProto("proto.session_timeouts");
+  CountProto<"proto.session_timeouts">();
   std::string detail;
   if (!session.plan_received) {
     detail = "no compute plan received (information-gathering phase)";
@@ -1046,7 +1092,7 @@ void PeerNode::ParkUnknownSession(const Message& msg) {
   parked_unknown_session_.push_back(msg);
   if (parked_unknown_session_.size() > kMaxParkedMessages) {
     parked_unknown_session_.pop_front();
-    CountProto("proto.parked_evicted");
+    CountProto<"proto.parked_evicted">();
   }
 }
 
@@ -1059,7 +1105,7 @@ void PeerNode::FailSession(SessionId id, const Status& status,
   if (part_it != participant_sessions_.end() && part_it->second.failed) {
     return;
   }
-  CountProto("cover.sessions_failed");
+  CountProto<"cover.sessions_failed">();
   TraceProto(network_, id_, "session.failed", id, -1, -1, 0,
              status.ToString());
   link_.CancelSession(id);
@@ -1103,6 +1149,17 @@ Result<const SessionResult*> PeerNode::GetResult(SessionId session) const {
                             " started at this peer");
   }
   return &it->second.result;
+}
+
+Result<SessionResult> PeerNode::TakeResult(SessionId session) {
+  auto it = initiator_sessions_.find(session);
+  if (it == initiator_sessions_.end()) {
+    return Status::NotFound("no session " + std::to_string(session) +
+                            " started at this peer");
+  }
+  SessionResult result = std::move(it->second.result);
+  initiator_sessions_.erase(it);
+  return result;
 }
 
 }  // namespace hyperion

@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -110,6 +111,12 @@ class PeerNode {
   /// \brief Result of a completed session started at this peer.
   Result<const SessionResult*> GetResult(SessionId session) const;
 
+  /// \brief Moves the result of a session started at this peer out,
+  /// and forgets the session: later messages for it are ignored, and
+  /// GetResult no longer finds it.  Call it once the session is done and
+  /// the network is quiet.
+  Result<SessionResult> TakeResult(SessionId session);
+
   /// \brief Called, on this peer's timeline, when a session started here
   /// finishes, whether it succeeded or failed.  The cover is complete at
   /// that point, so the caller may end the session at every path peer
@@ -160,7 +167,10 @@ class PeerNode {
     // sessions when `local_table` is set, built for this session
     // otherwise); every later batch only probes it.
     std::shared_ptr<const JoinIndex> join_index;
-    std::optional<FreeTable> emitted;  // dedup of rows already streamed
+    // Dedup of the rows already streamed (not kept by a starter, which
+    // streams its projection once).
+    std::optional<FreeTable> emitted;
+    Schema stream_schema;  // of the rows streamed; empty until projected
     std::unique_ptr<MappingCache> cache;
     bool any_rows = false;     // satisfiability witness seen
     bool done = false;
@@ -217,10 +227,14 @@ class PeerNode {
 
   // Starts streaming for partitions whose last hop is this peer.
   void StartPartitions(ParticipantState* state);
-  // Joins `incoming` with the local tables of partition `part_idx` and
-  // streams the results onward; pass nullptr for starter-originated rows.
-  Status ProcessRows(ParticipantState* state, size_t part_idx,
-                     const FreeTable* incoming, bool eos);
+  // Streams the projection of partition `part_idx`'s local join, with
+  // eos (this peer is its starter).
+  Status StartPartition(ParticipantState* state, size_t part_idx);
+  // Joins the batch `rows` over `schema`, read in place, with the local
+  // tables of partition `part_idx` and streams the new results onward.
+  Status ProcessBatch(ParticipantState* state, size_t part_idx,
+                      const Schema& schema, std::span<const Mapping> rows,
+                      bool eos);
   // Emits `rows` through the partition's cache toward the next peer (or
   // the initiator when terminal).
   Status EmitRows(ParticipantState* state, size_t part_idx,

@@ -14,10 +14,14 @@
 
 namespace hyperion {
 
-// Adds `n` to the protocol counter `name` in the default registry.
-inline void CountProto(const char* name, uint64_t n = 1) {
+// Adds `n` to the protocol counter `name` in the default registry,
+// through a handle looked up once per name.
+template <obs::MetricName name>
+void CountProto(uint64_t n = 1) {
   if constexpr (obs::kMetricsEnabled) {
-    obs::MetricRegistry::Default().GetCounter(name)->Add(n);
+    static obs::Counter* const counter =
+        obs::MetricRegistry::Default().GetCounter(name.text);
+    counter->Add(n);
   }
 }
 

@@ -200,7 +200,7 @@ void ReliableLink::OnTimer(const ChannelKey& key) {
   if (ch.probe_due_us <= now) {
     const uint64_t seq = ch.sends.rbegin()->first;  // the highest
     ch.probe_order = ++tx_order_;
-    CountProto("proto.probes");
+    CountProto<"proto.probes">();
     std::string detail = "to '";
     detail.append(to).append("'");
     TraceProto(network_, self_, "reliable.probe", session,
@@ -226,8 +226,8 @@ void ReliableLink::Retransmit(const ChannelKey& key, SendChannel* channel,
                               Resend cause) {
   const auto& [session, kind, partition, to] = key;
   out->attempts += 1;
-  CountProto("proto.retransmits");
-  if (cause != Resend::kTimer) CountProto("proto.fast_retransmits");
+  CountProto<"proto.retransmits">();
+  if (cause != Resend::kTimer) CountProto<"proto.fast_retransmits">();
   std::string detail = "to '";
   detail.append(to).append("' attempt ").append(
       std::to_string(out->attempts));
@@ -346,7 +346,7 @@ void ReliableLink::Admit(const Message& msg, const ChannelKey& key,
   if (seq < channel.next_seq) {
     // Retransmission of something already processed: re-ack (the first
     // ack may have been lost) and drop.
-    CountProto("net.duplicates_suppressed");
+    CountProto<"net.duplicates_suppressed">();
     SendAck(key, seq, channel.next_seq);
     return;
   }
@@ -355,7 +355,7 @@ void ReliableLink::Admit(const Message& msg, const ChannelKey& key,
     // an acked message would lose it for good.
     if (channel.parked.size() >= kMaxReorderPerChannel &&
         !channel.parked.count(seq)) {
-      CountProto("proto.reorder_dropped");
+      CountProto<"proto.reorder_dropped">();
       return;  // unacked: the sender will retransmit
     }
     channel.parked.emplace(seq, msg);

@@ -21,11 +21,15 @@ namespace hyperion {
 
 namespace {
 
-void RecordTcpCounter(const char* name, uint64_t n = 1) {
+// Adds `n` to the tcp transport counter `name`, through a handle
+// looked up once per name.
+template <obs::MetricName name>
+void RecordTcpCounter(uint64_t n = 1) {
   if constexpr (obs::kMetricsEnabled) {
-    obs::MetricRegistry::Default()
-        .GetCounter(name, {{"network", "tcp"}})
-        ->Add(n);
+    static obs::Counter* const counter =
+        obs::MetricRegistry::Default().GetCounter(name.text,
+                                                  {{"network", "tcp"}});
+    counter->Add(n);
   }
 }
 
@@ -234,7 +238,7 @@ Status TcpNetwork::Send(Message msg) {
   if (!local_dest && !remote_peers_.count(msg.to)) {
     return Status::NotFound("unknown destination peer '" + msg.to + "'");
   }
-  RecordNetworkSend("tcp", msg, bytes);
+  RecordNetworkSend<"tcp">(msg, bytes);
   stats_.messages_sent += 1;
   stats_.bytes_sent += bytes;
   stats_.messages_by_type[msg.TypeName()] += 1;
@@ -348,11 +352,11 @@ void TcpNetwork::StartConnect(OutConn* conn) {
     conn->connecting = false;
     if (conn->attempts > 0) {
       tcp_stats_.reconnects += 1;
-      RecordTcpCounter("net.tcp.reconnects");
+      RecordTcpCounter<"net.tcp.reconnects">();
     }
     conn->attempts = 0;
     tcp_stats_.connects += 1;
-    RecordTcpCounter("net.tcp.connects");
+    RecordTcpCounter<"net.tcp.connects">();
     FlushConn(conn);
     return;
   }
@@ -387,7 +391,7 @@ void TcpNetwork::AbandonConn(OutConn* conn, bool retry) {
   // loss and retransmits.
   for (OutFrame& frame : conn->queue) {
     tcp_stats_.connect_failures += 1;
-    RecordTcpCounter("net.tcp.connect_failures");
+    RecordTcpCounter<"net.tcp.connect_failures">();
     if (frame.counted) DecrementOutstanding();
   }
   conn->queue.clear();
@@ -417,8 +421,8 @@ void TcpNetwork::FlushConn(OutConn* conn) {
     }
     tcp_stats_.frames_sent += 1;
     tcp_stats_.bytes_sent += frame.bytes.size();
-    RecordTcpCounter("net.tcp.frames_sent");
-    RecordTcpCounter("net.tcp.bytes_sent", frame.bytes.size());
+    RecordTcpCounter<"net.tcp.frames_sent">();
+    RecordTcpCounter<"net.tcp.bytes_sent">(frame.bytes.size());
     // Local frames stay counted until their handler runs (the frame
     // comes back through our own listener); remote frames leave our
     // quiescence scope once the kernel has all their bytes.
@@ -586,8 +590,8 @@ void TcpNetwork::LoopThread() {
             if (!view.complete) break;
             tcp_stats_.frames_received += 1;
             tcp_stats_.bytes_received += view.consumed;
-            RecordTcpCounter("net.tcp.frames_received");
-            RecordTcpCounter("net.tcp.bytes_received", view.consumed);
+            RecordTcpCounter<"net.tcp.frames_received">();
+            RecordTcpCounter<"net.tcp.bytes_received">(view.consumed);
             Result<Message> msg = wire::DecodeMessage(view.payload);
             if (!msg.ok()) {
               corrupt = true;
@@ -603,7 +607,7 @@ void TcpNetwork::LoopThread() {
           conn.inbuf.erase(0, consumed);
           if (corrupt) {
             tcp_stats_.frames_bad += 1;
-            RecordTcpCounter("net.tcp.frames_bad");
+            RecordTcpCounter<"net.tcp.frames_bad">();
             closed = true;
           }
           if (closed) {
@@ -640,11 +644,11 @@ void TcpNetwork::LoopThread() {
             conn.connecting = false;
             if (conn.attempts > 0) {
               tcp_stats_.reconnects += 1;
-              RecordTcpCounter("net.tcp.reconnects");
+              RecordTcpCounter<"net.tcp.reconnects">();
             }
             conn.attempts = 0;
             tcp_stats_.connects += 1;
-            RecordTcpCounter("net.tcp.connects");
+            RecordTcpCounter<"net.tcp.connects">();
           }
           if (fds[i].revents & (POLLERR | POLLHUP)) {
             conn.attempts += 1;

@@ -383,13 +383,13 @@ Result<MappingTable> QueryService::RunSession(const QueryRequest& request,
   }
   HYP_RETURN_IF_ERROR(run());
   HYP_RETURN_IF_ERROR(session.status());
-  HYP_ASSIGN_OR_RETURN(const SessionResult* result,
-                       initiator.GetResult(session.value()));
-  if (!result->done) {
+  HYP_ASSIGN_OR_RETURN(SessionResult result,
+                       initiator.TakeResult(session.value()));
+  if (!result.done) {
     return Status::Internal("session did not complete after network drain");
   }
-  if (!result->error.ok()) return result->error;
-  return result->cover;
+  if (!result.error.ok()) return result.error;
+  return std::move(result.cover);
 }
 
 void QueryService::ExecuteFlight(const std::shared_ptr<Flight>& flight) {

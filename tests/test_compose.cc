@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "common/random.h"
 #include "test_util.h"
 
@@ -462,6 +464,49 @@ TEST(JoinIndexTest, CoversGroundAndVariableSharedCellsOnBothSides) {
             StatusCode::kInvalidArgument);
   EXPECT_FALSE(
       JoinIndex::Build(build, Schema::Of({Attribute::String("Z")})).ok());
+}
+
+// A peer probes a decoded batch's rows in place.  Rows that a FreeTable
+// already holds (normalized, satisfiable, distinct, as every streamed row
+// is) give the same table, in the same row order, whether they are
+// probed as a span or as the FreeTable built from them; so does the
+// Cartesian product taken when the schemas are disjoint.
+TEST(JoinIndexTest, RowSpanProbeEqualsFreeTableProbe) {
+  for (int seed = 0; seed < 20; ++seed) {
+    Rng rng(7000 + seed);
+    FreeTable fa = FreeTable::FromMappingTable(
+        RandomTable(&rng, {"A"}, {"B", "C"}, 8, 3));
+    FreeTable fb = FreeTable::FromMappingTable(
+        RandomTable(&rng, {"B"}, {"D"}, 8, 3));
+    FreeTable fe = FreeTable::FromMappingTable(
+        RandomTable(&rng, {"E"}, {"F"}, 4, 3));
+    auto index = JoinIndex::Build(fa, fb.schema());
+    ASSERT_TRUE(index.ok()) << index.status();
+    const std::vector<Mapping> decoded = fb.rows();
+    for (size_t start = 0; start <= decoded.size(); start += 3) {
+      const size_t end = std::min(decoded.size(), start + 3);
+      std::span<const Mapping> rows(decoded.data() + start, end - start);
+      FreeTable batch(fb.schema());
+      for (const Mapping& row : rows) batch.AddRow(row);
+
+      auto in_place = index.value().Join(fb.schema(), rows);
+      auto via_table = index.value().Join(batch);
+      ASSERT_TRUE(in_place.ok() && via_table.ok()) << "seed " << seed;
+      EXPECT_EQ(in_place.value().schema(), via_table.value().schema());
+      EXPECT_EQ(in_place.value().rows(), via_table.value().rows())
+          << "seed " << seed << ", rows " << start << ".." << end;
+
+      auto product_in_place = fe.CartesianProduct(fb.schema(), rows);
+      auto product_via_table = fe.CartesianProduct(batch);
+      ASSERT_TRUE(product_in_place.ok() && product_via_table.ok());
+      EXPECT_EQ(product_in_place.value().rows(),
+                product_via_table.value().rows())
+          << "seed " << seed << ", rows " << start << ".." << end;
+    }
+    // A span over another schema is refused, as a FreeTable is.
+    EXPECT_EQ(index.value().Join(fe.schema(), fe.rows()).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 class ProjectOracleTest : public ::testing::TestWithParam<int> {};

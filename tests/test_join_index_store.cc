@@ -1,7 +1,8 @@
 // JoinIndexStore: one kept index per (table name, probe schema), reused
 // only for the very table object and an equal probe schema (domains
 // included), replaced by a new table version, and never kept for a
-// private build.
+// private build; and one kept starter projection per (table name,
+// projected names, compose limits), under the same rules.
 
 #include "p2p/join_index_store.h"
 
@@ -10,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/mapping_table.h"
 #include "test_util.h"
@@ -140,6 +142,117 @@ TEST(JoinIndexStoreTest, DisjointProbeFailsLoudly) {
   auto index = store.Get("mBC", InPlace(BcTable("c")), disjoint);
   EXPECT_FALSE(index.ok());
   EXPECT_EQ(store.size(), 0u);
+}
+
+// ---- starter projections -------------------------------------------------
+
+const std::vector<std::string>& CNames() {
+  static const std::vector<std::string> names = {"C_id"};
+  return names;
+}
+
+TEST(JoinIndexStoreTest, SameTableObjectReusesItsProjection) {
+  JoinIndexStore store;
+  auto table = BcTable("c");
+  auto first = store.GetProjection("mBC", InPlace(table), CNames(), {});
+  ASSERT_TRUE(first.ok()) << first.status();
+  auto again = store.GetProjection("mBC", InPlace(table), CNames(), {});
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(first.value(), again.value());
+  EXPECT_EQ(store.projections(), 1u);
+  EXPECT_EQ(store.size(), 0u);  // projections are not indexes
+
+  // The kept projection is the one-shot ProjectOnto, row for row.
+  auto one_shot = table->free_table().ProjectOnto(CNames());
+  ASSERT_TRUE(one_shot.ok());
+  EXPECT_EQ(first.value()->schema(), one_shot.value().schema());
+  EXPECT_EQ(first.value()->rows(), one_shot.value().rows());
+  EXPECT_EQ(first.value()->size(), 3u);
+}
+
+TEST(JoinIndexStoreTest, NewTableVersionReplacesItsProjection) {
+  JoinIndexStore store;
+  auto v1 = BcTable("c");
+  auto old_projection =
+      store.GetProjection("mBC", InPlace(v1), CNames(), {}).value();
+  auto v2 = BcTable("z");
+  auto new_projection =
+      store.GetProjection("mBC", InPlace(v2), CNames(), {}).value();
+  EXPECT_NE(new_projection, old_projection);
+  EXPECT_EQ(new_projection->rows()[0],
+            Mapping::FromTuple({Value("b1z")}));
+  EXPECT_EQ(store.projections(), 1u);
+  EXPECT_EQ(store.GetProjection("mBC", InPlace(v2), CNames(), {}).value(),
+            new_projection);
+
+  // A session still on v1 keeps its projection, and with it v1.
+  std::weak_ptr<const MappingTable> v1_alive = v1;
+  v1.reset();
+  EXPECT_FALSE(v1_alive.expired());
+  EXPECT_EQ(old_projection->rows()[0], Mapping::FromTuple({Value("b1c")}));
+  old_projection.reset();
+  EXPECT_TRUE(v1_alive.expired());
+}
+
+TEST(JoinIndexStoreTest, NamesAndLimitsEachGetTheirOwnProjection) {
+  JoinIndexStore store;
+  auto table = BcTable("c");
+  auto c = store.GetProjection("mBC", InPlace(table), CNames(), {}).value();
+  const std::vector<std::string> bc = {"B_id", "C_id"};
+  const std::vector<std::string> cb = {"C_id", "B_id"};
+  auto both = store.GetProjection("mBC", InPlace(table), bc, {}).value();
+  auto swapped = store.GetProjection("mBC", InPlace(table), cb, {}).value();
+  ComposeOptions tighter;
+  tighter.max_result_rows = 10;
+  auto limited =
+      store.GetProjection("mBC", InPlace(table), CNames(), tighter).value();
+  ComposeOptions fewer_values;
+  fewer_values.materialize_limit = 16;
+  auto materialized =
+      store.GetProjection("mBC", InPlace(table), CNames(), fewer_values)
+          .value();
+  EXPECT_EQ(store.projections(), 5u);
+  for (const auto& other : {both, swapped, limited, materialized}) {
+    EXPECT_NE(other, c);
+  }
+  EXPECT_EQ(both->schema().attr(0).name(), "B_id");
+  EXPECT_EQ(swapped->schema().attr(0).name(), "C_id");
+  // Each slot serves its own lookups.
+  EXPECT_EQ(store.GetProjection("mBC", InPlace(table), cb, {}).value(),
+            swapped);
+  EXPECT_EQ(
+      store.GetProjection("mBC", InPlace(table), CNames(), tighter).value(),
+      limited);
+}
+
+TEST(JoinIndexStoreTest, PrivateProjectionIsNotKept) {
+  JoinIndexStore store;
+  auto own = std::make_shared<const FreeTable>(BcTable("c")->free_table());
+  auto first = store.GetProjection("", own, CNames(), {});
+  auto second = store.GetProjection("", own, CNames(), {});
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_NE(first.value(), second.value());
+  EXPECT_EQ(first.value()->rows(), second.value()->rows());
+  EXPECT_EQ(store.projections(), 0u);
+}
+
+TEST(JoinIndexStoreTest, ProjectionPastItsLimitsFailsAndIsNotKept) {
+  JoinIndexStore store;
+  auto table = BcTable("c");
+  ComposeOptions tiny;
+  tiny.max_result_rows = 2;  // the projection has three rows
+  auto over = store.GetProjection("mBC", InPlace(table), CNames(), tiny);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.projections(), 0u);
+  // It fails again rather than serving anything, and a lookup within
+  // the limits is unaffected.
+  EXPECT_FALSE(
+      store.GetProjection("mBC", InPlace(table), CNames(), tiny).ok());
+  auto within = store.GetProjection("mBC", InPlace(table), CNames(), {});
+  ASSERT_TRUE(within.ok()) << within.status();
+  EXPECT_EQ(within.value()->size(), 3u);
+  EXPECT_EQ(store.projections(), 1u);
 }
 
 }  // namespace

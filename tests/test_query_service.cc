@@ -604,6 +604,12 @@ uint64_t IndexBuilds() {
       ->value();
 }
 
+uint64_t ProjectionBuilds() {
+  return obs::MetricRegistry::Default()
+      .GetCounter("cover.starter_projection_builds")
+      ->value();
+}
+
 // Runs 20 sessions of the long chain, then 5 more after a curator write
 // to mBC, checking every cover against private-store peers and counting
 // the indexes built.
@@ -658,14 +664,24 @@ TEST(QueryServiceJoinIndexTest, TcpBuildsEachIndexOncePerTableVersion) {
 TEST(QueryServiceJoinIndexTest, TcpWorkersShareTheStore) {
   // Three workers run sessions at once on three tcp networks, each with
   // its own loop thread, so the store is read and filled from several
-  // threads.  The three paths share mAB and mBC under different probes.
+  // threads.  The paths share mAB and mBC under different probes.  A->D
+  // and B->D, each with and without combining (distinct requests, so
+  // none coalesce), all start at C and stream the same projection of
+  // mCD: several workers start that starter at once and share the one
+  // kept projection.  Each round after the first begins with a new mCD
+  // object of the same rows, so its projection is rebuilt and replaced
+  // while those sessions run.
   ServiceCatalog catalog = LongChainCatalog();
-  std::vector<QueryRequest> requests = {LongChainRequest(), ChainRequest()};
   QueryRequest bcd;
   bcd.path_peers = {"B", "C", "D"};
   bcd.x_attrs = {Attribute::String("B_id")};
   bcd.y_attrs = {Attribute::String("D_id")};
-  requests.push_back(bcd);
+  QueryRequest abcd_split = LongChainRequest();
+  abcd_split.options.combine_partitions = false;
+  QueryRequest bcd_split = bcd;
+  bcd_split.options.combine_partitions = false;
+  std::vector<QueryRequest> requests = {LongChainRequest(), abcd_split, bcd,
+                                        bcd_split, ChainRequest()};
   std::vector<std::string> expected;
   for (const QueryRequest& req : requests) {
     expected.push_back(PrivateStoreCoverBytes(catalog, req));
@@ -675,9 +691,15 @@ TEST(QueryServiceJoinIndexTest, TcpWorkersShareTheStore) {
   opts.cache_entries = 0;
   opts.transport = ServiceTransport::kTcp;
   QueryService service(catalog.store.get(), catalog.peers, opts);
-  for (int round = 0; round < 4; ++round) {
+  for (int round = 0; round < 6; ++round) {
+    if (round > 0) {
+      ASSERT_TRUE(catalog.store
+                      ->PutOrReplace(PairTable("mCD", "C_id", "D_id",
+                                               {{"c1", "d1"}, {"c2", "d2"}}))
+                      .ok());
+    }
     std::vector<QueryFuture> futures;
-    for (int i = 0; i < 9; ++i) {
+    for (int i = 0; i < 10; ++i) {
       auto f = service.Submit(requests[i % requests.size()]);
       ASSERT_TRUE(f.ok()) << f.status();
       futures.push_back(f.value());
@@ -689,16 +711,128 @@ TEST(QueryServiceJoinIndexTest, TcpWorkersShareTheStore) {
           << "round " << round << ", query " << i;
     }
   }
-  // Every index is kept by now: one more session per path builds none.
-  const uint64_t before = IndexBuilds();
+  // Every index and projection is kept by now: one more session per
+  // request builds none.
+  const uint64_t indexes_before = IndexBuilds();
+  const uint64_t projections_before = ProjectionBuilds();
   for (size_t i = 0; i < requests.size(); ++i) {
     QueryResponsePtr r = service.Execute(requests[i]);
     ASSERT_TRUE(r->status.ok()) << r->status;
     EXPECT_EQ(r->cover->Serialize(), expected[i]);
   }
   if constexpr (obs::kMetricsEnabled) {
-    EXPECT_EQ(IndexBuilds(), before);
+    EXPECT_EQ(IndexBuilds(), indexes_before);
+    EXPECT_EQ(ProjectionBuilds(), projections_before);
   }
+}
+
+// ---- the Hugo->MIM paths against the engine, cold and kept -------------
+
+// A copy of `table` with every other row, under the same name: a curator
+// write that changes the cover of every path through it.
+MappingTable EveryOtherRow(const MappingTable& table) {
+  MappingTable out =
+      MappingTable::Create(table.x_schema(), table.y_schema(), table.name())
+          .value();
+  for (size_t i = 0; i < table.size(); i += 2) {
+    EXPECT_TRUE(out.AddRow(table.rows()[i]).ok());
+  }
+  return out;
+}
+
+// Runs each of the seven Hugo->MIM paths through one service twice:
+// cold, then with every index and starter projection it built kept.
+// Both covers must be byte-identical to CoverEngine's cover of the same
+// tables, and the kept pass builds nothing.  Then a curator write
+// replaces one table on several paths, and both passes run again.
+void ExpectHugoMimCoversMatchTheEngine(ServiceTransport transport,
+                                       bool semijoin_filters) {
+  BioConfig bio;
+  bio.num_entities = 300;
+  auto built = BuildBioCatalog(bio);
+  ASSERT_TRUE(built.ok()) << built.status();
+  ServiceCatalog& catalog = built.value();
+  QueryServiceOptions opts;
+  opts.num_workers = 1;
+  opts.cache_entries = 0;  // every query runs a session
+  opts.transport = transport;
+  QueryService service(catalog.store.get(), catalog.peers, opts);
+  std::vector<QueryRequest> requests;
+  for (const auto& dbs : BioWorkload::HugoMimPaths()) {
+    QueryRequest req;
+    req.path_peers = dbs;
+    req.x_attrs = {Attribute::String(BioWorkload::AttrNameOf(dbs.front()))};
+    req.y_attrs = {Attribute::String(BioWorkload::AttrNameOf(dbs.back()))};
+    req.options.semijoin_filters = semijoin_filters;
+    requests.push_back(std::move(req));
+  }
+  auto run_both_passes = [&](const std::string& tables) {
+    std::vector<std::string> expected;
+    size_t rows = 0;
+    for (const QueryRequest& req : requests) {
+      MappingTable cover = CentralCover(catalog, req);
+      rows += cover.size();
+      expected.push_back(cover.Serialize());
+    }
+    EXPECT_GT(rows, 0u) << tables;
+    for (const char* pass : {"cold", "kept"}) {
+      const uint64_t indexes_before = IndexBuilds();
+      const uint64_t projections_before = ProjectionBuilds();
+      for (size_t i = 0; i < requests.size(); ++i) {
+        QueryResponsePtr r = service.Execute(requests[i]);
+        ASSERT_TRUE(r->status.ok())
+            << tables << ", " << pass << " path " << i << ": " << r->status;
+        EXPECT_EQ(r->cover->Serialize(), expected[i])
+            << tables << ", " << pass << " path " << i;
+      }
+      // With semijoin filters most local sides are private to their
+      // session, so they are built again in every pass.
+      if (obs::kMetricsEnabled && !semijoin_filters &&
+          std::string(pass) == "kept") {
+        EXPECT_EQ(IndexBuilds(), indexes_before) << tables;
+        EXPECT_EQ(ProjectionBuilds(), projections_before) << tables;
+      }
+    }
+  };
+  run_both_passes("first tables");
+
+  // GDB's table to MIM is the starter's side of paths 3 and 7, Hugo's
+  // to GDB an indexed side of paths 2 and 3: rewrite both, so a kept
+  // projection and a kept index are each replaced.
+  for (const auto& [from, to] : {std::pair<std::string, std::string>(
+                                     "GDB", "MIM"),
+                                 {"Hugo", "GDB"}}) {
+    std::string name;
+    for (const PeerSpec& spec : catalog.peers) {
+      if (spec.id == from) name = spec.tables_to.at(to).front();
+    }
+    ASSERT_FALSE(name.empty()) << from << "->" << to;
+    auto old_table = catalog.store->Get(name);
+    ASSERT_TRUE(old_table.ok()) << old_table.status();
+    ASSERT_TRUE(
+        catalog.store->PutOrReplace(EveryOtherRow(*old_table.value())).ok());
+  }
+  run_both_passes("after the curator writes");
+}
+
+TEST(QueryServiceJoinIndexTest, SimHugoMimCoversMatchTheEngineColdAndKept) {
+  ExpectHugoMimCoversMatchTheEngine(ServiceTransport::kSim,
+                                    /*semijoin_filters=*/false);
+}
+
+TEST(QueryServiceJoinIndexTest, TcpHugoMimCoversMatchTheEngineColdAndKept) {
+  ExpectHugoMimCoversMatchTheEngine(ServiceTransport::kTcp,
+                                    /*semijoin_filters=*/false);
+}
+
+TEST(QueryServiceJoinIndexTest, SimHugoMimSemijoinCoversMatchTheEngine) {
+  ExpectHugoMimCoversMatchTheEngine(ServiceTransport::kSim,
+                                    /*semijoin_filters=*/true);
+}
+
+TEST(QueryServiceJoinIndexTest, TcpHugoMimSemijoinCoversMatchTheEngine) {
+  ExpectHugoMimCoversMatchTheEngine(ServiceTransport::kTcp,
+                                    /*semijoin_filters=*/true);
 }
 
 // ---- CoverCache unit behaviour ------------------------------------------

@@ -879,6 +879,7 @@ int CmdNode(std::vector<std::string> args) {
                    "  join <id> <host:port>    add a storage node (rebalance)\n"
                    "  decommission <id>        retire a storage node\n"
                    "  epoch                    committed/pending ring epoch\n"
+                   "  handoffs                 rows each node installed per gained shard\n"
                    "  members                  membership states\n"
                    "  waitalive [timeout_ms]   block until all peers alive\n"
                    "  shards                   per-shard fetch accounting\n"
@@ -993,6 +994,22 @@ int CmdNode(std::vector<std::string> args) {
       }
       continue;
     }
+    if (verb == "handoffs") {
+      // `handoff <node> shard <s> rows <n>` per shard a node gained by a
+      // handoff — the rebalance drill polls for a joiner's non-zero rows.
+      // Built from the acks themselves, so metrics-off builds print it.
+      size_t shown = 0;
+      for (const auto& [target, shards] :
+           node.value()->HandoffRowsInstalled()) {
+        for (const auto& [shard, rows] : shards) {
+          std::cout << "handoff " << target << " shard " << shard
+                    << " rows " << rows << "\n";
+          ++shown;
+        }
+      }
+      std::cout << "end handoffs (" << shown << ")\n";
+      continue;
+    }
     if (verb == "members") {
       for (const cluster::MemberInfo& m :
            node.value()->membership().Snapshot()) {
@@ -1030,8 +1047,8 @@ int CmdNode(std::vector<std::string> args) {
       continue;
     }
     if (verb == "counters") {
-      // `counters cluster.rebalance` — the rebalance drill polls these
-      // to assert rows actually shipped during a handoff.
+      // `counters cluster.rebalance`: the registry's counters by prefix
+      // (all zero in a -DHYPERION_METRICS=OFF build).
       std::string prefix;
       in >> prefix;
       obs::MetricsSnapshot snap = obs::MetricRegistry::Default().Snapshot();
