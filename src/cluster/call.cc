@@ -230,6 +230,10 @@ void CallTable::Finish(CallId id, CallEnd end, const std::string& why,
 
 void CallTable::Cancel(CallId id) { Remove(id); }
 
+std::shared_ptr<CallWaiter> CallTable::Waiter(size_t calls) const {
+  return std::make_shared<CallWaiter>(net_, calls);
+}
+
 bool CallTable::Busy(const std::string& key) const {
   MutexLock lock(mu_);
   for (const auto& [id, call] : calls_) {
@@ -266,10 +270,21 @@ void CallWaiter::Poke() {
   cv_.NotifyAll();
 }
 
-void CallWaiter::Wait() {
+Status CallWaiter::Wait() {
+  // mu_ is a leaf: it is released while the network dispatches, since
+  // the handlers that record outcomes take it.
+  HYP_RETURN_IF_ERROR(net_->Await(
+      [this] {
+        MutexLock lock(mu_);
+        return events_ != seen_;
+      },
+      [this] {
+        MutexLock lock(mu_);
+        cv_.Wait(mu_, [this]() REQUIRES(mu_) { return events_ != seen_; });
+      }));
   MutexLock lock(mu_);
-  cv_.Wait(mu_, [this]() REQUIRES(mu_) { return events_ != seen_; });
   seen_ = events_;
+  return Status::OK();
 }
 
 std::optional<CallOutcome> CallWaiter::Take(size_t i) {

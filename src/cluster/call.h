@@ -31,10 +31,12 @@
 // `rounds` 0 sends nothing: it is a pure timer that ends at its deadline.
 //
 // Threading: Start() is callable from any thread; Deliver() and the
-// timers run on the network's handler thread.  The table's mutex is a
-// leaf (DESIGN.md §12): it is never held across Send(), ScheduleTimer(),
-// CancelTimer() or a user callback — except `accept`, which runs under
-// it and so must only inspect the reply.
+// timers run on the network's handler thread.  A blocking caller waits
+// for its calls on a CallWaiter, which lets the network pick the wait:
+// a condition variable on tcp, dispatching the simulation on sim.  The
+// table's mutex is a leaf (DESIGN.md §12): it is never held across
+// Send(), ScheduleTimer(), CancelTimer() or a user callback — except
+// `accept`, which runs under it and so must only inspect the reply.
 
 #ifndef HYPERION_CLUSTER_CALL_H_
 #define HYPERION_CLUSTER_CALL_H_
@@ -94,6 +96,8 @@ struct CallSpec {
   std::function<void(CallOutcome)> done;  // optional
 };
 
+class CallWaiter;
+
 /// \brief Per-node table of live calls.
 class CallTable {
  public:
@@ -125,6 +129,9 @@ class CallTable {
 
   const std::string& self() const { return self_; }
   int64_t now_us() const { return net_->now_us(); }
+
+  /// \brief A waiter for `calls` outcomes of calls on this table.
+  std::shared_ptr<CallWaiter> Waiter(size_t calls) const;
 
  private:
   struct Call {
@@ -171,7 +178,8 @@ class CallTable {
 /// gave up, so the waiter lives in a shared_ptr they capture.
 class CallWaiter {
  public:
-  explicit CallWaiter(size_t calls) : results_(calls) {}
+  /// \brief Waits on `net`, the network the calls run on.
+  CallWaiter(Network* net, size_t calls) : net_(net), results_(calls) {}
 
   /// \brief A `done` callback recording call `i`'s outcome.
   static std::function<void(CallOutcome)> Recorder(
@@ -181,15 +189,20 @@ class CallWaiter {
   /// on membership must be re-checked).
   void Poke();
 
-  /// \brief Blocks until an outcome was recorded or Poke() ran since the
-  /// previous Wait() returned.  One waiting thread only.
-  void Wait();
+  /// \brief Returns once an outcome was recorded or Poke() ran since the
+  /// previous Wait() returned.  One waiting thread only, and never a
+  /// handler of the network.  The network decides how to wait
+  /// (Network::Await): tcp blocks on a condition variable its loop
+  /// thread signals; sim dispatches events on this thread until then,
+  /// and fails if it drains first.
+  Status Wait();
 
   /// \brief Call `i`'s outcome, moved out on the first Take after it
   /// ended (nullopt while it runs, and once taken).
   std::optional<CallOutcome> Take(size_t i);
 
  private:
+  Network* const net_;
   Mutex mu_;
   CondVar cv_;
   uint64_t events_ GUARDED_BY(mu_) = 0;

@@ -14,8 +14,8 @@
 //  * pending — the placement a transition is converging toward, one
 //    epoch above committed.  While pending exists, writes fan out to the
 //    UNION of committed and pending owners (write_path.h) and new owners
-//    pull handoff snapshots of their gained shards (node.h); reads stay
-//    on committed owners throughout, which is what keeps covers
+//    pull handoff snapshots of their gained shards (rebalance.h); reads
+//    stay on committed owners throughout, which is what keeps covers
 //    byte-identical across the transition.  Commit() promotes pending
 //    atomically once the coordinator has seen every gained shard caught
 //    up.
@@ -31,7 +31,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "cluster/shard_ring.h"
 #include "common/synchronization.h"
@@ -80,6 +83,20 @@ class PlacementState {
   bool HasPending() const {
     MutexLock lock(mu_);
     return pending_ != nullptr;
+  }
+
+  /// \brief The shards `node` replicates under the committed ring or,
+  /// mid-transition, the pending one.
+  std::set<uint64_t> ShardsOwnedBy(const std::string& node) const {
+    const Snapshot committed = Committed();
+    const Snapshot pending = Pending();
+    std::vector<uint64_t> shards = committed.ring->ShardsOwnedBy(node);
+    std::set<uint64_t> owned(shards.begin(), shards.end());
+    if (pending.ring != nullptr) {
+      shards = pending.ring->ShardsOwnedBy(node);
+      owned.insert(shards.begin(), shards.end());
+    }
+    return owned;
   }
 
   /// \brief Starts a transition toward `ring` at `epoch` (must exceed

@@ -75,14 +75,14 @@ Result<VersionedTable> ClusterTableSource::Fetch(
                      name + " (attempt " + std::to_string(attempt + 1) + ")");
     // The adoption travels on heartbeats; give one a moment to land (a
     // zero-round call is a pure timer).
-    auto waiter = std::make_shared<CallWaiter>(1);
+    auto waiter = calls_->Waiter(1);
     CallSpec pause;
     pause.phase = "epoch refetch of table '" + name + "'";
     pause.rounds = 0;
     pause.deadline_us = std::max<int64_t>(options_.backoff_base_us, 1);
     pause.done = CallWaiter::Recorder(waiter, 0);
     calls_->Start(std::move(pause));
-    waiter->Wait();
+    HYP_RETURN_IF_ERROR(waiter->Wait());
     std::optional<CallOutcome> paused = waiter->Take(0);
     if (paused->end == CallEnd::kAborted) return paused->status;
   }
@@ -113,7 +113,7 @@ Result<VersionedTable> ClusterTableSource::FetchOnce(
   // already marked down are skipped — they only reappear in the error if
   // the live set fails too (a shard whose replicas are all down is
   // exhausted at once, after 0 attempts).
-  auto waiter = std::make_shared<CallWaiter>(shard_count);
+  auto waiter = calls_->Waiter(shard_count);
   std::vector<CallTable::CallId> calls;
   std::vector<std::vector<std::string>> skipped_down(shard_count);
   for (uint64_t s = 0; s < shard_count; ++s) {
@@ -189,7 +189,7 @@ Result<VersionedTable> ClusterTableSource::FetchOnce(
   std::vector<CallOutcome> replies(shard_count);
   Status failure;
   for (uint64_t answered = 0; failure.ok() && answered < shard_count;) {
-    waiter->Wait();
+    failure = waiter->Wait();
     for (uint64_t s = 0; s < shard_count && failure.ok(); ++s) {
       std::optional<CallOutcome> ended = waiter->Take(s);
       if (!ended.has_value()) continue;

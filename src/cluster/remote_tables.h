@@ -42,8 +42,10 @@
 //
 // Threading: Fetch() blocks the calling service worker until its calls
 // complete; they run on the network's event-loop thread, as does
-// OnMemberDown() (the membership sweep timer).  The internal mutex guards
-// only the cache and stats and is a leaf (DESIGN.md §12).
+// OnMemberDown() (the membership sweep timer).  On SimNetwork the
+// blocked caller dispatches the simulation itself (CallWaiter).  The
+// internal mutex guards only the cache and stats and is a leaf
+// (DESIGN.md §12).
 
 #ifndef HYPERION_CLUSTER_REMOTE_TABLES_H_
 #define HYPERION_CLUSTER_REMOTE_TABLES_H_

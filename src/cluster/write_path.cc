@@ -310,7 +310,7 @@ Result<ClusterTableSink::WriteReport> ClusterTableSink::Apply(
     }
   }
 
-  auto waiter = std::make_shared<CallWaiter>(deliveries.size());
+  auto waiter = calls_->Waiter(deliveries.size());
   {
     MutexLock lock(mu_);
     active_ = waiter;
@@ -421,7 +421,8 @@ Result<ClusterTableSink::WriteReport> ClusterTableSink::Apply(
                                     unacked);
     }
     if (quorate || !failure.ok()) break;
-    waiter->Wait();
+    failure = waiter->Wait();
+    if (!failure.ok()) break;
   }
   {
     MutexLock lock(mu_);

@@ -114,14 +114,33 @@ FreeTable FreeTable::FromMappingTable(const MappingTable& table) {
 }
 
 Result<MappingTable> FreeTable::ToMappingTable(
-    const std::vector<std::string>& x_names, std::string name) const {
+    const std::vector<std::string>& x_names, std::string name,
+    const std::vector<std::string>& y_names) const {
   HYP_ASSIGN_OR_RETURN(std::vector<size_t> x_positions,
                        schema_.PositionsOf(x_names));
   std::vector<bool> is_x(schema_.arity(), false);
   for (size_t p : x_positions) is_x[p] = true;
   std::vector<size_t> y_positions;
-  for (size_t i = 0; i < schema_.arity(); ++i) {
-    if (!is_x[i]) y_positions.push_back(i);
+  if (y_names.empty()) {
+    for (size_t i = 0; i < schema_.arity(); ++i) {
+      if (!is_x[i]) y_positions.push_back(i);
+    }
+  } else {
+    HYP_ASSIGN_OR_RETURN(y_positions, schema_.PositionsOf(y_names));
+    std::vector<bool> taken = is_x;
+    for (size_t p : y_positions) {
+      if (taken[p]) {
+        return Status::InvalidArgument("ToMappingTable: column '" +
+                                       schema_.attr(p).name() +
+                                       "' named twice");
+      }
+      taken[p] = true;
+    }
+    if (std::find(taken.begin(), taken.end(), false) != taken.end()) {
+      return Status::InvalidArgument(
+          "ToMappingTable: X and Y leave a column of " + schema_.ToString() +
+          " out");
+    }
   }
   HYP_ASSIGN_OR_RETURN(
       MappingTable table,

@@ -280,14 +280,13 @@ Result<MappingTable> CoverEngine::CombinePartitionCovers(
   if (acc == nullptr) {
     return Status::Internal("cover combination produced no attributes");
   }
-  // Order columns X then Y and split.
-  std::vector<std::string> order = x_names;
-  order.insert(order.end(), y_names.begin(), y_names.end());
-  HYP_ASSIGN_OR_RETURN(FreeTable ordered, acc->ProjectOnto(order, opts.compose));
+  // The product's columns are exactly X ∪ Y, so ordering them X ++ Y is
+  // a permutation, which the split does in the same pass.
   if (opts.minimize) {
-    HYP_ASSIGN_OR_RETURN(ordered, RemoveSubsumedRows(ordered));
+    HYP_ASSIGN_OR_RETURN(product, RemoveSubsumedRows(*acc));
+    acc = &product;
   }
-  return ordered.ToMappingTable(x_names, "cover");
+  return acc->ToMappingTable(x_names, "cover", y_names);
 }
 
 Result<MappingTable> CoverEngine::ComputeCover(

@@ -72,9 +72,12 @@ class FreeTable {
 
   /// \brief Splits the schema into the `x_names` attributes and the rest
   /// to produce a mapping table.  Fails when a name is missing or when
-  /// either side would be empty.  Rows are reordered to X ++ Y.
-  Result<MappingTable> ToMappingTable(const std::vector<std::string>& x_names,
-                                      std::string name = "") const;
+  /// either side would be empty.  Rows are reordered to X ++ Y, Y in
+  /// schema order — or in `y_names` order when given, which must then
+  /// name exactly the columns X leaves.
+  Result<MappingTable> ToMappingTable(
+      const std::vector<std::string>& x_names, std::string name = "",
+      const std::vector<std::string>& y_names = {}) const;
 
   /// \brief Natural join on attributes shared by name.  The output schema
   /// is this schema followed by `other`'s non-shared attributes.  The two

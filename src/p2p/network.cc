@@ -155,15 +155,36 @@ void SimNetwork::RunOnPeer(const std::string& peer, int64_t start,
 }
 
 Result<int64_t> SimNetwork::Run() {
-  [[maybe_unused]] obs::Histogram* delivery_us = nullptr;
-  [[maybe_unused]] obs::Histogram* queue_depth = nullptr;
-  if constexpr (obs::kMetricsEnabled) {
-    obs::MetricRegistry& reg = obs::MetricRegistry::Default();
-    delivery_us = reg.GetHistogram("sim.delivery_latency_us",
-                                   obs::LatencyBoundsUs());
-    queue_depth = reg.GetHistogram("sim.queue_depth", obs::SizeBounds());
+  HYP_RETURN_IF_ERROR(RunUntil(nullptr, kNoDeadline).status());
+  return clock_us_;
+}
+
+Status SimNetwork::Await(const std::function<bool()>& ready,
+                         const std::function<void()>& block) {
+  (void)block;
+  HYP_ASSIGN_OR_RETURN(bool done, RunUntil(ready, kNoDeadline));
+  if (!done) {
+    return Status::FailedPrecondition(
+        "simulation drained while a caller still waits");
   }
-  while (!queue_.empty()) {
+  return Status::OK();
+}
+
+Result<bool> SimNetwork::RunUntil(const std::function<bool()>& pred,
+                                  int64_t deadline_us) {
+  if (in_handler_) {
+    return Status::FailedPrecondition(
+        "cannot run the simulation from inside a handler of peer '" +
+        current_peer_ + "'");
+  }
+  auto done = [&pred] { return pred != nullptr && pred(); };
+  while (!done()) {
+    if (queue_.empty() || queue_.top().time > deadline_us) {
+      if (deadline_us != kNoDeadline) {
+        clock_us_ = std::max(clock_us_, deadline_us);
+      }
+      return false;
+    }
     Event ev = queue_.top();
     queue_.pop();
     if (ev.timer_id != 0) {
@@ -187,6 +208,9 @@ Result<int64_t> SimNetwork::Run() {
       continue;
     }
     if constexpr (obs::kMetricsEnabled) {
+      static obs::Histogram* const queue_depth =
+          obs::MetricRegistry::Default().GetHistogram("sim.queue_depth",
+                                                      obs::SizeBounds());
       queue_depth->Observe(static_cast<int64_t>(queue_.size()) + 1);
     }
     auto peer_it = peers_.find(ev.msg.to);
@@ -202,12 +226,15 @@ Result<int64_t> SimNetwork::Run() {
     if constexpr (obs::kMetricsEnabled) {
       // Virtual time from send to processing start: models what the
       // paper's distributed deployment would observe per hop.
+      static obs::Histogram* const delivery_us =
+          obs::MetricRegistry::Default().GetHistogram(
+              "sim.delivery_latency_us", obs::LatencyBoundsUs());
       delivery_us->Observe(start - ev.depart);
     }
     RunOnPeer(ev.msg.to, start, options_.per_message_overhead_us,
               [&] { peer_it->second(ev.msg); });
   }
-  return clock_us_;
+  return true;
 }
 
 }  // namespace hyperion

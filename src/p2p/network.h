@@ -59,6 +59,10 @@ class SimNetwork : public Network {
     double compute_scale = 1.0;
   };
 
+  /// RunUntil's deadline for "until the predicate holds or the queue
+  /// drains".
+  static constexpr int64_t kNoDeadline = INT64_MAX;
+
   SimNetwork();  // default options
   explicit SimNetwork(Options options) : options_(options) {}
 
@@ -88,8 +92,26 @@ class SimNetwork : public Network {
   void SetFaultPlan(FaultPlan plan) override;
 
   /// \brief Dispatches events until the queue drains.  Returns the final
-  /// virtual time.
+  /// virtual time.  The no-predicate, no-deadline case of RunUntil.
   Result<int64_t> Run();
+
+  /// \brief Dispatches events in virtual-time order until `pred()` holds
+  /// (checked before every event; null never holds), the queue drains,
+  /// or the next event is due after `deadline_us` — the clock then
+  /// stands at `deadline_us`.  Returns pred()'s final value.  Protocols
+  /// that re-arm timers forever (cluster heartbeats) never drain, so
+  /// they run to a predicate or a deadline instead of Run().  Called from
+  /// inside a handler it fails with FailedPrecondition: the handler's own
+  /// event is mid-dispatch, and pumping would recurse into it.
+  Result<bool> RunUntil(const std::function<bool()>& pred,
+                        int64_t deadline_us);
+
+  /// \brief Nothing else runs this network, so the waiting caller
+  /// dispatches events itself until `ready()` holds; `block` is never
+  /// called.  Fails when the queue drains first (nothing could ever make
+  /// `ready()` hold) or when called from inside a handler.
+  Status Await(const std::function<bool()>& ready,
+               const std::function<void()>& block) override;
 
   /// \brief Virtual clock (µs).  During a handler this is the handling
   /// peer's current time (processing start + compute charged so far).

@@ -190,6 +190,20 @@ class Network {
   /// \brief Zeroes the traffic counters (bench harnesses reset between
   /// sessions; TcpNetwork otherwise accumulates forever).
   virtual void ResetStats() = 0;
+
+  /// \brief Blocks a thread that runs none of this network's handlers
+  /// until `ready()` holds.  `block` parks the caller until a handler
+  /// made `ready()` hold (a condition-variable wait the handler
+  /// signals).  Where the network's own thread runs the handlers
+  /// (TcpNetwork) that is all there is to do, so this default calls
+  /// `block` once.  SimNetwork runs only when driven and overrides it to
+  /// dispatch events on the caller's thread instead.
+  virtual Status Await(const std::function<bool()>& ready,
+                       const std::function<void()>& block) {
+    (void)ready;
+    block();
+    return Status::OK();
+  }
 };
 
 /// \brief Records one send into the default MetricRegistry

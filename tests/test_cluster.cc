@@ -24,6 +24,7 @@
 #include "service/catalogs.h"
 #include "storage/shard_split.h"
 #include "storage/table_store.h"
+#include "test_util.h"
 
 namespace hyperion {
 namespace cluster {
@@ -423,10 +424,8 @@ TEST_F(ShardSplitTest, SliceStoreRestrictsToOwnedShards) {
 
 // --- in-process three-node cluster over loopback TCP ---------------------
 
-class ClusterE2ETest : public ::testing::Test {
+class ClusterE2ETest : public testing_util::ClusterTest {
  protected:
-  // Storage nodes bind ephemeral ports first; the coordinator then gets
-  // a resolved config — the same handshake tools/run_cluster.sh uses.
   void StartCluster(uint64_t fetch_timeout_ms, uint64_t replication = 1,
                     size_t num_storage = 2,
                     uint64_t replica_timeout_ms = 1000) {
@@ -444,65 +443,12 @@ class ClusterE2ETest : public ::testing::Test {
     seed.fetch_attempts = 2;
     seed.fetch_backoff_ms = 20;
     seed.nodes = {{"coord", NodeRole::kCoordinator, "127.0.0.1", 0}};
-    std::vector<std::string> store_ids;
     for (size_t i = 1; i <= num_storage; ++i) {
-      store_ids.push_back("s" + std::to_string(i));
-      seed.nodes.push_back({store_ids.back(), NodeRole::kStorage,
+      seed.nodes.push_back({"s" + std::to_string(i), NodeRole::kStorage,
                             "127.0.0.1", 0});
     }
-
-    for (const std::string& id : store_ids) {
-      auto catalog = BuildBioCatalog(bio);
-      ASSERT_TRUE(catalog.ok());
-      auto node = ClusterNode::Create(seed, id,
-                                      std::move(*catalog.value().store));
-      ASSERT_TRUE(node.ok()) << node.status();
-      ASSERT_TRUE(node.value()->Bind().ok());
-      storage_.push_back(std::move(node).value());
-    }
-
-    ClusterConfig resolved = seed;
-    for (auto& node : resolved.nodes) {
-      for (const auto& storage : storage_) {
-        if (storage->self().id == node.id) {
-          auto port = storage->ListenPort();
-          ASSERT_TRUE(port.ok());
-          node.port = port.value();
-        }
-      }
-    }
-    for (const auto& storage : storage_) {
-      ASSERT_TRUE(storage->Start().ok());
-    }
-
-    auto catalog = BuildBioCatalog(bio);
-    ASSERT_TRUE(catalog.ok());
-    reference_ = std::move(catalog.value().store);
-    auto coord = ClusterNode::Create(resolved, "coord", TableStore());
-    ASSERT_TRUE(coord.ok()) << coord.status();
-    ASSERT_TRUE(coord.value()->Bind().ok());
-    ASSERT_TRUE(coord.value()->Start().ok());
-    coord_ = std::move(coord).value();
-    ASSERT_TRUE(coord_->WaitAllAlive(15'000'000))
-        << "cluster did not become fully alive";
+    ASSERT_NO_FATAL_FAILURE(StartNodes(seed, bio));
   }
-
-  void TearDown() override {
-    if (coord_) coord_->Stop();
-    for (auto& storage : storage_) storage->Stop();
-  }
-
-  // Simulates a crash of `node`: its listener and event loop stop, so
-  // the coordinator's next send fails or times out.
-  void StopStorageNode(const std::string& node) {
-    for (auto& storage : storage_) {
-      if (storage->self().id == node) storage->Stop();
-    }
-  }
-
-  std::vector<std::unique_ptr<ClusterNode>> storage_;
-  std::unique_ptr<ClusterNode> coord_;
-  std::unique_ptr<TableStore> reference_;
 };
 
 TEST_F(ClusterE2ETest, FetchedTablesAreByteIdenticalToLocalStore) {
@@ -594,6 +540,33 @@ TEST_F(ClusterE2ETest, DeadStorageNodeIsLoudlyAttributed) {
   EXPECT_NE(got.status().message().find("'" + victim + "'"),
             std::string::npos)
       << "error does not name the dead node: " << got.status();
+}
+
+// The traced cluster-rw invariant (perfbench's
+// cluster.attempts_per_shard_fetch): on a loss-free cluster every shard
+// fetch is answered by its first attempt — no reroute, no hedge, no
+// retry.  The replica timeout is far above any loopback round trip, so
+// only a protocol fault can send a second attempt.
+TEST_F(ClusterE2ETest, OneAttemptPerShardFetchWhenLossFree) {
+  if constexpr (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  StartCluster(/*fetch_timeout_ms=*/60'000, /*replication=*/2,
+               /*num_storage=*/3, /*replica_timeout_ms=*/30'000);
+  obs::MetricRegistry& reg = obs::MetricRegistry::Default();
+  const uint64_t attempts0 =
+      reg.GetCounter("cluster.replica.attempts")->value();
+  const uint64_t fetches0 = reg.GetCounter("cluster.shard_fetches")->value();
+  for (int round = 0; round < 3; ++round) {
+    coord_->table_source()->Evict();
+    for (const std::string& name : reference_->Names()) {
+      auto got = coord_->table_source()->Fetch(name);
+      ASSERT_TRUE(got.ok()) << name << ": " << got.status();
+    }
+  }
+  const uint64_t fetches =
+      reg.GetCounter("cluster.shard_fetches")->value() - fetches0;
+  EXPECT_EQ(fetches, 3 * reference_->Names().size() * 2);
+  EXPECT_EQ(reg.GetCounter("cluster.replica.attempts")->value() - attempts0,
+            fetches);
 }
 
 // --- replication=2 failover ----------------------------------------------

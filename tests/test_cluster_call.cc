@@ -1,5 +1,7 @@
-// The cluster's request engine (cluster/call.h), driven on SimNetwork's
-// virtual clock: every timing below is exact and replays from scratch.
+// The cluster's request engine (cluster/call.h), its blocking waiter and
+// the node's periodic timers (cluster/periodic.h), driven on
+// SimNetwork's virtual clock: every timing below is exact and replays
+// from scratch.
 // The last test drives it through a real coordinator on TCP to check
 // that Stop() releases a blocked Fetch.
 
@@ -9,6 +11,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -16,6 +19,7 @@
 
 #include "cluster/cluster_config.h"
 #include "cluster/node.h"
+#include "cluster/periodic.h"
 #include "p2p/network.h"
 #include "p2p/tcp_network.h"
 #include "storage/table_store.h"
@@ -285,6 +289,71 @@ TEST_F(ClusterCallTest, RefusedTimerFailsTheCallLoudly) {
       << status_;
   EXPECT_NE(status_.message().find("during test call"), std::string::npos)
       << status_;
+}
+
+// A blocked caller on sim dispatches the simulation itself until its
+// call ends, at the exact virtual time the reply lands.
+TEST_F(ClusterCallTest, WaiterDispatchesTheSimulationUntilAnOutcome) {
+  AddReplica("a", 0);
+  auto waiter = calls_->Waiter(1);
+  CallSpec spec = Spec({"a"});
+  spec.done = CallWaiter::Recorder(waiter, 0);
+  calls_->Start(std::move(spec));
+  ASSERT_TRUE(waiter->Wait().ok());
+  EXPECT_EQ(net_->now_us(), 2 * kHop);
+  std::optional<CallOutcome> outcome = waiter->Take(0);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->end, CallEnd::kReplied);
+  EXPECT_FALSE(waiter->Take(0).has_value());
+}
+
+// With nothing left to dispatch, no outcome can ever arrive: the wait
+// fails instead of hanging.
+TEST_F(ClusterCallTest, WaiterFailsWhenTheSimulationDrains) {
+  auto waiter = calls_->Waiter(1);
+  Status waited = waiter->Wait();
+  EXPECT_EQ(waited.code(), StatusCode::kFailedPrecondition) << waited;
+}
+
+// The periods a node arms (heartbeat, sweep, repair) tick at exact
+// multiples of their period on the node's timeline, and one Stop()
+// cancels them all.
+TEST_F(ClusterCallTest, PeriodicTimersTickOnTheVirtualClockUntilStopped) {
+  ASSERT_TRUE(net_->RunUntil(nullptr, 100'000).ok());
+  PeriodicTimers timers("coord", net_.get());
+  std::vector<std::pair<int64_t, char>> ticks;
+  const int64_t t0 = net_->now_us();
+  timers.Every(5'000, [&] { ticks.push_back({net_->now_us() - t0, 'a'}); });
+  timers.Every(3'000, [&] { ticks.push_back({net_->now_us() - t0, 'b'}); });
+  // A sub-millisecond period is held to 1 ms.
+  int fast = 0;
+  timers.Every(10, [&] { ++fast; });
+  EXPECT_TRUE(net_->RunUntil(nullptr, t0 + 10'000).ok());
+  EXPECT_EQ(ticks, (std::vector<std::pair<int64_t, char>>{
+                       {3'000, 'b'}, {5'000, 'a'}, {6'000, 'b'},
+                       {9'000, 'b'}, {10'000, 'a'}}));
+  EXPECT_EQ(fast, 10);
+  timers.Stop();
+  // Nothing is armed any more, so the simulation drains at once.
+  auto end = net_->Run();
+  ASSERT_TRUE(end.ok());
+  EXPECT_EQ(end.value(), t0 + 10'000);
+  EXPECT_EQ(ticks.size(), 5u);
+}
+
+// A tick that stops the timers (as a handler racing Stop() would) does
+// not re-arm its own period.
+TEST_F(ClusterCallTest, PeriodicTickThatStopsDoesNotRearm) {
+  PeriodicTimers timers("coord", net_.get());
+  int ticks = 0;
+  timers.Every(2'000, [&] {
+    ++ticks;
+    timers.Stop();
+  });
+  auto end = net_->Run();
+  ASSERT_TRUE(end.ok());
+  EXPECT_EQ(ticks, 1);
+  EXPECT_EQ(end.value(), 2'000);
 }
 
 // Stop() must release a Fetch blocked on a replica that never answers,

@@ -118,6 +118,23 @@ TEST(FreeTableTest, ToMappingTableSplitsAndReorders) {
   EXPECT_FALSE(t.ToMappingTable({"Z"}).ok());
 }
 
+// With Y named, Y keeps that order, and X and Y must split the schema
+// exactly.
+TEST(FreeTableTest, ToMappingTableOrdersYAsNamed) {
+  FreeTable t(Schema::Of({Attribute::String("B"), Attribute::String("X"),
+                          Attribute::String("A")}));
+  t.AddRow(Mapping::FromTuple({Value("b1"), Value("x1"), Value("a1")}));
+  auto table = t.ToMappingTable({"X"}, "cover", {"A", "B"});
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_EQ(table.value().x_schema().ToString(), "(X)");
+  EXPECT_EQ(table.value().y_schema().ToString(), "(A, B)");
+  EXPECT_TRUE(
+      table.value().SatisfiesTuple({Value("x1"), Value("a1"), Value("b1")}));
+  EXPECT_FALSE(t.ToMappingTable({"X"}, "", {"A"}).ok());        // B left out
+  EXPECT_FALSE(t.ToMappingTable({"X"}, "", {"A", "X"}).ok());   // X twice
+  EXPECT_FALSE(t.ToMappingTable({"X"}, "", {"A", "Z"}).ok());   // no Z
+}
+
 TEST(FreeTableJoinTest, GroundEquiJoin) {
   FreeTable ab(Schema::Of({Attribute::String("A"), Attribute::String("B")}));
   ab.AddRow(Mapping::FromTuple({Value("a1"), Value("b1")}));

@@ -338,5 +338,104 @@ TEST(SimNetworkTest, CrashWindowDiscardsDeliveriesAndTimersUntilRestart) {
   EXPECT_EQ(net.stats().crash_discards, 2u);
 }
 
+// A timer that re-arms forever: Run() would never return, RunUntil
+// stops at the predicate or the deadline.
+void Tick(SimNetwork& net, int* ticks) {
+  ASSERT_TRUE(net.ScheduleTimer("a", 1000, [&net, ticks] {
+                    ++*ticks;
+                    Tick(net, ticks);
+                  })
+                  .ok());
+}
+
+// No compute charge: the timelines are exact.
+SimNetwork Exact() {
+  return SimNetwork(testing_util::SimChain::Options(100, 0));
+}
+
+TEST(SimNetworkTest, RunUntilStopsAtThePredicate) {
+  SimNetwork net = Exact();
+  ASSERT_TRUE(net.RegisterPeer("a", [](const Message&) {}).ok());
+  int ticks = 0;
+  Tick(net, &ticks);
+  auto done = net.RunUntil([&] { return ticks == 3; }, 1'000'000);
+  ASSERT_TRUE(done.ok()) << done.status();
+  EXPECT_TRUE(done.value());
+  EXPECT_EQ(ticks, 3);
+  EXPECT_EQ(net.now_us(), 3000);
+  // Already true: nothing runs.
+  done = net.RunUntil([&] { return ticks == 3; }, 1'000'000);
+  ASSERT_TRUE(done.ok());
+  EXPECT_TRUE(done.value());
+  EXPECT_EQ(net.now_us(), 3000);
+}
+
+TEST(SimNetworkTest, RunUntilDeadlineLeavesTheClockAtTheDeadline) {
+  SimNetwork net = Exact();
+  ASSERT_TRUE(net.RegisterPeer("a", [](const Message&) {}).ok());
+  int ticks = 0;
+  Tick(net, &ticks);
+  auto done = net.RunUntil(nullptr, 4500);
+  ASSERT_TRUE(done.ok()) << done.status();
+  EXPECT_FALSE(done.value());
+  EXPECT_EQ(ticks, 4);
+  EXPECT_EQ(net.now_us(), 4500);
+  // An event due exactly at the deadline runs.
+  done = net.RunUntil(nullptr, 5000);
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(ticks, 5);
+  EXPECT_EQ(net.now_us(), 5000);
+}
+
+TEST(SimNetworkTest, RunUntilReportsADrainedQueue) {
+  SimNetwork net = Exact();
+  ASSERT_TRUE(net.RegisterPeer("a", [](const Message&) {}).ok());
+  bool fired = false;
+  ASSERT_TRUE(net.ScheduleTimer("a", 1000, [&] { fired = true; }).ok());
+  auto done = net.RunUntil([] { return false; }, SimNetwork::kNoDeadline);
+  ASSERT_TRUE(done.ok());
+  EXPECT_FALSE(done.value());
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(net.now_us(), 1000);
+  // Await has nothing left that could make its predicate hold.
+  Status waited = net.Await([] { return false; }, [] { FAIL(); });
+  EXPECT_EQ(waited.code(), StatusCode::kFailedPrecondition) << waited;
+}
+
+TEST(SimNetworkTest, AwaitDispatchesOnTheCallersThread) {
+  SimNetwork net = Exact();
+  int received = 0;
+  ASSERT_TRUE(
+      net.RegisterPeer("rx", [&](const Message&) { ++received; }).ok());
+  ASSERT_TRUE(net.RegisterPeer("tx", [](const Message&) {}).ok());
+  ASSERT_TRUE(net.Send(Message{"tx", "rx", MakePing(1)}).ok());
+  ASSERT_TRUE(net.Send(Message{"tx", "rx", MakePing(2)}).ok());
+  bool blocked = false;
+  Status waited =
+      net.Await([&] { return received == 1; }, [&] { blocked = true; });
+  ASSERT_TRUE(waited.ok()) << waited;
+  EXPECT_FALSE(blocked);
+  EXPECT_EQ(received, 1);
+  // The second ping is still queued for the next pump.
+  ASSERT_TRUE(net.Run().ok());
+  EXPECT_EQ(received, 2);
+}
+
+TEST(SimNetworkTest, PumpFromInsideAHandlerFailsInsteadOfRecursing) {
+  SimNetwork net;
+  Status nested;
+  Status awaited;
+  ASSERT_TRUE(net.RegisterPeer("a", [](const Message&) {}).ok());
+  ASSERT_TRUE(net.ScheduleTimer("a", 1000, [&] {
+                    nested = net.RunUntil(nullptr, 2000).status();
+                    awaited = net.Await([] { return true; }, [] {});
+                  })
+                  .ok());
+  ASSERT_TRUE(net.Run().ok());
+  EXPECT_EQ(nested.code(), StatusCode::kFailedPrecondition) << nested;
+  EXPECT_NE(nested.message().find("'a'"), std::string::npos) << nested;
+  EXPECT_EQ(awaited.code(), StatusCode::kFailedPrecondition) << awaited;
+}
+
 }  // namespace
 }  // namespace hyperion

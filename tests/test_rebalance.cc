@@ -26,6 +26,7 @@
 #include "obs/metrics.h"
 #include "service/catalogs.h"
 #include "storage/table_store.h"
+#include "test_util.h"
 
 namespace hyperion {
 namespace cluster {
@@ -35,7 +36,7 @@ uint64_t CounterValue(const std::string& name) {
   return obs::MetricRegistry::Default().GetCounter(name)->value();
 }
 
-class RebalanceE2ETest : public ::testing::Test {
+class RebalanceE2ETest : public testing_util::ClusterTest {
  protected:
   // Three storage nodes, sixteen shards, two copies each: enough shards
   // that any joiner lands a non-trivial gained set to pull.
@@ -65,46 +66,7 @@ class RebalanceE2ETest : public ::testing::Test {
                    {"s1", NodeRole::kStorage, "127.0.0.1", 0},
                    {"s2", NodeRole::kStorage, "127.0.0.1", 0},
                    {"s3", NodeRole::kStorage, "127.0.0.1", 0}};
-
-    for (const std::string id : {"s1", "s2", "s3"}) {
-      auto catalog = BuildBioCatalog(bio_);
-      ASSERT_TRUE(catalog.ok());
-      auto node =
-          ClusterNode::Create(seed_, id, std::move(*catalog.value().store));
-      ASSERT_TRUE(node.ok()) << node.status();
-      ASSERT_TRUE(node.value()->Bind().ok());
-      storage_.push_back(std::move(node).value());
-    }
-
-    resolved_ = seed_;
-    for (auto& node : resolved_.nodes) {
-      for (const auto& storage : storage_) {
-        if (storage->self().id == node.id) {
-          auto port = storage->ListenPort();
-          ASSERT_TRUE(port.ok());
-          node.port = port.value();
-        }
-      }
-    }
-    for (const auto& storage : storage_) {
-      ASSERT_TRUE(storage->Start().ok());
-    }
-
-    auto catalog = BuildBioCatalog(bio_);
-    ASSERT_TRUE(catalog.ok());
-    reference_ = std::move(catalog.value().store);
-    auto coord = ClusterNode::Create(resolved_, "coord", TableStore());
-    ASSERT_TRUE(coord.ok()) << coord.status();
-    ASSERT_TRUE(coord.value()->Bind().ok());
-    ASSERT_TRUE(coord.value()->Start().ok());
-    coord_ = std::move(coord).value();
-    ASSERT_TRUE(coord_->WaitAllAlive(15'000'000))
-        << "cluster did not become fully alive";
-  }
-
-  void TearDown() override {
-    if (coord_) coord_->Stop();
-    for (auto& storage : storage_) storage->Stop();
+    ASSERT_NO_FATAL_FAILURE(StartNodes(seed_, bio_, &resolved_));
   }
 
   // Starts a brand-new storage node (absent from every running node's
@@ -153,19 +115,6 @@ class RebalanceE2ETest : public ::testing::Test {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     return false;
-  }
-
-  ClusterNode* StorageNode(const std::string& node) {
-    for (auto& storage : storage_) {
-      if (storage->self().id == node) return storage.get();
-    }
-    return nullptr;
-  }
-
-  void StopStorageNode(const std::string& node) {
-    for (auto& storage : storage_) {
-      if (storage->self().id == node) storage->Stop();
-    }
   }
 
   // One curator update through the cluster write path, mirrored into
@@ -219,9 +168,6 @@ class RebalanceE2ETest : public ::testing::Test {
   BioConfig bio_;
   ClusterConfig seed_;
   ClusterConfig resolved_;
-  std::vector<std::unique_ptr<ClusterNode>> storage_;
-  std::unique_ptr<ClusterNode> coord_;
-  std::unique_ptr<TableStore> reference_;
 };
 
 TEST_F(RebalanceE2ETest, JoinShipsRowsCommitsEpochAndKeepsCoverBytes) {

@@ -1,11 +1,13 @@
 // Shared helpers for the Hyperion test suite: tiny finite domains for
 // brute-force oracles, random mapping-table generation, set-comparison
-// utilities, and the four-peer chain the reliability tests run.
+// utilities, the four-peer chain the reliability tests run, and the
+// in-process clusters the cluster suites start.
 
 #ifndef HYPERION_TESTS_TEST_UTIL_H_
 #define HYPERION_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,12 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster_config.h"
+#include "cluster/node.h"
 #include "common/random.h"
 #include "core/compose.h"
 #include "core/mapping_table.h"
 #include "p2p/link_rtt.h"
 #include "p2p/network.h"
 #include "p2p/peer.h"
+#include "service/catalogs.h"
+#include "storage/table_store.h"
 
 namespace hyperion {
 namespace testing_util {
@@ -255,6 +261,183 @@ class SimChain {
   std::shared_ptr<LinkRttTable> link_rtt_ = std::make_shared<LinkRttTable>();
   std::vector<std::unique_ptr<PeerNode>> peers_;
   SessionId session_ = 0;
+};
+
+/// \brief The cluster suites' fixture: storage nodes and a coordinator
+/// in this process, each on its own loopback TcpNetwork.  Every storage
+/// node of the config holds its own copy of the bio catalog;
+/// `reference_` is one more copy, the single-process replay the
+/// cluster's answers are compared against.
+class ClusterTest : public ::testing::Test {
+ protected:
+  /// Storage nodes bind ephemeral ports first; the coordinator then gets
+  /// the resolved config (returned in `resolved` when given) — the same
+  /// handshake tools/run_cluster.sh uses.
+  void StartNodes(const cluster::ClusterConfig& seed, const BioConfig& bio,
+                  cluster::ClusterConfig* resolved = nullptr) {
+    for (const cluster::NodeSpec& spec : seed.nodes) {
+      if (spec.role != cluster::NodeRole::kStorage) continue;
+      auto catalog = BuildBioCatalog(bio);
+      ASSERT_TRUE(catalog.ok());
+      auto node = cluster::ClusterNode::Create(
+          seed, spec.id, std::move(*catalog.value().store));
+      ASSERT_TRUE(node.ok()) << node.status();
+      ASSERT_TRUE(node.value()->Bind().ok());
+      storage_.push_back(std::move(node).value());
+    }
+
+    cluster::ClusterConfig ports = seed;
+    for (cluster::NodeSpec& spec : ports.nodes) {
+      if (cluster::ClusterNode* storage = StorageNode(spec.id)) {
+        auto port = storage->ListenPort();
+        ASSERT_TRUE(port.ok());
+        spec.port = port.value();
+      }
+    }
+    for (const auto& storage : storage_) {
+      ASSERT_TRUE(storage->Start().ok());
+    }
+
+    auto catalog = BuildBioCatalog(bio);
+    ASSERT_TRUE(catalog.ok());
+    reference_ = std::move(catalog.value().store);
+    auto coord = cluster::ClusterNode::Create(ports, "coord", TableStore());
+    ASSERT_TRUE(coord.ok()) << coord.status();
+    ASSERT_TRUE(coord.value()->Bind().ok());
+    ASSERT_TRUE(coord.value()->Start().ok());
+    coord_ = std::move(coord).value();
+    if (resolved != nullptr) *resolved = ports;
+    ASSERT_TRUE(coord_->WaitAllAlive(15'000'000))
+        << "cluster did not become fully alive";
+  }
+
+  void TearDown() override {
+    if (coord_) coord_->Stop();
+    for (auto& storage : storage_) storage->Stop();
+  }
+
+  /// Simulates a crash of `node`: its listener and event loop stop, so
+  /// the coordinator's next send fails or times out.
+  void StopStorageNode(const std::string& node) {
+    if (cluster::ClusterNode* storage = StorageNode(node)) storage->Stop();
+  }
+
+  cluster::ClusterNode* StorageNode(const std::string& node) {
+    for (auto& storage : storage_) {
+      if (storage->self().id == node) return storage.get();
+    }
+    return nullptr;
+  }
+
+  std::vector<std::unique_ptr<cluster::ClusterNode>> storage_;
+  std::unique_ptr<cluster::ClusterNode> coord_;
+  std::unique_ptr<TableStore> reference_;
+};
+
+/// \brief A whole cluster on one SimNetwork: round-number links and no
+/// compute charge (SimChain::Options), so a run is a function of its
+/// config and its inputs, and tests pin exact virtual times.  Config
+/// ports must be nonzero: on sim they only name the peers.
+class SimCluster {
+ public:
+  /// Every node registers before any starts, so the first beats reach
+  /// everyone.
+  SimCluster(cluster::ClusterConfig config, const BioConfig& bio,
+             int64_t latency_us)
+      : net_(SimChain::Options(latency_us, 0)), config_(std::move(config)) {
+    auto catalog = BuildBioCatalog(bio);
+    EXPECT_TRUE(catalog.ok());
+    if (!catalog.ok()) return;
+    reference_ = std::move(catalog.value().store);
+    std::vector<cluster::ClusterNode*> nodes;
+    for (const cluster::NodeSpec& spec : config_.nodes) {
+      nodes.push_back(spec.role == cluster::NodeRole::kStorage
+                          ? BindStorage(spec.id, bio)
+                          : BindCoordinator(spec.id));
+      if (nodes.back() == nullptr) return;
+    }
+    for (cluster::ClusterNode* node : nodes) {
+      EXPECT_TRUE(node->Start().ok());
+    }
+  }
+
+  /// Creates, binds and starts storage node `id` of the config, holding
+  /// its own copy of the bio catalog.
+  cluster::ClusterNode* AddStorage(const std::string& id,
+                                   const BioConfig& bio) {
+    cluster::ClusterNode* node = BindStorage(id, bio);
+    if (node != nullptr) {
+      EXPECT_TRUE(node->Start().ok());
+    }
+    return node;
+  }
+
+  /// Dispatches until `pred` holds, failing the test if `deadline_us`
+  /// passes first.
+  void RunUntil(const std::function<bool()>& pred, int64_t deadline_us) {
+    auto done = net_.RunUntil(pred, deadline_us);
+    ASSERT_TRUE(done.ok()) << done.status();
+    EXPECT_TRUE(done.value()) << "not reached by t=" << deadline_us;
+  }
+
+  /// Dispatches every event due by `t_us`; the clock then stands there.
+  void AdvanceTo(int64_t t_us) {
+    auto done = net_.RunUntil(nullptr, t_us);
+    EXPECT_TRUE(done.ok()) << done.status();
+  }
+
+  /// Every node alive in every node's eyes.
+  bool AllAlive() const {
+    if (!coord_->membership().AllAlive()) return false;
+    for (const auto& storage : storage_) {
+      if (!storage->membership().AllAlive()) return false;
+    }
+    return true;
+  }
+
+  cluster::ClusterNode* Storage(const std::string& id) {
+    for (auto& storage : storage_) {
+      if (storage->self().id == id) return storage.get();
+    }
+    return nullptr;
+  }
+
+  SimNetwork& net() { return net_; }
+  cluster::ClusterConfig& config() { return config_; }
+  cluster::ClusterNode& coord() { return *coord_; }
+  TableStore& reference() { return *reference_; }
+
+ private:
+  cluster::ClusterNode* BindStorage(const std::string& id,
+                                    const BioConfig& bio) {
+    auto catalog = BuildBioCatalog(bio);
+    EXPECT_TRUE(catalog.ok());
+    if (!catalog.ok()) return nullptr;
+    auto node = cluster::ClusterNode::Create(
+        config_, id, std::move(*catalog.value().store), net_);
+    EXPECT_TRUE(node.ok()) << node.status();
+    if (!node.ok()) return nullptr;
+    EXPECT_TRUE(node.value()->Bind().ok());
+    storage_.push_back(std::move(node).value());
+    return storage_.back().get();
+  }
+
+  cluster::ClusterNode* BindCoordinator(const std::string& id) {
+    auto coord = cluster::ClusterNode::Create(config_, id, TableStore(), net_);
+    EXPECT_TRUE(coord.ok()) << coord.status();
+    if (!coord.ok()) return nullptr;
+    coord_ = std::move(coord).value();
+    EXPECT_TRUE(coord_->Bind().ok());
+    return coord_.get();
+  }
+
+  // Declared first, destroyed last: no node outlives the network it is
+  // registered on.
+  SimNetwork net_;
+  cluster::ClusterConfig config_;
+  std::vector<std::unique_ptr<cluster::ClusterNode>> storage_;
+  std::unique_ptr<cluster::ClusterNode> coord_;
+  std::unique_ptr<TableStore> reference_;
 };
 
 }  // namespace testing_util
