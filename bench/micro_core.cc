@@ -5,12 +5,19 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "core/compose.h"
 #include "core/containment.h"
 #include "core/cover_engine.h"
 #include "core/partition.h"
 #include "core/query.h"
+#include "workload/b2b_network.h"
 #include "workload/bio_network.h"
 #include "workload/id_gen.h"
 
@@ -147,6 +154,56 @@ void BM_ComputePartitions(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComputePartitions)->Arg(64)->Arg(512);
+
+// One streamed batch at a middle peer of a path: the batch (64 rows, the
+// default cache capacity, of the downstream peer's table) probes the
+// peer's table through its kept JoinIndex, is projected onto what the
+// upstream peers still need and is deduplicated into a fresh `emitted`,
+// as PeerNode::ProcessBatch does.  Arg 0: GDB on Fig. 10's bio path
+// Hugo, GDB, SwissProt, MIM, every row ground.  Arg 1: Fig. 12's B2B
+// names partition at P1, whose m1 rows (identity, nicknames) all carry
+// variables.  The emitted_row counter is the time per emitted row.
+void BM_JoinProjectBatch(benchmark::State& state) {
+  constexpr size_t kBatchRows = 64;
+  std::shared_ptr<const MappingTable> build;
+  std::shared_ptr<const MappingTable> probe;
+  std::vector<std::string> keep;
+  if (state.range(0) == 0) {
+    BioConfig config;
+    config.num_entities = 2000;
+    BioWorkload bio = BioWorkload::Generate(config).value();
+    build = bio.TableBetween("GDB", "SwissProt").value();
+    probe = bio.TableBetween("SwissProt", "MIM").value();
+    keep = {"GDB_id", "MIM_id"};
+  } else {
+    B2bConfig config;
+    config.rows_per_table = 2000;
+    B2bWorkload b2b = B2bWorkload::Generate(config).value();
+    build = b2b.tables().at("m1");
+    probe = b2b.tables().at("m5");
+    keep = {"FName", "LName", "Gender"};
+  }
+  const FreeTable& local = build->free_table();
+  const Schema& schema = probe->schema();
+  const std::span<const Mapping> batch(
+      probe->rows().data(), std::min(kBatchRows, probe->rows().size()));
+  const JoinIndex index = JoinIndex::Build(local, schema).value();
+  const ComposeOptions opts;
+  size_t emitted_rows = 0;
+  for (auto _ : state) {
+    std::optional<FreeTable> emitted;
+    std::vector<Mapping> fresh;
+    auto joined =
+        index.JoinProject(schema, batch, keep, opts, &emitted, &fresh);
+    benchmark::DoNotOptimize(joined);
+    emitted_rows += fresh.size();
+  }
+  state.counters["emitted_row"] =
+      benchmark::Counter(static_cast<double>(emitted_rows),
+                         benchmark::Counter::kIsRate |
+                             benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_JoinProjectBatch)->Arg(0)->Arg(1);
 
 void BM_BioGenerate(benchmark::State& state) {
   for (auto _ : state) {

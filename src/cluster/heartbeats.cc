@@ -1,6 +1,5 @@
 #include "cluster/heartbeats.h"
 
-#include <ctime>
 #include <utility>
 #include <vector>
 
@@ -20,7 +19,10 @@ Heartbeats::Heartbeats(const ClusterConfig& config, const NodeSpec& self,
       membership_(membership),
       write_log_(write_log),
       route_(std::move(route)),
-      incarnation_(static_cast<uint64_t>(std::time(nullptr))) {
+      // The network's clock, not the wall clock: on sim it is virtual
+      // time, so a sim run sends the same bytes every time.  Nothing
+      // reads the field yet.
+      incarnation_(static_cast<uint64_t>(net.now_us())) {
   MutexLock lock(mu_);
   for (const NodeSpec& node : config_.nodes) {
     if (node.id != self_.id) roster_.insert(node.id);

@@ -73,6 +73,15 @@ bool UnifyShared(const Mapping& a, const Schema& a_schema, const Mapping& b,
   return u->Satisfiable();
 }
 
+// The failures of a join or a projection past opts.max_result_rows, the
+// same from every path that computes one.
+Status JoinTooLarge() {
+  return Status::InvalidArgument("NaturalJoin: result exceeds max rows");
+}
+Status ProjectionTooLarge() {
+  return Status::InvalidArgument("ProjectOnto: result exceeds max rows");
+}
+
 // The constants of `row` at the `side` member of each shared position
 // pair, or false when one of those cells is a variable.
 template <size_t side>
@@ -90,16 +99,16 @@ bool GroundKey(const Mapping& row,
 
 }  // namespace
 
-bool FreeTable::AddRow(Mapping row) {
+std::optional<FreeTable::Slot> FreeTable::Insert(Mapping row) {
   assert(row.arity() == schema_.arity());
   if (!row.IsNormalized()) row = row.Normalized();
   const size_t hash = row.Hash();
   // Stored rows are satisfiable, so a duplicate needs no further check.
-  if (row_index_.Contains(rows_, row, hash)) return false;
-  if (!row.IsSatisfiable(schema_)) return false;
+  if (auto pos = row_index_.Find(rows_, row, hash)) return Slot{*pos, false};
+  if (!row.IsSatisfiable(schema_)) return std::nullopt;
   rows_.push_back(std::move(row));
   row_index_.Insert(hash, rows_.size() - 1);
-  return true;
+  return Slot{rows_.size() - 1, true};
 }
 
 bool FreeTable::MatchesGround(const Tuple& t) const {
@@ -185,60 +194,36 @@ Result<JoinIndex> JoinIndex::Build(const FreeTable& build,
         build.schema().Concat(probe_schema.Project(index.probe_private_)));
   }
   Tuple key;
+  index.ground_build_.reserve(build.rows().size());
   for (size_t r = 0; r < build.rows().size(); ++r) {
     if (GroundKey<0>(build.rows()[r], index.shared_, &key)) {
       index.ground_rows_[key].push_back(static_cast<uint32_t>(r));
     } else {
       index.variable_rows_.push_back(static_cast<uint32_t>(r));
     }
+    index.ground_build_.push_back(build.rows()[r].IsGround());
   }
   return index;
 }
 
-void JoinIndex::JoinPair(const Mapping& a, const Mapping& b,
-                         FreeTable* out) const {
-  const VarId offset = VarSpan(a);
-  Unifier u;
-  if (!UnifyShared(a, build_->schema(), b, probe_schema_, shared_, offset,
-                   &u)) {
-    return;
-  }
-  std::unordered_map<VarId, VarId> out_vars;
-  std::vector<Cell> cells;
-  cells.reserve(out_schema_.arity());
-  for (size_t i = 0; i < a.arity(); ++i) {
-    cells.push_back(ResolveCell(a.cell(i), 0, &u, &out_vars));
-  }
-  for (size_t pj : probe_private_) {
-    cells.push_back(ResolveCell(b.cell(pj), offset, &u, &out_vars));
-  }
-  out->AddRow(Mapping(std::move(cells)));
+Status JoinIndex::CheckProbeSchema(const Schema& probe_schema) const {
+  if (probe_schema == probe_schema_) return Status::OK();
+  std::string message = "JoinIndex: probe schema ";
+  message.append(probe_schema.ToString())
+      .append(" is not the indexed ")
+      .append(probe_schema_.ToString());
+  return Status::InvalidArgument(message);
 }
 
-Result<FreeTable> JoinIndex::Join(const Schema& probe_schema,
-                                  std::span<const Mapping> rows,
-                                  const ComposeOptions& opts) const {
-  if (!(probe_schema == probe_schema_)) {
-    return Status::InvalidArgument("JoinIndex: probe schema " +
-                                   probe_schema.ToString() +
-                                   " is not the indexed " +
-                                   probe_schema_.ToString());
-  }
-  // Collect the candidate (build row, rank, probe row) pairs, then emit
-  // them sorted.  The order is the one a scan of the build rows gives: a
-  // build row with ground shared cells meets the probe rows with equal
+std::vector<JoinIndex::Candidate> JoinIndex::Candidates(
+    std::span<const Mapping> rows) const {
+  // Collect the candidate (build row, rank, probe row) pairs, then sort
+  // them.  The order is the one a scan of the build rows gives: a build
+  // row with ground shared cells meets the probe rows with equal
   // constants (rank 0) before those with a variable there (rank 1); any
   // other build row meets every probe row (rank 0).  Emitting in that
   // order makes the first of two duplicate results the one kept, exactly
   // as a build-side scan keeps it.
-  struct Candidate {
-    uint32_t build;
-    uint32_t rank;
-    uint32_t probe;
-    bool operator<(const Candidate& o) const {
-      return std::tie(build, rank, probe) < std::tie(o.build, o.rank, o.probe);
-    }
-  };
   std::vector<Candidate> candidates;
   Tuple key;
   for (size_t r = 0; r < rows.size(); ++r) {
@@ -256,21 +241,100 @@ Result<FreeTable> JoinIndex::Join(const Schema& probe_schema,
     for (uint32_t a : variable_rows_) candidates.push_back({a, 0, pr});
   }
   std::sort(candidates.begin(), candidates.end());
+  return candidates;
+}
 
+std::optional<Mapping> JoinIndex::JoinPair(const Mapping& a,
+                                           const Mapping& b) const {
+  const VarId offset = VarSpan(a);
+  Unifier u;
+  if (!UnifyShared(a, build_->schema(), b, probe_schema_, shared_, offset,
+                   &u)) {
+    return std::nullopt;
+  }
+  std::unordered_map<VarId, VarId> out_vars;
+  std::vector<Cell> cells;
+  cells.reserve(out_schema_.arity());
+  for (size_t i = 0; i < a.arity(); ++i) {
+    cells.push_back(ResolveCell(a.cell(i), 0, &u, &out_vars));
+  }
+  for (size_t pj : probe_private_) {
+    cells.push_back(ResolveCell(b.cell(pj), offset, &u, &out_vars));
+  }
+  return Mapping(std::move(cells));
+}
+
+Result<FreeTable> JoinIndex::Join(const Schema& probe_schema,
+                                  std::span<const Mapping> rows,
+                                  const ComposeOptions& opts) const {
+  HYP_RETURN_IF_ERROR(CheckProbeSchema(probe_schema));
+  const std::vector<Candidate> candidates = Candidates(rows);
   FreeTable out(out_schema_);
   for (size_t i = 0; i < candidates.size(); ++i) {
     const Candidate& c = candidates[i];
-    JoinPair(build_->rows()[c.build], rows[c.probe], &out);
+    if (std::optional<Mapping> joined =
+            JoinPair(build_->rows()[c.build], rows[c.probe])) {
+      out.AddRow(std::move(*joined));
+    }
     bool row_done =
         i + 1 == candidates.size() || candidates[i + 1].build != c.build;
-    if (row_done && out.size() > opts.max_result_rows) {
-      return Status::InvalidArgument("NaturalJoin: result exceeds max rows");
-    }
+    if (row_done && out.size() > opts.max_result_rows) return JoinTooLarge();
   }
   return out;
 }
 
+std::optional<JoinIndex::Candidate> JoinIndex::GroundPairOf(
+    const Mapping& joined, std::span<const Mapping> rows,
+    std::optional<RowIndex>* probe_index) const {
+  // A joined row is the build row followed by the probe row's private
+  // cells; the probe row's shared cells are the build row's.
+  const size_t build_arity = build_->schema().arity();
+  const std::vector<Cell>& cells = joined.cells();
+  const std::optional<size_t> build_row = build_->Find(
+      Mapping(std::vector<Cell>(cells.begin(), cells.begin() + build_arity)));
+  if (!build_row) return std::nullopt;
+  std::vector<Cell> probe_cells;
+  probe_cells.reserve(probe_schema_.arity());
+  size_t next_shared = 0;
+  size_t next_private = build_arity;
+  for (size_t j = 0; j < probe_schema_.arity(); ++j) {
+    if (next_shared < shared_.size() && shared_[next_shared].second == j) {
+      probe_cells.push_back(cells[shared_[next_shared++].first]);
+    } else {
+      probe_cells.push_back(cells[next_private++]);
+    }
+  }
+  const Mapping probe(std::move(probe_cells));
+  if (!probe_index->has_value()) {
+    probe_index->emplace();
+    for (size_t r = 0; r < rows.size(); ++r) {
+      if (rows[r].IsGround()) (*probe_index)->Insert(rows[r].Hash(), r);
+    }
+  }
+  const std::optional<size_t> probe_row =
+      (*probe_index)->Find(rows, probe, probe.Hash());
+  if (!probe_row) return std::nullopt;
+  return Candidate{static_cast<uint32_t>(*build_row), 0,
+                   static_cast<uint32_t>(*probe_row)};
+}
+
 namespace {
+
+// The positions a projection keeps, in output order, and whether each
+// input position is one of them.
+struct Projection {
+  std::vector<size_t> keep;
+  std::vector<bool> kept;
+
+  static Result<Projection> Of(const Schema& schema,
+                               const std::vector<std::string>& names) {
+    Projection p;
+    HYP_ASSIGN_OR_RETURN(p.keep, schema.PositionsOf(names));
+    p.kept.assign(schema.arity(), false);
+    for (size_t pos : p.keep) p.kept[pos] = true;
+    return p;
+  }
+};
 
 // State for exact projection of one row: classes that need materialization
 // are expanded value-by-value.
@@ -280,10 +344,10 @@ struct ClassPlan {
   std::set<Value> exclusions;           // class-combined exclusion set
 };
 
+template <typename Emit>
 Status ExpandRow(const Mapping& row, const std::vector<size_t>& keep,
                  const std::vector<ClassPlan>& plans, size_t plan_idx,
-                 std::vector<std::optional<Value>>* chosen,
-                 const ComposeOptions& opts, FreeTable* out) {
+                 std::vector<std::optional<Value>>* chosen, Emit& emit) {
   if (plan_idx == plans.size()) {
     // Emit: kept constants pass through; variable cells take either the
     // chosen materialized value or a class variable with merged exclusions.
@@ -312,93 +376,203 @@ Status ExpandRow(const Mapping& row, const std::vector<size_t>& keep,
         cells.push_back(Cell::Variable(it->second, plans[ci].exclusions));
       }
     }
-    if (out->size() >= opts.max_result_rows) {
-      return Status::InvalidArgument("ProjectOnto: result exceeds max rows");
-    }
-    out->AddRow(Mapping(std::move(cells)));
-    return Status::OK();
+    return emit(Mapping(std::move(cells)));
   }
   const ClassPlan& plan = plans[plan_idx];
   if (plan.values.empty()) {
     (*chosen)[plan_idx] = std::nullopt;
-    return ExpandRow(row, keep, plans, plan_idx + 1, chosen, opts, out);
+    return ExpandRow(row, keep, plans, plan_idx + 1, chosen, emit);
   }
   for (const Value& v : plan.values) {
     (*chosen)[plan_idx] = v;
     HYP_RETURN_IF_ERROR(
-        ExpandRow(row, keep, plans, plan_idx + 1, chosen, opts, out));
+        ExpandRow(row, keep, plans, plan_idx + 1, chosen, emit));
   }
   return Status::OK();
 }
 
+// Projects `row`, a row over `schema`, exactly as ProjectOnto does,
+// handing each resulting row to `emit`: variable classes spanning kept
+// and dropped positions keep their accumulated exclusions, and classes
+// restricted by finite domains on dropped positions are materialized.
+// Fails when a class would materialize past `materialize_limit` values,
+// or when `emit` fails.
+template <typename Emit>
+Status ProjectRow(const Mapping& row, const Schema& schema,
+                  const Projection& projection, size_t materialize_limit,
+                  Emit& emit) {
+  std::vector<ClassPlan> plans;
+  for (const auto& [var, positions] : row.VariableClasses()) {
+    (void)var;
+    ClassPlan plan;
+    std::vector<const Domain*> domains;
+    bool dropped_finite = false;
+    for (size_t p : positions) {
+      domains.push_back(schema.attr(p).domain().get());
+      const auto& ex = row.cell(p).exclusions();
+      plan.exclusions.insert(ex.begin(), ex.end());
+      if (projection.kept[p]) {
+        plan.kept_positions.push_back(p);
+      } else if (schema.attr(p).domain()->is_finite()) {
+        dropped_finite = true;
+      }
+    }
+    if (plan.kept_positions.empty()) {
+      // Class disappears: rows are satisfiable on insert, so the class
+      // has a value; nothing to do.
+      continue;
+    }
+    if (dropped_finite) {
+      // Enumerate the admissible values of the class (finite because some
+      // occurrence domain is finite).
+      const Domain* finite = nullptr;
+      for (const Domain* d : domains) {
+        if (d->is_finite() && (finite == nullptr || d->size() < finite->size())) {
+          finite = d;
+        }
+      }
+      assert(finite != nullptr);
+      for (const Value& v : finite->values()) {
+        if (plan.exclusions.count(v)) continue;
+        bool in_all = true;
+        for (const Domain* d : domains) {
+          if (!d->Contains(v)) {
+            in_all = false;
+            break;
+          }
+        }
+        if (in_all) plan.values.push_back(v);
+      }
+      if (plan.values.size() > materialize_limit) {
+        return Status::InvalidArgument(
+            "ProjectOnto: class materialization exceeds limit");
+      }
+      // A class that admits no value makes the row empty.
+      if (plan.values.empty()) return Status::OK();
+    }
+    plans.push_back(std::move(plan));
+  }
+  std::vector<std::optional<Value>> chosen(plans.size());
+  return ExpandRow(row, projection.keep, plans, 0, &chosen, emit);
+}
+
 }  // namespace
+
+Result<size_t> JoinIndex::JoinProject(
+    const Schema& probe_schema, std::span<const Mapping> rows,
+    const std::vector<std::string>& keep_names, const ComposeOptions& opts,
+    std::optional<FreeTable>* emitted, std::vector<Mapping>* fresh) const {
+  HYP_RETURN_IF_ERROR(CheckProbeSchema(probe_schema));
+  HYP_ASSIGN_OR_RETURN(const Projection projection,
+                       Projection::Of(out_schema_, keep_names));
+  // A kept cell of a ground pair is cell `src` of build row ++ probe row.
+  const size_t build_arity = build_->schema().arity();
+  std::vector<size_t> kept_src;
+  kept_src.reserve(projection.keep.size());
+  for (size_t p : projection.keep) {
+    kept_src.push_back(p < build_arity
+                           ? p
+                           : build_arity + probe_private_[p - build_arity]);
+  }
+  std::vector<bool> ground_probe(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    ground_probe[r] = rows[r].IsGround();
+  }
+
+  // ProjectOnto's table would hold the distinct projected rows of this
+  // batch: the rows `emitted` gains, and those it already held that the
+  // batch projects again (`rehit`, positions, possibly repeated).  Its
+  // row limit is checked before each projected row, as ProjectOnto does;
+  // the repeats are only removed when the bound could bite.
+  const size_t held_before = *emitted ? (*emitted)->size() : 0;
+  std::vector<size_t> rehit;
+  auto projection_full = [&] {
+    const size_t gained = (*emitted)->size() - held_before;
+    if (gained + rehit.size() < opts.max_result_rows) return false;
+    std::sort(rehit.begin(), rehit.end());
+    rehit.erase(std::unique(rehit.begin(), rehit.end()), rehit.end());
+    return gained + rehit.size() >= opts.max_result_rows;
+  };
+  auto emit = [&](Mapping row) -> Status {
+    if (projection_full()) return ProjectionTooLarge();
+    const std::optional<FreeTable::Slot> slot =
+        (*emitted)->Insert(std::move(row));
+    if (!slot) return Status::OK();
+    if (slot->inserted) {
+      fresh->push_back((*emitted)->rows().back());
+    } else if (slot->pos < held_before) {
+      rehit.push_back(slot->pos);
+    }
+    return Status::OK();
+  };
+
+  // Distinct pairs of ground rows join to distinct rows, so they are
+  // counted, not deduplicated.  The other pairs' joined rows are
+  // deduplicated in `unified`; one of them that is ground may also be the
+  // row of a pair of ground rows, and whichever of the two comes first
+  // counts it (`claimed` holds the ground pairs that came second).
+  size_t joined = 0;
+  std::optional<FreeTable> unified;
+  std::unordered_set<uint64_t> claimed;
+  std::optional<RowIndex> probe_index;
+  auto pair_id = [](const Candidate& c) {
+    return uint64_t{c.build} << 32 | c.probe;
+  };
+  // Join's failure wins over a projection's, which ProjectOnto would
+  // only have met after the whole join succeeded.
+  Status projection_error;
+  for (const Candidate& c : Candidates(rows)) {
+    const Mapping& a = build_->rows()[c.build];
+    const Mapping& b = rows[c.probe];
+    const Mapping* unified_row = nullptr;
+    if (ground_build_[c.build] && ground_probe[c.probe]) {
+      if (!claimed.empty() && claimed.erase(pair_id(c)) > 0) continue;
+    } else {
+      std::optional<Mapping> pair = JoinPair(a, b);
+      if (!pair) continue;
+      if (!unified) unified.emplace(out_schema_);
+      if (!unified->AddRow(std::move(*pair))) continue;
+      unified_row = &unified->rows().back();
+      if (unified_row->IsGround()) {
+        if (auto twin = GroundPairOf(*unified_row, rows, &probe_index)) {
+          if (*twin < c) continue;
+          claimed.insert(pair_id(*twin));
+        }
+      }
+    }
+    if (++joined > opts.max_result_rows) return JoinTooLarge();
+    if (projection.keep.empty() || !projection_error.ok()) continue;
+    if (!*emitted) emitted->emplace(out_schema_.Project(projection.keep));
+    if (unified_row == nullptr) {
+      std::vector<Cell> cells;
+      cells.reserve(kept_src.size());
+      for (size_t src : kept_src) {
+        cells.push_back(src < build_arity ? a.cell(src)
+                                          : b.cell(src - build_arity));
+      }
+      projection_error = emit(Mapping(std::move(cells)));
+    } else {
+      projection_error = ProjectRow(*unified_row, out_schema_, projection,
+                                    opts.materialize_limit, emit);
+    }
+  }
+  HYP_RETURN_IF_ERROR(projection_error);
+  return joined;
+}
 
 Result<FreeTable> FreeTable::ProjectOnto(const std::vector<std::string>& names,
                                          const ComposeOptions& opts) const {
-  HYP_ASSIGN_OR_RETURN(std::vector<size_t> keep, schema_.PositionsOf(names));
-  std::vector<bool> kept(schema_.arity(), false);
-  for (size_t p : keep) kept[p] = true;
-  FreeTable out(schema_.Project(keep));
-
+  HYP_ASSIGN_OR_RETURN(const Projection projection,
+                       Projection::Of(schema_, names));
+  FreeTable out(schema_.Project(projection.keep));
+  auto emit = [&](Mapping row) -> Status {
+    if (out.size() >= opts.max_result_rows) return ProjectionTooLarge();
+    out.AddRow(std::move(row));
+    return Status::OK();
+  };
   for (const Mapping& row : rows_) {
-    bool row_ok = true;
-    std::vector<ClassPlan> plans;
-    for (const auto& [var, positions] : row.VariableClasses()) {
-      (void)var;
-      ClassPlan plan;
-      std::vector<const Domain*> domains;
-      bool dropped_finite = false;
-      for (size_t p : positions) {
-        domains.push_back(schema_.attr(p).domain().get());
-        const auto& ex = row.cell(p).exclusions();
-        plan.exclusions.insert(ex.begin(), ex.end());
-        if (kept[p]) {
-          plan.kept_positions.push_back(p);
-        } else if (schema_.attr(p).domain()->is_finite()) {
-          dropped_finite = true;
-        }
-      }
-      if (plan.kept_positions.empty()) {
-        // Class disappears: rows are satisfiable on insert, so the class
-        // has a value; nothing to do.
-        continue;
-      }
-      if (dropped_finite) {
-        // Enumerate the admissible values of the class (finite because some
-        // occurrence domain is finite).
-        const Domain* finite = nullptr;
-        for (const Domain* d : domains) {
-          if (d->is_finite() && (finite == nullptr || d->size() < finite->size())) {
-            finite = d;
-          }
-        }
-        assert(finite != nullptr);
-        for (const Value& v : finite->values()) {
-          if (plan.exclusions.count(v)) continue;
-          bool in_all = true;
-          for (const Domain* d : domains) {
-            if (!d->Contains(v)) {
-              in_all = false;
-              break;
-            }
-          }
-          if (in_all) plan.values.push_back(v);
-        }
-        if (plan.values.size() > opts.materialize_limit) {
-          return Status::InvalidArgument(
-              "ProjectOnto: class materialization exceeds limit");
-        }
-        if (plan.values.empty()) {
-          row_ok = false;  // class admits no value: row is empty
-        }
-      }
-      plans.push_back(std::move(plan));
-      if (!row_ok) break;
-    }
-    if (!row_ok) continue;
-    std::vector<std::optional<Value>> chosen(plans.size());
     HYP_RETURN_IF_ERROR(
-        ExpandRow(row, keep, plans, 0, &chosen, opts, &out));
+        ProjectRow(row, schema_, projection, opts.materialize_limit, emit));
   }
   return out;
 }

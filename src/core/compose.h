@@ -12,8 +12,10 @@
 #define HYPERION_CORE_COMPOSE_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "core/free_table.h"
 #include "core/mapping.h"
 #include "core/mapping_table.h"
+#include "core/row_index.h"
 #include "core/schema.h"
 #include "core/tuple.h"
 
@@ -55,15 +58,61 @@ class JoinIndex {
     return Join(probe.schema(), probe.rows(), opts);
   }
 
+  /// \brief A peer's per-batch step of §6.3.2 in one pass: joins `rows`
+  /// as Join does, projects each joined row onto `keep_names` (names of
+  /// out_schema()) and adds the projection to `*emitted`, appending the
+  /// rows new to it to `fresh`.  `*emitted` is made, over the projected
+  /// schema, when the first joined row appears.  The result equals
+  /// Join, then ProjectOnto(keep_names), then emitted->AddRow of each
+  /// projected row, row for row and in order, and fails on the same
+  /// inputs with the same status; on failure `*emitted` and `fresh` may
+  /// hold part of the batch.  With `keep_names` empty nothing is
+  /// projected: only the joined rows are counted.  Returns the number of
+  /// distinct joined rows.
+  ///
+  /// A pair of all-constant rows, which the index lookup has already
+  /// unified, is projected by copying its kept cells; any other pair is
+  /// unified (JoinPair) and projected exactly (ProjectRow).
+  Result<size_t> JoinProject(const Schema& probe_schema,
+                             std::span<const Mapping> rows,
+                             const std::vector<std::string>& keep_names,
+                             const ComposeOptions& opts,
+                             std::optional<FreeTable>* emitted,
+                             std::vector<Mapping>* fresh) const;
+
   const FreeTable& build() const { return *build_; }
   const Schema& probe_schema() const { return probe_schema_; }
+  /// The schema of a joined row: build schema ++ probe's private
+  /// attributes.
+  const Schema& out_schema() const { return out_schema_; }
 
  private:
+  // One (build row, rank, probe row) pair that may join; see Candidates.
+  struct Candidate {
+    uint32_t build;
+    uint32_t rank;
+    uint32_t probe;
+    bool operator<(const Candidate& o) const {
+      return std::tie(build, rank, probe) < std::tie(o.build, o.rank, o.probe);
+    }
+  };
+
   JoinIndex() = default;
 
-  // The unify-and-emit kernel: adds build row `a` joined with probe row
-  // `b` to `out` when they unify on the shared attributes.
-  void JoinPair(const Mapping& a, const Mapping& b, FreeTable* out) const;
+  Status CheckProbeSchema(const Schema& probe_schema) const;
+  // The pairs of build row and probe row to try, in emission order.
+  std::vector<Candidate> Candidates(std::span<const Mapping> rows) const;
+  // The unify-and-resolve kernel: build row `a` joined with probe row
+  // `b` over out_schema_ (not yet normalized), or nullopt when they do
+  // not unify on the shared attributes.
+  std::optional<Mapping> JoinPair(const Mapping& a, const Mapping& b) const;
+  // For a ground joined row: the pair of ground build and probe rows
+  // (among `rows`, indexed lazily in `probe_index`) that joins to it, if
+  // there is one.
+  std::optional<Candidate> GroundPairOf(const Mapping& joined,
+                                        std::span<const Mapping> rows,
+                                        std::optional<RowIndex>* probe_index)
+      const;
 
   const FreeTable* build_ = nullptr;
   Schema probe_schema_;
@@ -76,6 +125,8 @@ class JoinIndex {
   // the rest (a variable in some shared cell) match any probe row.
   std::unordered_map<Tuple, std::vector<uint32_t>, TupleHash> ground_rows_;
   std::vector<uint32_t> variable_rows_;
+  // Whether each build row is all constants.
+  std::vector<bool> ground_build_;
 };
 
 /// \brief NaturalJoin when the schemas overlap, CartesianProduct when they

@@ -12,6 +12,7 @@
 #define HYPERION_CORE_FREE_TABLE_H_
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -53,7 +54,25 @@ class FreeTable {
   /// \brief Adds `row` (normalized, deduplicated).  Unsatisfiable rows are
   /// silently dropped — they denote the empty set.  Returns whether the
   /// row was actually inserted (false for duplicates and empty rows).
-  bool AddRow(Mapping row);
+  bool AddRow(Mapping row) {
+    const std::optional<Slot> slot = Insert(std::move(row));
+    return slot && slot->inserted;
+  }
+
+  /// \brief Where AddRow(row) leaves `row`: at `pos`, a new row's
+  /// position or that of the equal row already held, `inserted` telling
+  /// which; nullopt when the row is unsatisfiable and dropped.
+  struct Slot {
+    size_t pos;
+    bool inserted;
+  };
+  std::optional<Slot> Insert(Mapping row);
+
+  /// \brief Position of the row equal to `row`, which must be
+  /// normalized; nullopt when there is none.
+  std::optional<size_t> Find(const Mapping& row) const {
+    return row_index_.Find(rows_, row, row.Hash());
+  }
 
   /// \brief Moves the rows out of an expiring table, in order.
   std::vector<Mapping> TakeRows() && { return std::move(rows_); }

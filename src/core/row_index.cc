@@ -12,26 +12,26 @@ uint32_t RowIndex::Tag(size_t hash) {
       (static_cast<uint64_t>(hash) * uint64_t{0x9e3779b97f4a7c15}) >> 32);
 }
 
-bool RowIndex::Contains(const std::vector<Mapping>& rows, const Mapping& row,
-                        size_t hash) const {
-  if (slots_.empty()) return false;
+std::optional<size_t> RowIndex::Find(std::span<const Mapping> rows,
+                                     const Mapping& row, size_t hash) const {
+  if (slots_.empty()) return std::nullopt;
   const uint32_t tag = Tag(hash);
   const size_t mask = slots_.size() - 1;
   for (size_t i = tag & mask;; i = (i + 1) & mask) {
     const uint64_t slot = slots_[i];
-    if (slot == 0) return false;
-    if (static_cast<uint32_t>(slot >> 32) == tag &&
-        rows[static_cast<uint32_t>(slot) - 1] == row) {
-      return true;
+    if (slot == 0) return std::nullopt;
+    const size_t pos = static_cast<uint32_t>(slot) - 1;
+    if (static_cast<uint32_t>(slot >> 32) == tag && rows[pos] == row) {
+      return pos;
     }
   }
 }
 
-bool RowIndex::ContainsUpToRenaming(const std::vector<Mapping>& rows,
+bool RowIndex::ContainsUpToRenaming(std::span<const Mapping> rows,
                                     const Mapping& row) const {
-  if (row.IsNormalized()) return Contains(rows, row, row.Hash());
+  if (row.IsNormalized()) return Find(rows, row, row.Hash()).has_value();
   const Mapping normalized = row.Normalized();
-  return Contains(rows, normalized, normalized.Hash());
+  return Find(rows, normalized, normalized.Hash()).has_value();
 }
 
 void RowIndex::Insert(size_t hash, size_t pos) {

@@ -5,13 +5,16 @@
 // The index stores no second copy of a row: it is an open-addressing hash
 // set of (hash tag, row position) slots that compares a candidate against
 // the table's own vector.  Positions, not pointers, so a copied or moved
-// table's index stays valid without rebuilding.
+// table's index stays valid without rebuilding.  JoinIndex::JoinProject
+// indexes the rows of a streamed batch, read in place, the same way.
 
 #ifndef HYPERION_CORE_ROW_INDEX_H_
 #define HYPERION_CORE_ROW_INDEX_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/mapping.h"
@@ -21,18 +24,18 @@ namespace hyperion {
 /// \brief Hash set of row positions into a caller-owned row vector.
 class RowIndex {
  public:
-  /// \brief Whether `rows` holds a row equal to `row`, where `hash` is
-  /// row.Hash().
-  bool Contains(const std::vector<Mapping>& rows, const Mapping& row,
-                size_t hash) const;
+  /// \brief The position of the indexed row of `rows` equal to `row`,
+  /// where `hash` is row.Hash(); nullopt when there is none.
+  std::optional<size_t> Find(std::span<const Mapping> rows, const Mapping& row,
+                             size_t hash) const;
 
   /// \brief Whether `rows` holds a row equal to `row` up to variable
   /// renaming (`row` need not be normalized; indexed rows are).
-  bool ContainsUpToRenaming(const std::vector<Mapping>& rows,
+  bool ContainsUpToRenaming(std::span<const Mapping> rows,
                             const Mapping& row) const;
 
   /// \brief Records that rows[pos] has hash `hash`.  The caller has
-  /// checked with Contains() that no equal row is indexed.
+  /// checked with Find() that no equal row is indexed.
   void Insert(size_t hash, size_t pos);
 
  private:

@@ -724,37 +724,44 @@ Status PeerNode::ProcessBatch(ParticipantState* state, size_t part_idx,
   std::vector<Mapping> fresh;
   if (!rows.empty()) {
     const ComposeOptions compose = ComposeOptionsOf(state->spec);
-    FreeTable joined;
+    const bool first_rows = !ps.emitted;
+    // Project onto what is still needed (endpoint attrs + earlier hops).
+    std::vector<std::string> project_to;
+    size_t joined_rows = 0;
     if (ps.local->schema().ToSet().Overlaps(schema.ToSet())) {
       if (ps.join_index == nullptr) {
         HYP_ASSIGN_OR_RETURN(
             ps.join_index,
             join_indexes_->Get(ps.local_table, ps.local, schema));
       }
-      HYP_ASSIGN_OR_RETURN(joined, ps.join_index->Join(schema, rows, compose));
+      // Join, project and dedup in one pass: each fresh row is built
+      // once, kept in `emitted` and copied on.
+      project_to = NamesIn(ps.needed_names, ps.join_index->out_schema());
+      HYP_ASSIGN_OR_RETURN(joined_rows, ps.join_index->JoinProject(
+                                            schema, rows, project_to,
+                                            compose, &ps.emitted, &fresh));
     } else {
-      HYP_ASSIGN_OR_RETURN(joined,
+      HYP_ASSIGN_OR_RETURN(FreeTable joined,
                            ps.local->CartesianProduct(schema, rows, compose));
+      project_to = NamesIn(ps.needed_names, joined.schema());
+      joined_rows = joined.size();
+      if (!joined.empty() && !project_to.empty()) {
+        HYP_ASSIGN_OR_RETURN(FreeTable projected,
+                             joined.ProjectOnto(project_to, compose));
+        if (!ps.emitted) ps.emitted.emplace(projected.schema());
+        // Each fresh row is copied once, into `emitted`, and moved on.
+        for (Mapping& row : std::move(projected).TakeRows()) {
+          if (ps.emitted->AddRow(row)) fresh.push_back(std::move(row));
+        }
+      }
     }
-    if (!joined.empty()) {
-      // Project onto what is still needed (endpoint attrs + earlier hops).
-      std::vector<std::string> project_to =
-          NamesIn(ps.needed_names, joined.schema());
+    if (joined_rows > 0) {
       if (project_to.empty()) {
         // Terminal of a middle-only partition: only satisfiability
         // matters.
         ps.any_rows = true;
       } else {
-        HYP_ASSIGN_OR_RETURN(FreeTable projected,
-                             joined.ProjectOnto(project_to, compose));
-        if (!ps.emitted) {
-          ps.emitted.emplace(projected.schema());
-          ps.stream_schema = projected.schema();
-        }
-        // Each fresh row is copied once, into `emitted`, and moved on.
-        for (Mapping& row : std::move(projected).TakeRows()) {
-          if (ps.emitted->AddRow(row)) fresh.push_back(std::move(row));
-        }
+        if (first_rows) ps.stream_schema = ps.emitted->schema();
         ps.any_rows = ps.any_rows || !ps.emitted->empty();
       }
     }

@@ -168,9 +168,15 @@ class PeerNode {
     // otherwise); every later batch only probes it.
     std::shared_ptr<const JoinIndex> join_index;
     // Dedup of the rows already streamed (not kept by a starter, which
-    // streams its projection once).
+    // streams its projection once).  JoinIndex::JoinProject projects each
+    // joined row of a batch straight into it and copies out only the
+    // rows new to it.  It is made, over the projected schema, when the
+    // partition's first joined row appears.
     std::optional<FreeTable> emitted;
-    Schema stream_schema;  // of the rows streamed; empty until projected
+    // Of the rows streamed: the starter's projection's, or `emitted`'s
+    // from the batch that made it.  Until then it stays empty, so the eos
+    // of a partition that never joins a row carries an empty schema.
+    Schema stream_schema;
     std::unique_ptr<MappingCache> cache;
     bool any_rows = false;     // satisfiability witness seen
     bool done = false;

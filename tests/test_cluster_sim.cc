@@ -20,10 +20,12 @@
 #include "cluster/cluster_config.h"
 #include "cluster/membership.h"
 #include "cluster/node.h"
+#include "common/hash_util.h"
 #include "core/curator.h"
 #include "core/mapping_table.h"
 #include "obs/metrics.h"
 #include "p2p/network.h"
+#include "p2p/wire.h"
 #include "service/catalogs.h"
 #include "storage/table_store.h"
 #include "test_util.h"
@@ -250,10 +252,18 @@ TEST(ClusterSimTest, JoinCommitsOnlyOnTheJoinersHandoffAck) {
   ASSERT_NO_FATAL_FAILURE(ExpectTablesMatchReference(cluster));
 }
 
-// Every step above in one cluster, as a transcript of virtual times.
+// Every step above in one cluster, as a transcript of virtual times
+// that ends with a digest of every message delivered: a run's bytes on
+// the wire depend only on its inputs.
 std::vector<std::string> RunWholeCluster() {
   std::vector<std::string> log;
   SimCluster cluster(SimConfig(), Bio(), kLatencyUs);
+  size_t delivered = 0;
+  size_t digest = 0;
+  cluster.OnDeliver([&](const Message& msg) {
+    ++delivered;
+    HashCombine(&digest, wire::EncodeMessage(msg));
+  });
   SimNetwork& net = cluster.net();
   ClusterNode& coord = cluster.coord();
   auto note = [&](const std::string& what) {
@@ -319,6 +329,8 @@ std::vector<std::string> RunWholeCluster() {
 
   ExpectTablesMatchReference(cluster);
   note("fetched every table under epoch 2");
+  note("delivered " + std::to_string(delivered) + " messages, digest " +
+       std::to_string(digest));
   return log;
 }
 

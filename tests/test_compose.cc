@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <set>
 #include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "test_util.h"
+#include "workload/b2b_network.h"
 
 namespace hyperion {
 namespace {
@@ -523,6 +530,233 @@ TEST(JoinIndexTest, RowSpanProbeEqualsFreeTableProbe) {
     // A span over another schema is refused, as a FreeTable is.
     EXPECT_EQ(index.value().Join(fe.schema(), fe.rows()).status().code(),
               StatusCode::kInvalidArgument);
+  }
+}
+
+// The per-batch step a peer ran before JoinIndex::JoinProject: the full
+// join, its projection, then the dedup against the rows already
+// emitted, each pass building its own copy of every row.
+// `projected_rows` is set to the size of the projected table.
+Result<size_t> JoinThenProjectThenDedup(
+    const JoinIndex& index, std::span<const Mapping> rows,
+    const std::vector<std::string>& keep, const ComposeOptions& opts,
+    std::optional<FreeTable>* emitted, std::vector<Mapping>* fresh,
+    size_t* projected_rows) {
+  *projected_rows = 0;
+  HYP_ASSIGN_OR_RETURN(FreeTable joined,
+                       index.Join(index.probe_schema(), rows, opts));
+  if (joined.empty() || keep.empty()) return joined.size();
+  HYP_ASSIGN_OR_RETURN(FreeTable projected, joined.ProjectOnto(keep, opts));
+  *projected_rows = projected.size();
+  if (!*emitted) emitted->emplace(projected.schema());
+  for (Mapping& row : std::move(projected).TakeRows()) {
+    if ((*emitted)->AddRow(row)) fresh->push_back(std::move(row));
+  }
+  return joined.size();
+}
+
+// How a stream of batches ended, for the limit sweeps.
+struct StreamEnd {
+  bool ok = true;
+  size_t max_joined = 0;  // the most joined rows of one batch
+  // Each batch's joined and projected row counts: the values of
+  // max_result_rows at which the stream starts to fail.
+  std::set<size_t> row_counts;
+};
+
+// Streams `probe` through `index` in batches of `batch` rows, along both
+// paths, each with its own `emitted` carried from batch to batch, and
+// requires the same rows in the same order, batch by batch: the same
+// joined count, the same fresh rows, the same `emitted` (made by the
+// same batch), up to the first failure, which must be the same status.
+StreamEnd ExpectJoinProjectStreamsAsThreePasses(
+    const JoinIndex& index, const std::vector<Mapping>& probe, size_t batch,
+    const std::vector<std::string>& keep, const ComposeOptions& opts,
+    const std::string& what) {
+  StreamEnd end;
+  std::optional<FreeTable> want_emitted;
+  std::optional<FreeTable> got_emitted;
+  for (size_t start = 0; start < probe.size(); start += batch) {
+    const std::span<const Mapping> rows(
+        probe.data() + start, std::min(batch, probe.size() - start));
+    const std::string where = what + ", batch at row " + std::to_string(start);
+    std::vector<Mapping> want_fresh;
+    std::vector<Mapping> got_fresh;
+    size_t projected_rows = 0;
+    auto want = JoinThenProjectThenDedup(index, rows, keep, opts,
+                                         &want_emitted, &want_fresh,
+                                         &projected_rows);
+    auto got = index.JoinProject(index.probe_schema(), rows, keep, opts,
+                                 &got_emitted, &got_fresh);
+    EXPECT_EQ(got.status().ToString(), want.status().ToString()) << where;
+    if (!want.ok() || !got.ok()) {
+      end.ok = false;
+      return end;
+    }
+    EXPECT_EQ(got.value(), want.value()) << where;
+    end.max_joined = std::max(end.max_joined, want.value());
+    end.row_counts.insert(want.value());
+    end.row_counts.insert(projected_rows);
+    EXPECT_EQ(got_fresh, want_fresh) << where;
+    EXPECT_EQ(got_emitted.has_value(), want_emitted.has_value()) << where;
+    if (got_emitted && want_emitted) {
+      EXPECT_EQ(got_emitted->schema(), want_emitted->schema()) << where;
+      EXPECT_EQ(got_emitted->rows(), want_emitted->rows()) << where;
+    }
+  }
+  return end;
+}
+
+// Rows over SmallDomain(domain_size): about half all constants, the rest
+// RandomCell's mix of constants, shared variables and exclusion sets.
+FreeTable MixedTable(Rng* rng, const std::vector<std::string>& names,
+                     size_t rows, size_t domain_size) {
+  std::vector<Attribute> attrs;
+  for (const std::string& n : names) {
+    attrs.push_back(FiniteAttr(n, domain_size));
+  }
+  FreeTable t{Schema(attrs)};
+  for (size_t r = 0; r < rows; ++r) {
+    const double p_const = rng->Bernoulli(0.5) ? 1.0 : 0.4;
+    VarId next_var = 0;
+    std::vector<Cell> cells;
+    for (size_t i = 0; i < names.size(); ++i) {
+      cells.push_back(
+          testing_util::RandomCell(rng, domain_size, &next_var, p_const));
+    }
+    t.AddRow(Mapping(std::move(cells)));
+  }
+  return t;
+}
+
+// JoinProject against the three passes it replaces, over random tables
+// on finite domains: ground pairs, shared variables and exclusion sets,
+// probe rows with a variable in a shared cell (rank 1), dropped
+// positions whose finite domains force materialization, and one
+// `emitted` carried across batches.  Each limit is set at every value
+// where the stream starts to fail, one below it and one above: every
+// batch's joined and projected row counts for max_result_rows, and 0 to
+// the domain size for materialize_limit.
+TEST(JoinIndexTest, JoinProjectEqualsJoinThenProjectThenDedup) {
+  bool join_limit_met = false;
+  bool materialize_limit_met = false;
+  for (int seed = 0; seed < 20; ++seed) {
+    Rng rng(11000 + seed);
+    const FreeTable build = MixedTable(&rng, {"A", "B", "C"}, 10, 3);
+    const FreeTable probe = MixedTable(&rng, {"B", "C", "D"}, 12, 3);
+    auto index = JoinIndex::Build(build, probe.schema());
+    ASSERT_TRUE(index.ok()) << index.status();
+    for (const std::vector<std::string>& keep :
+         {std::vector<std::string>{"A", "D"},
+          std::vector<std::string>{"D", "B"},
+          std::vector<std::string>{"A", "B", "C", "D"},
+          std::vector<std::string>{}}) {
+      for (size_t batch : {size_t{1}, size_t{4}, size_t{12}}) {
+        const std::string what = "seed " + std::to_string(seed) +
+                                 ", keep " + std::to_string(keep.size()) +
+                                 ", batch " + std::to_string(batch);
+        const StreamEnd free = ExpectJoinProjectStreamsAsThreePasses(
+            index.value(), probe.rows(), batch, keep, {}, what);
+        ASSERT_TRUE(free.ok) << what;
+        std::set<size_t> limits;
+        for (size_t rows : free.row_counts) {
+          limits.insert({rows == 0 ? 0 : rows - 1, rows, rows + 1});
+        }
+        for (size_t max_rows : limits) {
+          ComposeOptions opts;
+          opts.max_result_rows = max_rows;
+          const StreamEnd end = ExpectJoinProjectStreamsAsThreePasses(
+              index.value(), probe.rows(), batch, keep, opts,
+              what + ", max_result_rows " + std::to_string(max_rows));
+          join_limit_met = join_limit_met || !end.ok;
+        }
+        for (size_t limit = 0; limit <= 3; ++limit) {
+          ComposeOptions opts;
+          opts.materialize_limit = limit;
+          const StreamEnd end = ExpectJoinProjectStreamsAsThreePasses(
+              index.value(), probe.rows(), batch, keep, opts,
+              what + ", materialize_limit " + std::to_string(limit));
+          materialize_limit_met = materialize_limit_met || !end.ok;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(join_limit_met);
+  EXPECT_TRUE(materialize_limit_met);
+}
+
+// A row with a variable can join to the very row a pair of constant
+// rows joins to.  Whichever pair comes first counts it and projects it;
+// the other is a duplicate, so the join limit sees one row.
+TEST(JoinIndexTest, JoinProjectCountsARowJoinedTwiceOnce) {
+  const Schema ab = Schema::Of({Attribute::String("A"), Attribute::String("B")});
+  const Schema bc = Schema::Of({Attribute::String("B"), Attribute::String("C")});
+  const Mapping identity({Cell::Variable(0), Cell::Variable(0)});
+  const Mapping ground = Mapping::FromTuple({Value("b1"), Value("b1")});
+  FreeTable probe(bc);
+  probe.AddRow(Mapping({Cell::Variable(0), Cell::Constant(Value("c0"))}));
+  probe.AddRow(Mapping::FromTuple({Value("b1"), Value("c1")}));
+  for (const bool identity_first : {true, false}) {
+    FreeTable build(ab);
+    build.AddRow(identity_first ? identity : ground);
+    build.AddRow(identity_first ? ground : identity);
+    auto index = JoinIndex::Build(build, bc);
+    ASSERT_TRUE(index.ok());
+    for (size_t max_rows : {size_t{2}, size_t{3}, size_t{4}}) {
+      ComposeOptions opts;
+      opts.max_result_rows = max_rows;
+      std::optional<FreeTable> emitted;
+      std::vector<Mapping> fresh;
+      auto joined = index.value().JoinProject(bc, probe.rows(), {"A", "C"},
+                                              opts, &emitted, &fresh);
+      if (max_rows < 3) {
+        EXPECT_EQ(joined.status().code(), StatusCode::kInvalidArgument);
+        continue;
+      }
+      ASSERT_TRUE(joined.ok()) << joined.status();
+      // (b1, b1, c1) once; the identity with (?, c0); the ground row
+      // with (?, c0), which unifies to (b1, b1, c0).
+      EXPECT_EQ(joined.value(), 3u);
+      EXPECT_EQ(fresh, emitted->rows());
+      ExpectJoinProjectStreamsAsThreePasses(
+          index.value(), probe.rows(), probe.size(), {"A", "C"}, opts,
+          identity_first ? "identity first" : "ground first");
+    }
+  }
+}
+
+// Fig. 12's names partition, the real non-ground traffic: m1's identity
+// and nickname rows meet m5's (FN, Gender) rows, streamed in batches
+// onto (FName, LName, Gender) — and the other way round, m1's rows
+// probing m5 with a variable or a constant in the shared FN cell.
+TEST(JoinIndexTest, JoinProjectEqualsThreePassesOnB2bNames) {
+  B2bConfig config;
+  config.rows_per_table = 120;
+  auto workload = B2bWorkload::Generate(config);
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  const FreeTable& m1 = workload.value().tables().at("m1")->free_table();
+  const FreeTable& m5 = workload.value().tables().at("m5")->free_table();
+  const std::vector<std::string> keep = {"FName", "LName", "Gender"};
+  for (const auto& [build, probe] :
+       {std::pair{&m1, &m5}, std::pair{&m5, &m1}}) {
+    auto index = JoinIndex::Build(*build, probe->schema());
+    ASSERT_TRUE(index.ok()) << index.status();
+    for (size_t batch : {size_t{7}, size_t{64}}) {
+      const std::string what = "build " + build->schema().ToString() +
+                               ", batch " + std::to_string(batch);
+      const StreamEnd free = ExpectJoinProjectStreamsAsThreePasses(
+          index.value(), probe->rows(), batch, keep, {}, what);
+      ASSERT_TRUE(free.ok) << what;
+      ASSERT_GT(free.max_joined, 0u) << what;
+      for (size_t max_rows : {free.max_joined - 1, free.max_joined}) {
+        ComposeOptions opts;
+        opts.max_result_rows = max_rows;
+        const StreamEnd end = ExpectJoinProjectStreamsAsThreePasses(
+            index.value(), probe->rows(), batch, keep, opts,
+            what + ", max_result_rows " + std::to_string(max_rows));
+        EXPECT_EQ(end.ok, max_rows == free.max_joined) << what;
+      }
+    }
   }
 }
 

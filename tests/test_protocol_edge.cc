@@ -1,12 +1,17 @@
 // Edge cases of the distributed protocol: acquaintance hops with no
-// curated tables, and covers over subsets of the endpoint attributes.
+// curated tables, covers over subsets of the endpoint attributes, and
+// the eos message of a partition that never joins a row.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/containment.h"
 #include "core/cover_engine.h"
 #include "p2p/network.h"
 #include "p2p/peer.h"
+#include "p2p/wire.h"
 #include "test_util.h"
 
 namespace hyperion {
@@ -108,6 +113,83 @@ TEST(ProtocolEdgeTest, EndpointSubsetsAndUnconstrainedAttributes) {
       {Value("a1"), Value("whatever"), Value("c1")}));
   EXPECT_FALSE(result.value()->cover.SatisfiesTuple(
       {Value("a2"), Value("whatever"), Value("c1")}));
+}
+
+// The eos messages p2 delivers to p1 in a session over p1 -> p2 -> p3
+// -> p4 whose middle join at p2 is empty: p3 starts the partition that
+// ends at p2, and none of its rows joins p2's table.  With `split`, p2's
+// table starts from a second attribute, Bx, so p2 is that partition's
+// terminal and its eos is a FinalRows; otherwise p2 is a middle hop and
+// streams a CoverBatch on to p1.
+std::vector<Message> EosDeliveredToP1FromP2(bool split) {
+  SimNetwork sim(testing_util::SimChain::Options(10'000, 1'000));
+  testing_util::TappedNetwork net(sim);
+  std::vector<Message> eos;
+  net.SetObserver([&](const Message& msg) {
+    if (msg.from != "p2" || msg.to != "p1") return;
+    const auto* batch = std::get_if<CoverBatchMsg>(&msg.payload);
+    const auto* final_rows = std::get_if<FinalRowsMsg>(&msg.payload);
+    if ((batch != nullptr && batch->eos) ||
+        (final_rows != nullptr && final_rows->eos)) {
+      eos.push_back(msg);
+    }
+  });
+  PeerNode p1("p1", AttributeSet::Of({Attribute::String("A")}));
+  PeerNode p2("p2", split ? AttributeSet::Of({Attribute::String("B"),
+                                              Attribute::String("Bx")})
+                          : AttributeSet::Of({Attribute::String("B")}));
+  PeerNode p3("p3", AttributeSet::Of({Attribute::String("C")}));
+  PeerNode p4("p4", AttributeSet::Of({Attribute::String("D")}));
+  for (PeerNode* p : {&p1, &p2, &p3, &p4}) {
+    EXPECT_TRUE(p->Attach(&net).ok());
+  }
+  EXPECT_TRUE(p1.AddConstraintTo("p2", MappingConstraint(Chain(
+                                           "ab", "A", "B", {{"a1", "b1"}})))
+                  .ok());
+  EXPECT_TRUE(p2.AddConstraintTo(
+                    "p3", MappingConstraint(Chain("bc", split ? "Bx" : "B",
+                                                  "C", {{"b1", "c9"}})))
+                  .ok());
+  EXPECT_TRUE(p3.AddConstraintTo("p4", MappingConstraint(Chain(
+                                           "cd", "C", "D", {{"c1", "d1"}})))
+                  .ok());
+  auto session = p1.StartCoverSession({"p1", "p2", "p3", "p4"},
+                                      {Attribute::String("A")},
+                                      {Attribute::String("D")});
+  EXPECT_TRUE(session.ok()) << session.status();
+  EXPECT_TRUE(sim.Run().ok());
+  auto result = p1.GetResult(session.value());
+  EXPECT_TRUE(result.ok() && result.value()->done);
+  if (result.ok()) {
+    EXPECT_TRUE(result.value()->error.ok()) << result.value()->error;
+    EXPECT_TRUE(result.value()->cover.empty());
+  }
+  return eos;
+}
+
+// Wire sizes of the two eos messages below, with an empty schema and no
+// rows; a schema made before any row joins would grow them.
+constexpr size_t kCoverBatchEosBytes = 47;
+constexpr size_t kFinalRowsEosBytes = 56;
+
+// A partition makes its streaming schema only when its first joined row
+// appears, so the eos of one that never joins a row carries an empty
+// schema.
+TEST(ProtocolEdgeTest, EosOfAPartitionThatNeverJoinsCarriesAnEmptySchema) {
+  const std::vector<Message> batches = EosDeliveredToP1FromP2(false);
+  ASSERT_EQ(batches.size(), 1u);
+  const auto& batch = std::get<CoverBatchMsg>(batches[0].payload);
+  EXPECT_EQ(batch.schema.arity(), 0u);
+  EXPECT_TRUE(batch.rows.empty());
+  EXPECT_EQ(wire::EncodeMessage(batches[0]).size(), kCoverBatchEosBytes);
+
+  const std::vector<Message> finals = EosDeliveredToP1FromP2(true);
+  ASSERT_EQ(finals.size(), 1u);
+  const auto& final_rows = std::get<FinalRowsMsg>(finals[0].payload);
+  EXPECT_EQ(final_rows.schema.arity(), 0u);
+  EXPECT_TRUE(final_rows.rows.empty());
+  EXPECT_FALSE(final_rows.satisfiable);
+  EXPECT_EQ(wire::EncodeMessage(finals[0]).size(), kFinalRowsEosBytes);
 }
 
 }  // namespace

@@ -158,6 +158,47 @@ inline MappingTable PairTable(const std::string& name,
   return t;
 }
 
+/// \brief A Network in front of a SimNetwork that shows every delivered
+/// message to an observer just before its handler runs; everything else
+/// is the sim's.
+class TappedNetwork : public Network {
+ public:
+  using Observer = std::function<void(const Message&)>;
+
+  explicit TappedNetwork(SimNetwork& sim) : sim_(sim) {}
+
+  void SetObserver(Observer observer) { observer_ = std::move(observer); }
+
+  Status RegisterPeer(const std::string& id, Handler handler) override {
+    return sim_.RegisterPeer(
+        id, [this, handler = std::move(handler)](const Message& msg) {
+          if (observer_) observer_(msg);
+          handler(msg);
+        });
+  }
+  Status Send(Message msg) override { return sim_.Send(std::move(msg)); }
+  Result<TimerId> ScheduleTimer(const std::string& peer, int64_t delay_us,
+                                TimerCallback cb) override {
+    return sim_.ScheduleTimer(peer, delay_us, std::move(cb));
+  }
+  void CancelTimer(TimerId id) override { sim_.CancelTimer(id); }
+  void SetFaultPlan(FaultPlan plan) override {
+    sim_.SetFaultPlan(std::move(plan));
+  }
+  int64_t now_us() const override { return sim_.now_us(); }
+  void ChargeCompute(int64_t micros) override { sim_.ChargeCompute(micros); }
+  NetworkStats stats() const override { return sim_.stats(); }
+  void ResetStats() override { sim_.ResetStats(); }
+  Status Await(const std::function<bool()>& ready,
+               const std::function<void()>& block) override {
+    return sim_.Await(ready, block);
+  }
+
+ private:
+  SimNetwork& sim_;
+  Observer observer_;
+};
+
 /// \brief The reliability tests' chain A -> B -> C -> D on one
 /// SimNetwork: peer P has attribute P_id, each hop one PairTable named
 /// "m" + from + to, and every peer shares one LinkRttTable.  With
@@ -337,7 +378,9 @@ class ClusterTest : public ::testing::Test {
 /// \brief A whole cluster on one SimNetwork: round-number links and no
 /// compute charge (SimChain::Options), so a run is a function of its
 /// config and its inputs, and tests pin exact virtual times.  Config
-/// ports must be nonzero: on sim they only name the peers.
+/// ports must be nonzero: on sim they only name the peers.  The nodes
+/// run on a TappedNetwork over the sim, so a test can watch every
+/// delivered message (OnDeliver).
 class SimCluster {
  public:
   /// Every node registers before any starts, so the first beats reach
@@ -403,6 +446,9 @@ class SimCluster {
   }
 
   SimNetwork& net() { return net_; }
+  void OnDeliver(TappedNetwork::Observer observer) {
+    tap_.SetObserver(std::move(observer));
+  }
   cluster::ClusterConfig& config() { return config_; }
   cluster::ClusterNode& coord() { return *coord_; }
   TableStore& reference() { return *reference_; }
@@ -414,7 +460,7 @@ class SimCluster {
     EXPECT_TRUE(catalog.ok());
     if (!catalog.ok()) return nullptr;
     auto node = cluster::ClusterNode::Create(
-        config_, id, std::move(*catalog.value().store), net_);
+        config_, id, std::move(*catalog.value().store), tap_);
     EXPECT_TRUE(node.ok()) << node.status();
     if (!node.ok()) return nullptr;
     EXPECT_TRUE(node.value()->Bind().ok());
@@ -423,7 +469,7 @@ class SimCluster {
   }
 
   cluster::ClusterNode* BindCoordinator(const std::string& id) {
-    auto coord = cluster::ClusterNode::Create(config_, id, TableStore(), net_);
+    auto coord = cluster::ClusterNode::Create(config_, id, TableStore(), tap_);
     EXPECT_TRUE(coord.ok()) << coord.status();
     if (!coord.ok()) return nullptr;
     coord_ = std::move(coord).value();
@@ -434,6 +480,7 @@ class SimCluster {
   // Declared first, destroyed last: no node outlives the network it is
   // registered on.
   SimNetwork net_;
+  TappedNetwork tap_{net_};
   cluster::ClusterConfig config_;
   std::vector<std::unique_ptr<cluster::ClusterNode>> storage_;
   std::unique_ptr<cluster::ClusterNode> coord_;
