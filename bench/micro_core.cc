@@ -17,6 +17,7 @@
 #include "core/cover_engine.h"
 #include "core/partition.h"
 #include "core/query.h"
+#include "p2p/wire.h"
 #include "workload/b2b_network.h"
 #include "workload/bio_network.h"
 #include "workload/id_gen.h"
@@ -204,6 +205,44 @@ void BM_JoinProjectBatch(benchmark::State& state) {
                              benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_JoinProjectBatch)->Arg(0)->Arg(1);
+
+// A CoverBatch as a peer streams it on Fig. 10's bio path: 64 rows of
+// the SwissProt-MIM table, with their schema.
+Message BioCoverBatch() {
+  BioConfig config;
+  config.num_entities = 2000;
+  BioWorkload bio = BioWorkload::Generate(config).value();
+  std::shared_ptr<const MappingTable> table =
+      bio.TableBetween("SwissProt", "MIM").value();
+  CoverBatchMsg batch;
+  batch.session = 1;
+  batch.schema = table->schema();
+  const size_t rows = std::min<size_t>(64, table->rows().size());
+  batch.rows.assign(table->rows().begin(), table->rows().begin() + rows);
+  batch.seq = 1;
+  return Message{"SwissProt", "GDB", std::move(batch)};
+}
+
+// The copy ReliableLink::Send keeps of every sequenced send, for a
+// retransmit that a loss-free run never makes.
+void BM_CopyCoverBatch(benchmark::State& state) {
+  const Message msg = BioCoverBatch();
+  for (auto _ : state) {
+    Message kept = msg;
+    benchmark::DoNotOptimize(kept);
+  }
+}
+BENCHMARK(BM_CopyCoverBatch);
+
+// A receiving peer decoding that batch from its frame's payload.
+void BM_DecodeCoverBatch(benchmark::State& state) {
+  const std::string bytes = wire::EncodeMessage(BioCoverBatch());
+  for (auto _ : state) {
+    Result<Message> decoded = wire::DecodeMessage(bytes);
+    benchmark::DoNotOptimize(decoded);
+  }
+}
+BENCHMARK(BM_DecodeCoverBatch);
 
 void BM_BioGenerate(benchmark::State& state) {
   for (auto _ : state) {

@@ -9,7 +9,9 @@
 //
 // Exclusion sets are shared immutably (catch-all rows produced by CO→CC
 // translation can exclude tens of thousands of values; copying cells —
-// which joins and projections do constantly — must stay O(1)).
+// which joins and projections do constantly — must stay O(1)).  A row's
+// cells are themselves shared: a Mapping keeps them in one immutable,
+// reference-counted block (mapping.h), so copying a row copies no Cell.
 
 #ifndef HYPERION_CORE_CELL_H_
 #define HYPERION_CORE_CELL_H_
@@ -105,10 +107,11 @@ class Cell {
  private:
   Cell() = default;
 
-  bool is_constant_ = true;
-  Value value_;            // when constant
-  VarId var_ = 0;          // when variable
+  // Widest first, so a Cell packs into 64 bytes.
+  Value value_;                 // when constant
   ExclusionSetPtr exclusions_;  // when variable; null == empty
+  VarId var_ = 0;               // when variable
+  bool is_constant_ = true;
 };
 
 }  // namespace hyperion

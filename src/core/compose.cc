@@ -253,15 +253,14 @@ std::optional<Mapping> JoinIndex::JoinPair(const Mapping& a,
     return std::nullopt;
   }
   std::unordered_map<VarId, VarId> out_vars;
-  std::vector<Cell> cells;
-  cells.reserve(out_schema_.arity());
+  Mapping::Builder cells(out_schema_.arity());
   for (size_t i = 0; i < a.arity(); ++i) {
-    cells.push_back(ResolveCell(a.cell(i), 0, &u, &out_vars));
+    cells.Append(ResolveCell(a.cell(i), 0, &u, &out_vars));
   }
   for (size_t pj : probe_private_) {
-    cells.push_back(ResolveCell(b.cell(pj), offset, &u, &out_vars));
+    cells.Append(ResolveCell(b.cell(pj), offset, &u, &out_vars));
   }
-  return Mapping(std::move(cells));
+  return std::move(cells).Build();
 }
 
 Result<FreeTable> JoinIndex::Join(const Schema& probe_schema,
@@ -269,11 +268,23 @@ Result<FreeTable> JoinIndex::Join(const Schema& probe_schema,
                                   const ComposeOptions& opts) const {
   HYP_RETURN_IF_ERROR(CheckProbeSchema(probe_schema));
   const std::vector<Candidate> candidates = Candidates(rows);
+  std::vector<bool> ground_probe(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    ground_probe[r] = rows[r].IsGround();
+  }
   FreeTable out(out_schema_);
   for (size_t i = 0; i < candidates.size(); ++i) {
     const Candidate& c = candidates[i];
-    if (std::optional<Mapping> joined =
-            JoinPair(build_->rows()[c.build], rows[c.probe])) {
+    const Mapping& a = build_->rows()[c.build];
+    const Mapping& b = rows[c.probe];
+    if (ground_build_[c.build] && ground_probe[c.probe]) {
+      // The index lookup matched their shared constants, so the joined
+      // row is `a` followed by b's private cells, as JoinPair makes it.
+      Mapping::Builder cells(out_schema_.arity());
+      for (const Cell& cell : a.cells()) cells.Append(cell);
+      for (size_t pj : probe_private_) cells.Append(b.cell(pj));
+      out.AddRow(std::move(cells).Build());
+    } else if (std::optional<Mapping> joined = JoinPair(a, b)) {
       out.AddRow(std::move(*joined));
     }
     bool row_done =
@@ -289,22 +300,23 @@ std::optional<JoinIndex::Candidate> JoinIndex::GroundPairOf(
   // A joined row is the build row followed by the probe row's private
   // cells; the probe row's shared cells are the build row's.
   const size_t build_arity = build_->schema().arity();
-  const std::vector<Cell>& cells = joined.cells();
-  const std::optional<size_t> build_row = build_->Find(
-      Mapping(std::vector<Cell>(cells.begin(), cells.begin() + build_arity)));
+  const std::span<const Cell> cells = joined.cells();
+  Mapping::Builder build_cells(build_arity);
+  for (const Cell& c : cells.first(build_arity)) build_cells.Append(c);
+  const std::optional<size_t> build_row =
+      build_->Find(std::move(build_cells).Build());
   if (!build_row) return std::nullopt;
-  std::vector<Cell> probe_cells;
-  probe_cells.reserve(probe_schema_.arity());
+  Mapping::Builder probe_cells(probe_schema_.arity());
   size_t next_shared = 0;
   size_t next_private = build_arity;
   for (size_t j = 0; j < probe_schema_.arity(); ++j) {
     if (next_shared < shared_.size() && shared_[next_shared].second == j) {
-      probe_cells.push_back(cells[shared_[next_shared++].first]);
+      probe_cells.Append(cells[shared_[next_shared++].first]);
     } else {
-      probe_cells.push_back(cells[next_private++]);
+      probe_cells.Append(cells[next_private++]);
     }
   }
-  const Mapping probe(std::move(probe_cells));
+  const Mapping probe = std::move(probe_cells).Build();
   if (!probe_index->has_value()) {
     probe_index->emplace();
     for (size_t r = 0; r < rows.size(); ++r) {
@@ -358,25 +370,24 @@ Status ExpandRow(const Mapping& row, const std::vector<size_t>& keep,
         class_of_var[row.cell(p).var()] = ci;
       }
     }
-    std::vector<Cell> cells;
-    cells.reserve(keep.size());
+    Mapping::Builder cells(keep.size());
     for (size_t p : keep) {
       const Cell& c = row.cell(p);
       if (c.is_constant()) {
-        cells.push_back(c);
+        cells.Append(c);
         continue;
       }
       size_t ci = class_of_var.at(c.var());
       if ((*chosen)[ci]) {
-        cells.push_back(Cell::Constant(*(*chosen)[ci]));
+        cells.Append(Cell::Constant(*(*chosen)[ci]));
       } else {
         auto [it, inserted] = out_vars.emplace(
             c.var(), static_cast<VarId>(out_vars.size()));
         (void)inserted;
-        cells.push_back(Cell::Variable(it->second, plans[ci].exclusions));
+        cells.Append(Cell::Variable(it->second, plans[ci].exclusions));
       }
     }
-    return emit(Mapping(std::move(cells)));
+    return emit(std::move(cells).Build());
   }
   const ClassPlan& plan = plans[plan_idx];
   if (plan.values.empty()) {
@@ -544,13 +555,12 @@ Result<size_t> JoinIndex::JoinProject(
     if (projection.keep.empty() || !projection_error.ok()) continue;
     if (!*emitted) emitted->emplace(out_schema_.Project(projection.keep));
     if (unified_row == nullptr) {
-      std::vector<Cell> cells;
-      cells.reserve(kept_src.size());
+      Mapping::Builder cells(kept_src.size());
       for (size_t src : kept_src) {
-        cells.push_back(src < build_arity ? a.cell(src)
-                                          : b.cell(src - build_arity));
+        cells.Append(src < build_arity ? a.cell(src)
+                                       : b.cell(src - build_arity));
       }
-      projection_error = emit(Mapping(std::move(cells)));
+      projection_error = emit(std::move(cells).Build());
     } else {
       projection_error = ProjectRow(*unified_row, out_schema_, projection,
                                     opts.materialize_limit, emit);
@@ -585,15 +595,20 @@ Result<FreeTable> FreeTable::CartesianProduct(
   for (const Mapping& a : rows_) {
     VarId offset = VarSpan(a);
     for (const Mapping& b : other_rows) {
-      Mapping shifted = b.WithVarOffset(offset);
-      std::vector<Cell> cells = a.cells();
-      cells.insert(cells.end(), shifted.cells().begin(),
-                   shifted.cells().end());
       if (out.size() >= opts.max_result_rows) {
         return Status::InvalidArgument(
             "CartesianProduct: result exceeds max rows");
       }
-      out.AddRow(Mapping(std::move(cells)));
+      Mapping::Builder cells(a.arity() + b.arity());
+      for (const Cell& c : a.cells()) cells.Append(c);
+      for (const Cell& c : b.cells()) {
+        if (c.is_constant()) {
+          cells.Append(c);
+        } else {
+          cells.Append(Cell::Variable(c.var() + offset, c.exclusions_ptr()));
+        }
+      }
+      out.AddRow(std::move(cells).Build());
     }
   }
   return out;

@@ -264,11 +264,11 @@ Result<MappingTable> CoverEngine::CombinePartitionCovers(
   }
   if (!free_attrs.empty()) {
     FreeTable free_table{Schema(free_attrs)};
-    std::vector<Cell> cells;
+    Mapping::Builder cells(free_attrs.size());
     for (size_t i = 0; i < free_attrs.size(); ++i) {
-      cells.push_back(Cell::Variable(static_cast<VarId>(i)));
+      cells.Append(Cell::Variable(static_cast<VarId>(i)));
     }
-    free_table.AddRow(Mapping(std::move(cells)));
+    free_table.AddRow(std::move(cells).Build());
     if (acc == nullptr) {
       product = std::move(free_table);
     } else {

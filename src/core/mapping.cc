@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <sstream>
 #include <unordered_map>
 
@@ -9,15 +10,42 @@
 
 namespace hyperion {
 
+Mapping::Block* Mapping::Allocate(size_t arity) {
+  void* memory = ::operator new(sizeof(Block) + arity * sizeof(Cell));
+  return new (memory) Block{{1}, static_cast<uint32_t>(arity)};
+}
+
+void Mapping::Free(Block* block) {
+  std::destroy_n(block->cells(), block->arity);
+  ::operator delete(block);
+}
+
+Mapping::Builder::Builder(size_t arity) {
+  assert(arity <= UINT32_MAX);
+  if (arity != 0) block_ = Allocate(arity);
+}
+
+Mapping::Builder::~Builder() {
+  if (block_ == nullptr) return;  // built, or arity 0
+  // Abandoned part-way: only the appended cells were constructed.
+  std::destroy_n(block_->cells(), size_);
+  ::operator delete(block_);
+}
+
+Mapping::Mapping(std::vector<Cell> cells) {
+  Builder b(cells.size());
+  for (Cell& c : cells) b.Append(std::move(c));
+  *this = std::move(b).Build();
+}
+
 Mapping Mapping::FromTuple(const Tuple& t) {
-  std::vector<Cell> cells;
-  cells.reserve(t.size());
-  for (const Value& v : t) cells.push_back(Cell::Constant(v));
-  return Mapping(std::move(cells));
+  Builder b(t.size());
+  for (const Value& v : t) b.Append(Cell::Constant(v));
+  return std::move(b).Build();
 }
 
 bool Mapping::IsGround() const {
-  for (const Cell& c : cells_) {
+  for (const Cell& c : cells()) {
     if (c.is_variable()) return false;
   }
   return true;
@@ -25,15 +53,15 @@ bool Mapping::IsGround() const {
 
 std::map<VarId, std::vector<size_t>> Mapping::VariableClasses() const {
   std::map<VarId, std::vector<size_t>> classes;
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i].is_variable()) classes[cells_[i].var()].push_back(i);
+  for (size_t i = 0; i < arity(); ++i) {
+    if (cell(i).is_variable()) classes[cell(i).var()].push_back(i);
   }
   return classes;
 }
 
 std::set<Value> Mapping::CombinedExclusions(VarId var) const {
   std::set<Value> out;
-  for (const Cell& c : cells_) {
+  for (const Cell& c : cells()) {
     if (c.is_variable() && c.var() == var) {
       out.insert(c.exclusions().begin(), c.exclusions().end());
     }
@@ -42,10 +70,10 @@ std::set<Value> Mapping::CombinedExclusions(VarId var) const {
 }
 
 bool Mapping::MatchesGround(const Tuple& t, const Schema& schema) const {
-  if (t.size() != cells_.size()) return false;
+  if (t.size() != arity()) return false;
   std::unordered_map<VarId, const Value*> binding;
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    const Cell& c = cells_[i];
+  for (size_t i = 0; i < arity(); ++i) {
+    const Cell& c = cell(i);
     if (c.is_constant()) {
       if (!(c.value() == t[i])) return false;
       continue;
@@ -59,23 +87,23 @@ bool Mapping::MatchesGround(const Tuple& t, const Schema& schema) const {
 }
 
 bool Mapping::IsSatisfiable(const Schema& schema) const {
-  assert(cells_.size() == schema.arity());
+  assert(arity() == schema.arity());
   for (const auto& [var, positions] : VariableClasses()) {
     std::vector<const Domain*> domains;
     domains.reserve(positions.size());
     std::set<Value> excluded;
     for (size_t p : positions) {
       domains.push_back(schema.attr(p).domain().get());
-      const auto& ex = cells_[p].exclusions();
+      const auto& ex = cell(p).exclusions();
       excluded.insert(ex.begin(), ex.end());
     }
     if (!Domain::IntersectionHasValueOutside(domains, excluded)) return false;
   }
   // Constants are assumed domain-checked on construction (MappingTable::Add
   // validates them); re-check cheaply anyway for safety.
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i].is_constant() &&
-        !schema.attr(i).domain()->Contains(cells_[i].value())) {
+  for (size_t i = 0; i < arity(); ++i) {
+    if (cell(i).is_constant() &&
+        !schema.attr(i).domain()->Contains(cell(i).value())) {
       return false;
     }
   }
@@ -83,13 +111,13 @@ bool Mapping::IsSatisfiable(const Schema& schema) const {
 }
 
 std::optional<Tuple> Mapping::PickWitness(const Schema& schema) const {
-  Tuple out(cells_.size());
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i].is_constant()) {
-      if (!schema.attr(i).domain()->Contains(cells_[i].value())) {
+  Tuple out(arity());
+  for (size_t i = 0; i < arity(); ++i) {
+    if (cell(i).is_constant()) {
+      if (!schema.attr(i).domain()->Contains(cell(i).value())) {
         return std::nullopt;
       }
-      out[i] = cells_[i].value();
+      out[i] = cell(i).value();
     }
   }
   for (const auto& [var, positions] : VariableClasses()) {
@@ -97,7 +125,7 @@ std::optional<Tuple> Mapping::PickWitness(const Schema& schema) const {
     std::set<Value> excluded;
     for (size_t p : positions) {
       domains.push_back(schema.attr(p).domain().get());
-      const auto& ex = cells_[p].exclusions();
+      const auto& ex = cell(p).exclusions();
       excluded.insert(ex.begin(), ex.end());
     }
     auto v = Domain::PickInIntersectionOutside(domains, excluded);
@@ -108,37 +136,40 @@ std::optional<Tuple> Mapping::PickWitness(const Schema& schema) const {
 }
 
 Mapping Mapping::Project(const std::vector<size_t>& positions) const {
-  std::vector<Cell> cells;
-  cells.reserve(positions.size());
-  for (size_t p : positions) {
-    assert(p < cells_.size());
-    cells.push_back(cells_[p]);
+  bool identity = positions.size() == arity();
+  for (size_t i = 0; identity && i < arity(); ++i) {
+    identity = positions[i] == i;
   }
-  return Mapping(std::move(cells));
+  if (identity) return *this;
+  Builder b(positions.size());
+  for (size_t p : positions) {
+    assert(p < arity());
+    b.Append(cell(p));
+  }
+  return std::move(b).Build();
 }
 
 Mapping Mapping::Normalized() const {
   std::unordered_map<VarId, VarId> rename;
-  std::vector<Cell> cells;
-  cells.reserve(cells_.size());
-  for (const Cell& c : cells_) {
+  Builder b(arity());
+  for (const Cell& c : cells()) {
     if (c.is_constant()) {
-      cells.push_back(c);
+      b.Append(c);
       continue;
     }
     auto [it, inserted] =
         rename.emplace(c.var(), static_cast<VarId>(rename.size()));
-    cells.push_back(Cell::Variable(it->second, c.exclusions_ptr()));
+    b.Append(Cell::Variable(it->second, c.exclusions_ptr()));
     (void)inserted;
   }
-  return Mapping(std::move(cells));
+  return std::move(b).Build();
 }
 
 bool Mapping::IsNormalized() const {
   // Normalized ids are dense in first-occurrence order: each variable is
   // either one already seen (below `next`) or exactly the next new id.
   VarId next = 0;
-  for (const Cell& c : cells_) {
+  for (const Cell& c : cells()) {
     if (c.is_constant() || c.var() < next) continue;
     if (c.var() != next) return false;
     ++next;
@@ -147,16 +178,15 @@ bool Mapping::IsNormalized() const {
 }
 
 Mapping Mapping::WithVarOffset(VarId offset) const {
-  std::vector<Cell> cells;
-  cells.reserve(cells_.size());
-  for (const Cell& c : cells_) {
+  Builder b(arity());
+  for (const Cell& c : cells()) {
     if (c.is_constant()) {
-      cells.push_back(c);
+      b.Append(c);
     } else {
-      cells.push_back(Cell::Variable(c.var() + offset, c.exclusions_ptr()));
+      b.Append(Cell::Variable(c.var() + offset, c.exclusions_ptr()));
     }
   }
-  return Mapping(std::move(cells));
+  return std::move(b).Build();
 }
 
 namespace {
@@ -205,14 +235,14 @@ Status EnumerateRec(
 
 Result<std::vector<Tuple>> Mapping::EnumerateExtension(const Schema& schema,
                                                        size_t limit) const {
-  assert(cells_.size() == schema.arity());
-  Tuple current(cells_.size());
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i].is_constant()) {
-      if (!schema.attr(i).domain()->Contains(cells_[i].value())) {
+  assert(arity() == schema.arity());
+  Tuple current(arity());
+  for (size_t i = 0; i < arity(); ++i) {
+    if (cell(i).is_constant()) {
+      if (!schema.attr(i).domain()->Contains(cell(i).value())) {
         return std::vector<Tuple>{};  // unsatisfiable: empty extension
       }
-      current[i] = cells_[i].value();
+      current[i] = cell(i).value();
     }
   }
   std::vector<std::pair<VarId, std::vector<size_t>>> classes;
@@ -228,17 +258,17 @@ Result<std::vector<Tuple>> Mapping::EnumerateExtension(const Schema& schema,
 std::string Mapping::ToString() const {
   std::ostringstream os;
   os << "(";
-  for (size_t i = 0; i < cells_.size(); ++i) {
+  for (size_t i = 0; i < arity(); ++i) {
     if (i != 0) os << ", ";
-    os << cells_[i].ToString();
+    os << cell(i).ToString();
   }
   os << ")";
   return os.str();
 }
 
 size_t Mapping::Hash() const {
-  size_t seed = cells_.size();
-  for (const Cell& c : cells_) HashCombine(&seed, c.Hash());
+  size_t seed = arity();
+  for (const Cell& c : cells()) HashCombine(&seed, c.Hash());
   return seed;
 }
 

@@ -135,23 +135,22 @@ std::optional<Mapping> MappingTable::BindX(const Mapping& row,
     auto [it, inserted] = binding.emplace(c.var(), x[i]);
     if (!inserted && !(it->second == x[i])) return std::nullopt;
   }
-  std::vector<Cell> y_cells;
-  y_cells.reserve(y_schema_.arity());
+  Mapping::Builder y_cells(y_schema_.arity());
   for (size_t i = x_arity(); i < schema().arity(); ++i) {
     const Cell& c = row.cell(i);
     if (c.is_constant()) {
-      y_cells.push_back(c);
+      y_cells.Append(c);
       continue;
     }
     auto it = binding.find(c.var());
     if (it != binding.end()) {
       if (!c.AdmitsValue(it->second)) return std::nullopt;
-      y_cells.push_back(Cell::Constant(it->second));
+      y_cells.Append(Cell::Constant(it->second));
     } else {
-      y_cells.push_back(c);
+      y_cells.Append(c);
     }
   }
-  return Mapping(std::move(y_cells));
+  return std::move(y_cells).Build();
 }
 
 Result<std::vector<Tuple>> MappingTable::YmGround(const Tuple& x,
@@ -398,21 +397,20 @@ Result<MappingTable> MappingTable::Parse(std::string_view text) {
           " cells, expected " + std::to_string(table->schema().arity()));
     }
     std::unordered_map<std::string, VarId> var_names;
-    std::vector<Cell> cells;
-    cells.reserve(cell_texts.size());
+    Mapping::Builder cells(cell_texts.size());
     for (size_t i = 0; i < cell_texts.size(); ++i) {
       std::string_view cell_text = TrimWhitespace(cell_texts[i]);
       ValueType type = table->schema().attr(i).domain()->value_type();
       if (!cell_text.empty() && cell_text[0] == '?') {
         HYP_ASSIGN_OR_RETURN(Cell c,
                              ParseVariableCell(cell_text, type, &var_names));
-        cells.push_back(std::move(c));
+        cells.Append(std::move(c));
       } else {
         HYP_ASSIGN_OR_RETURN(Value v, ParseValue(cell_text, type));
-        cells.push_back(Cell::Constant(std::move(v)));
+        cells.Append(Cell::Constant(std::move(v)));
       }
     }
-    HYP_RETURN_IF_ERROR(table->AddRow(Mapping(std::move(cells))));
+    HYP_RETURN_IF_ERROR(table->AddRow(std::move(cells).Build()));
   }
   if (!table) {
     if (!x_schema || !y_schema) {

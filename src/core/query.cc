@@ -149,22 +149,22 @@ std::optional<Mapping> BindXCells(const Mapping& row, size_t x_arity,
     auto [it, inserted] = binding.emplace(c.var(), x[i]);
     if (!inserted && !(it->second == x[i])) return std::nullopt;
   }
-  std::vector<Cell> y_cells;
+  Mapping::Builder y_cells(row.arity() - x_arity);
   for (size_t i = x_arity; i < row.arity(); ++i) {
     const Cell& c = row.cell(i);
     if (c.is_constant()) {
-      y_cells.push_back(c);
+      y_cells.Append(c);
       continue;
     }
     auto it = binding.find(c.var());
     if (it != binding.end()) {
       if (!c.AdmitsValue(it->second)) return std::nullopt;
-      y_cells.push_back(Cell::Constant(it->second));
+      y_cells.Append(Cell::Constant(it->second));
     } else {
-      y_cells.push_back(c);
+      y_cells.Append(c);
     }
   }
-  return Mapping(std::move(y_cells));
+  return std::move(y_cells).Build();
 }
 
 }  // namespace

@@ -75,13 +75,12 @@ Result<std::vector<Tuple>> PresentXValues(const MappingTable& table) {
 
 // A mapping (x ++ fresh distinct Y variables): "x maps to any Y-value".
 Mapping XWithFreeY(const Tuple& x, size_t y_arity, VarId first_var = 0) {
-  std::vector<Cell> cells;
-  cells.reserve(x.size() + y_arity);
-  for (const Value& v : x) cells.push_back(Cell::Constant(v));
+  Mapping::Builder cells(x.size() + y_arity);
+  for (const Value& v : x) cells.Append(Cell::Constant(v));
   for (size_t i = 0; i < y_arity; ++i) {
-    cells.push_back(Cell::Variable(first_var + static_cast<VarId>(i)));
+    cells.Append(Cell::Variable(first_var + static_cast<VarId>(i)));
   }
-  return Mapping(std::move(cells));
+  return std::move(cells).Build();
 }
 
 }  // namespace
@@ -91,11 +90,11 @@ std::vector<Mapping> ComplementOfTupleSet(const std::vector<Tuple>& tuples,
   size_t arity = schema.arity();
   if (tuples.empty()) {
     // Complement of the empty set: everything.
-    std::vector<Cell> cells;
+    Mapping::Builder cells(arity);
     for (size_t i = 0; i < arity; ++i) {
-      cells.push_back(Cell::Variable(static_cast<VarId>(i)));
+      cells.Append(Cell::Variable(static_cast<VarId>(i)));
     }
-    return {Mapping(std::move(cells))};
+    return {std::move(cells).Build()};
   }
   if (arity == 0) return {};  // complement of a nonempty set over ()
 
@@ -106,12 +105,12 @@ std::vector<Mapping> ComplementOfTupleSet(const std::vector<Tuple>& tuples,
   std::vector<Mapping> out;
   // Case 1: first coordinate avoids every value of `firsts`; rest is free.
   {
-    std::vector<Cell> cells;
-    cells.push_back(Cell::Variable(0, firsts));
+    Mapping::Builder cells(arity);
+    cells.Append(Cell::Variable(0, firsts));
     for (size_t i = 1; i < arity; ++i) {
-      cells.push_back(Cell::Variable(static_cast<VarId>(i)));
+      cells.Append(Cell::Variable(static_cast<VarId>(i)));
     }
-    out.emplace_back(std::move(cells));
+    out.push_back(std::move(cells).Build());
   }
   // Case 2: first coordinate equals a ∈ firsts, rest avoids E_a.
   std::vector<size_t> rest_positions;
@@ -123,11 +122,10 @@ std::vector<Mapping> ComplementOfTupleSet(const std::vector<Tuple>& tuples,
       if (t[0] == a) rest.emplace_back(t.begin() + 1, t.end());
     }
     for (const Mapping& sub : ComplementOfTupleSet(rest, rest_schema)) {
-      std::vector<Cell> cells;
-      cells.reserve(arity);
-      cells.push_back(Cell::Constant(a));
-      for (const Cell& c : sub.cells()) cells.push_back(c);
-      out.emplace_back(std::move(cells));
+      Mapping::Builder cells(arity);
+      cells.Append(Cell::Constant(a));
+      for (const Cell& c : sub.cells()) cells.Append(c);
+      out.push_back(std::move(cells).Build());
     }
   }
   return out;
@@ -147,11 +145,11 @@ Result<MappingTable> TranslateToCc(const MappingTable& table,
       break;  // handled above
     case WorldSemantics::kOpenOpen: {
       // Any X with any Y: one row of fresh distinct variables.
-      std::vector<Cell> cells;
+      Mapping::Builder cells(table.schema().arity());
       for (size_t i = 0; i < table.schema().arity(); ++i) {
-        cells.push_back(Cell::Variable(static_cast<VarId>(i)));
+        cells.Append(Cell::Variable(static_cast<VarId>(i)));
       }
-      HYP_RETURN_IF_ERROR(out.AddRow(Mapping(std::move(cells))));
+      HYP_RETURN_IF_ERROR(out.AddRow(std::move(cells).Build()));
       break;
     }
     case WorldSemantics::kOpenClosed: {
@@ -175,11 +173,12 @@ Result<MappingTable> TranslateToCc(const MappingTable& table,
         for (const Cell& c : comp.cells()) {
           if (c.is_variable()) next = std::max(next, c.var() + 1);
         }
-        std::vector<Cell> cells = comp.cells();
+        Mapping::Builder cells(comp.arity() + y_arity);
+        for (const Cell& c : comp.cells()) cells.Append(c);
         for (size_t i = 0; i < y_arity; ++i) {
-          cells.push_back(Cell::Variable(next + static_cast<VarId>(i)));
+          cells.Append(Cell::Variable(next + static_cast<VarId>(i)));
         }
-        Mapping m(std::move(cells));
+        Mapping m = std::move(cells).Build();
         // Complement rows can be unsatisfiable over finite domains (every
         // domain value already present); those denote nothing — skip.
         if (m.IsSatisfiable(out.schema())) {

@@ -231,8 +231,9 @@ void TcpNetwork::StageFrame(const std::string& dest, std::string frame,
 }
 
 Status TcpNetwork::Send(Message msg) {
-  std::string payload = wire::EncodeMessage(msg);
-  const size_t bytes = payload.size();  // == msg.ByteSize(), counted once
+  std::string frame = wire::EncodeFrame(msg, origin_token_);
+  // == msg.ByteSize(), counted once
+  const size_t bytes = frame.size() - wire::kFrameHeaderBytes;
   MutexLock lock(mutex_);
   bool local_dest = peers_.count(msg.to) > 0;
   if (!local_dest && !remote_peers_.count(msg.to)) {
@@ -255,20 +256,20 @@ Status TcpNetwork::Send(Message msg) {
     stats_.duplicates_injected += copies - 1;
     RecordFaultEvent("net.duplicates_injected", "tcp");
   }
-  std::string frame;
-  wire::AppendFrame(payload, origin_token_, &frame);
   for (size_t i = 0; i < copies; ++i) {
     ++outstanding_;
+    // The last copy takes the frame; only injected duplicates copy it.
+    std::string copy = i + 1 == copies ? std::move(frame) : frame;
     int64_t jitter = decision.copy_jitter_us[i];
     if (jitter > 0) {
       PendingEntry entry;
       entry.peer = msg.to;
-      entry.frame = frame;
+      entry.frame = std::move(copy);
       entry.is_frame = true;
       entry.local_dest = local_dest;
       pending_.emplace(now_us() + jitter, std::move(entry));
     } else {
-      StageFrame(msg.to, frame, local_dest);
+      StageFrame(msg.to, std::move(copy), local_dest);
     }
   }
   WakeLoop();

@@ -281,10 +281,18 @@ class Reader {
   }
 
   bool Get(std::string& s) {
+    std::string_view bytes;
+    if (!GetBytes(bytes)) return false;
+    s.assign(bytes);
+    return true;
+  }
+
+  // A length-prefixed byte string, viewed in the input.
+  bool GetBytes(std::string_view& bytes) {
     uint32_t n = 0;
     if (!Get(n)) return false;
     if (remaining() < n) return Fail("truncated input");
-    s.assign(data_.data() + pos_, n);
+    bytes = data_.substr(pos_, n);
     pos_ += n;
     return true;
   }
@@ -341,9 +349,9 @@ class Reader {
     uint8_t tag = 0;
     if (!Get(tag)) return false;
     if (tag == 0) {
-      std::string s;
-      if (!Get(s)) return false;
-      v = Value(std::move(s));
+      std::string_view bytes;
+      if (!GetBytes(bytes)) return false;
+      v = Value(std::string(bytes));
       return true;
     }
     if (tag == 1) {
@@ -399,29 +407,28 @@ class Reader {
     return true;
   }
 
-  // Not the vector Get: a Cell has no default constructor to read into.
+  // Decodes the cells straight into the row's own block.
   bool Get(Mapping& m) {
     uint32_t n = 0;
     if (!Count(MinBytes<Cell>(), n)) return false;
-    std::vector<Cell> cells;
-    cells.reserve(n);
+    Mapping::Builder cells(n);
     for (uint32_t i = 0; i < n; ++i) {
       uint8_t tag = 0;
       if (!Get(tag)) return false;
       if (tag == 0) {
         Value v;
         if (!Get(v)) return false;
-        cells.push_back(Cell::Constant(std::move(v)));
+        cells.Append(Cell::Constant(std::move(v)));
       } else if (tag == 1) {
         VarId var = 0;
         std::set<Value> exclusions;
         if (!Get(var) || !Get(exclusions)) return false;
-        cells.push_back(Cell::Variable(var, std::move(exclusions)));
+        cells.Append(Cell::Variable(var, std::move(exclusions)));
       } else {
         return Fail("unknown cell tag");
       }
     }
-    m = Mapping(std::move(cells));
+    m = std::move(cells).Build();
     return true;
   }
 
@@ -534,6 +541,16 @@ void AppendFrame(std::string_view payload, uint64_t origin_token,
   w(static_cast<uint32_t>(payload.size()), origin_token);
   out->append(header, kFrameHeaderBytes);
   out->append(payload);
+}
+
+std::string EncodeFrame(const Message& msg, uint64_t origin_token) {
+  const size_t payload = msg.ByteSize();
+  std::string out(kFrameHeaderBytes + payload, '\0');
+  BufferSink sink{out.data()};
+  Writer<BufferSink> w(&sink);
+  w(static_cast<uint32_t>(payload), origin_token);
+  Write(msg, &sink);
+  return out;
 }
 
 Result<FrameView> PeekFrame(std::string_view buffer) {

@@ -65,6 +65,11 @@ Result<Message> DecodeMessage(std::string_view bytes);
 void AppendFrame(std::string_view payload, uint64_t origin_token,
                  std::string* out);
 
+/// \brief The frame that AppendFrame(EncodeMessage(msg), origin_token)
+/// appends, written header and payload into one buffer sized from
+/// msg.ByteSize().
+std::string EncodeFrame(const Message& msg, uint64_t origin_token);
+
 /// \brief Outcome of scanning a receive buffer for one complete frame.
 struct FrameView {
   bool complete = false;      // false: need more bytes

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/free_table.h"
+#include "p2p/wire.h"
 #include "test_util.h"
 
 namespace hyperion {
@@ -163,6 +170,115 @@ TEST(MappingTest, EnumerateExtensionRespectsLimit) {
   Schema s = Schema::Of({FiniteAttr("A", 4), FiniteAttr("B", 4)});
   Mapping m({Cell::Variable(0), Cell::Variable(1)});
   EXPECT_FALSE(m.EnumerateExtension(s, /*limit=*/3).ok());
+}
+
+// A row's cells live in one immutable block that copies share
+// (mapping.h).  Values here are longer than any short-string buffer, so
+// a dangling cell would read freed heap memory, which ASan reports.
+Mapping LongRow(int i) {
+  return Mapping({Cell::Constant(Value("accession-number-" +
+                                       std::to_string(100000 + i))),
+                  Cell::Variable(0, {Value("excluded-value-of-row-" +
+                                           std::to_string(i))}),
+                  Cell::Constant(Value(int64_t{i}))});
+}
+
+TEST(MappingShareTest, CopySharesCells) {
+  const Mapping orig = LongRow(1);
+  const Mapping copy = orig;
+  EXPECT_EQ(&copy.cell(0), &orig.cell(0));
+  EXPECT_EQ(copy, orig);
+  EXPECT_EQ(copy.Hash(), orig.Hash());
+}
+
+TEST(MappingShareTest, IdentityProjectShares) {
+  const Mapping orig = LongRow(2);
+  const Mapping same = orig.Project({0, 1, 2});
+  EXPECT_EQ(&same.cell(0), &orig.cell(0));
+  EXPECT_EQ(same, orig);
+  const Mapping swapped = orig.Project({1, 0, 2});
+  EXPECT_NE(&swapped.cell(2), &orig.cell(2));
+  EXPECT_EQ(swapped.cell(2), orig.cell(2));
+  const Mapping prefix = orig.Project({0, 1});
+  EXPECT_EQ(prefix.arity(), 2u);
+  EXPECT_NE(&prefix.cell(0), &orig.cell(0));
+}
+
+TEST(MappingShareTest, RebuiltRowIsEqualAndHashesEqual) {
+  const Mapping orig = LongRow(3);
+  Mapping::Builder cells(orig.arity());
+  for (const Cell& c : orig.cells()) cells.Append(c);
+  const Mapping rebuilt = std::move(cells).Build();
+  EXPECT_NE(&rebuilt.cell(0), &orig.cell(0));
+  EXPECT_EQ(rebuilt, orig);
+  EXPECT_EQ(rebuilt.Hash(), orig.Hash());
+  EXPECT_NE(rebuilt, LongRow(4));
+  EXPECT_EQ(Mapping(), Mapping(std::vector<Cell>{}));
+}
+
+TEST(MappingShareTest, DecodedRowDoesNotAliasTheFrame) {
+  CoverBatchMsg batch;
+  batch.schema = Schema::Of({Attribute::String("A"), Attribute::String("B"),
+                             Attribute("N", Domain::AllInts())});
+  for (int i = 0; i < 8; ++i) batch.rows.push_back(LongRow(i));
+  auto bytes = std::make_unique<std::string>(
+      wire::EncodeMessage(Message{"a", "b", batch}));
+  auto decoded = wire::DecodeMessage(*bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  bytes->assign(bytes->size(), 'X');
+  bytes.reset();
+  const auto& rows = std::get<CoverBatchMsg>(decoded.value().payload).rows;
+  ASSERT_EQ(rows.size(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(rows[i], LongRow(i));
+    EXPECT_EQ(rows[i].ToString(), LongRow(i).ToString());
+  }
+}
+
+TEST(MappingShareTest, ConcurrentCopiesAcrossThreads) {
+  // Copiers copy, hash and drop the rows of one shared table, so the
+  // rows' reference counts change on several threads at once, while a
+  // reader walks the cells; every copy still reads the original cells.
+  auto table = std::make_shared<FreeTable>(Schema::Of(
+      {Attribute::String("A"), Attribute::String("B"), Attribute("N", Domain::AllInts())}));
+  for (int i = 0; i < 200; ++i) table->AddRow(LongRow(i));
+  std::vector<size_t> hashes;
+  for (const Mapping& row : table->rows()) hashes.push_back(row.Hash());
+  std::shared_ptr<const FreeTable> shared = table;
+  table.reset();
+
+  constexpr int kCopiers = 3;
+  constexpr int kRounds = 40;
+  std::vector<int> mismatches(kCopiers + 1, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kCopiers; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<Mapping> copies(shared->rows().begin(),
+                                    shared->rows().end());
+        for (size_t r = 0; r < copies.size(); ++r) {
+          if (copies[r].Hash() != hashes[r] ||
+              &copies[r].cell(0) != &shared->rows()[r].cell(0)) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      for (size_t r = 0; r < shared->rows().size(); ++r) {
+        const Mapping& row = shared->rows()[r];
+        if (row.cell(0).value().AsString().rfind("accession-number-", 0) !=
+                0 ||
+            row.Hash() != hashes[r]) {
+          ++mismatches[kCopiers];
+        }
+      }
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches, std::vector<int>(kCopiers + 1, 0));
 }
 
 }  // namespace

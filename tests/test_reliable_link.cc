@@ -21,6 +21,7 @@
 #include "p2p/link_rtt.h"
 #include "p2p/network.h"
 #include "p2p/reliable_link.h"
+#include "p2p/wire.h"
 #include "test_util.h"
 
 namespace hyperion {
@@ -43,7 +44,10 @@ class TimerCountingNetwork : public Network {
   Status RegisterPeer(const std::string& id, Handler handler) override {
     return sim_.RegisterPeer(id, std::move(handler));
   }
-  Status Send(Message msg) override { return sim_.Send(std::move(msg)); }
+  Status Send(Message msg) override {
+    if (on_send_) on_send_(msg);
+    return sim_.Send(std::move(msg));
+  }
   Result<TimerId> ScheduleTimer(const std::string& peer, int64_t delay_us,
                                 TimerCallback cb) override {
     auto id = std::make_shared<TimerId>(0);
@@ -75,6 +79,10 @@ class TimerCountingNetwork : public Network {
 
   // The test's own drivers arm their timers here, uncounted.
   SimNetwork& sim() { return sim_; }
+  // Sees every message as it is handed to the sim.
+  void OnSend(std::function<void(const Message&)> fn) {
+    on_send_ = std::move(fn);
+  }
   Result<int64_t> Run() { return sim_.Run(); }
 
   size_t armed() const { return armed_; }
@@ -90,6 +98,7 @@ class TimerCountingNetwork : public Network {
   size_t cancelled_ = 0;
   size_t fired_ = 0;
   size_t max_pending_ = 0;
+  std::function<void(const Message&)> on_send_;
 };
 
 // One delivery at B: when it was handed over, and its seq.
@@ -209,6 +218,44 @@ TEST(ReliableLinkTest, LostMidStreamSendIsResentWhenItsHoleIsReported) {
     EXPECT_EQ(CounterValue("proto.retransmits") - retransmits, 1u);
     EXPECT_EQ(CounterValue("proto.fast_retransmits") - fast, 1u);
   }
+}
+
+TEST(ReliableLinkTest, RetransmittedBatchEncodesAsItsFirstSend) {
+  // A 64-row batch's first send is lost; A resends its kept copy at the
+  // 100 ms RTO.  The sender drops its own rows right after the send, so
+  // the resend reads only the cells the link's copy shares with them.
+  LinkPair pair(Outage("A", "B", -500, 50 * kMs));
+  std::vector<std::string> sent;
+  pair.net().OnSend([&sent](const Message& msg) {
+    if (std::holds_alternative<CoverBatchMsg>(msg.payload)) {
+      sent.push_back(wire::EncodeMessage(msg));
+    }
+  });
+  auto send_and_drop_rows = [&pair] {
+    auto rows = std::make_unique<std::vector<Mapping>>();
+    for (int i = 0; i < 64; ++i) {
+      rows->push_back(Mapping::FromTuple(
+          {Value("row-of-the-first-batch-" + std::to_string(i)),
+           Value(int64_t{i})}));
+    }
+    CoverBatchMsg batch;
+    batch.session = kSession;
+    batch.schema = Schema::Of(
+        {Attribute::String("A"), Attribute("N", Domain::AllInts())});
+    batch.rows = *rows;
+    EXPECT_TRUE(pair.a()
+                    .Send(Message{"A", "B", std::move(batch)}, 100 * kMs, 5,
+                          "cover streaming", "A")
+                    .ok());
+    rows.reset();
+  };
+  ASSERT_TRUE(
+      pair.net().sim().ScheduleTimer("A", 0, send_and_drop_rows).ok());
+  EXPECT_EQ(pair.Run(), 122 * kMs);
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[1], sent[0]);
+  EXPECT_EQ(pair.delivered(), (std::vector<Delivery>{{111 * kMs, 1}}));
+  EXPECT_EQ(pair.net().stats().drops_injected, 1u);
 }
 
 TEST(ReliableLinkTest, EachSendRetransmitsAtItsOwnDeadline) {

@@ -793,6 +793,28 @@ TEST(WireTest, CorpusSeedsReencodeByteForByte) {
   EXPECT_EQ(seeds, std::variant_size_v<decltype(Message::payload)>);
 }
 
+// TcpNetwork::Send writes each frame's header and payload into one
+// buffer (EncodeFrame); the bytes must be those of the two-step framing.
+TEST(WireTest, EncodeFrameEqualsAppendFrameOfEncodeMessage) {
+  size_t seeds = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(HYPERION_WIRE_CORPUS_DIR)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    Result<Message> msg = wire::DecodeMessage(bytes);
+    ASSERT_TRUE(msg.ok()) << entry.path() << ": " << msg.status();
+    for (uint64_t token : {uint64_t{0}, uint64_t{0x0123456789abcdef}}) {
+      std::string framed;
+      wire::AppendFrame(wire::EncodeMessage(msg.value()), token, &framed);
+      EXPECT_EQ(wire::EncodeFrame(msg.value(), token), framed)
+          << entry.path();
+    }
+    ++seeds;
+  }
+  EXPECT_EQ(seeds, std::variant_size_v<decltype(Message::payload)>);
+}
+
 TEST(WireTest, FramingRoundTripAndResync) {
   std::string stream;
   wire::AppendFrame("hello", 7, &stream);
