@@ -59,10 +59,15 @@ void BM_YmGround(benchmark::State& state) {
 }
 BENCHMARK(BM_YmGround)->Arg(1000)->Arg(10000);
 
+// The inputs of the join benchmarks are read in place from tables that
+// live through the whole run, so the timed loop starts from the same
+// heap however their set-up freed memory.
 void BM_NaturalJoin(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));
-  FreeTable a = FreeTable::FromMappingTable(ChainTable(rows, "a", "b"));
-  FreeTable b = FreeTable::FromMappingTable(ChainTable(rows, "b", "c"));
+  const MappingTable ab = ChainTable(rows, "a", "b");
+  const MappingTable bc = ChainTable(rows, "b", "c");
+  const FreeTable& a = ab.free_table();
+  const FreeTable& b = bc.free_table();
   for (auto _ : state) {
     auto joined = a.NaturalJoin(b);
     benchmark::DoNotOptimize(joined);
@@ -94,10 +99,9 @@ BENCHMARK(BM_JoinWithVariableRow)->Arg(1000)->Arg(10000);
 
 void BM_ProjectOnto(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));
-  FreeTable a = FreeTable::FromMappingTable(ChainTable(rows, "a", "b"));
-  FreeTable joined =
-      a.NaturalJoin(FreeTable::FromMappingTable(ChainTable(rows, "b", "c")))
-          .value();
+  const MappingTable ab = ChainTable(rows, "a", "b");
+  const MappingTable bc = ChainTable(rows, "b", "c");
+  const FreeTable joined = ab.free_table().NaturalJoin(bc.free_table()).value();
   for (auto _ : state) {
     auto projected = joined.ProjectOnto({"a", "c"});
     benchmark::DoNotOptimize(projected);
@@ -106,6 +110,31 @@ void BM_ProjectOnto(benchmark::State& state) {
                           static_cast<int64_t>(rows));
 }
 BENCHMARK(BM_ProjectOnto)->Arg(1000)->Arg(10000);
+
+// A join of tables that share no attribute is their Cartesian product,
+// as when partition covers are combined: 1000 x 8 rows, a few of them
+// with variables, so most pairs are copied and some shift variables.
+void BM_ProductJoin(benchmark::State& state) {
+  MappingTable ab = ChainTable(996, "a", "b");
+  MappingTable cd = ChainTable(6, "c", "d");
+  for (int i = 0; i < 4; ++i) {
+    // Variable rows match the schema by construction.
+    IgnoreStatus(ab.AddRow(Mapping(
+        {Cell::Constant(Value("v" + std::to_string(i))), Cell::Variable(0)})));
+  }
+  IgnoreStatus(cd.AddRow(Mapping({Cell::Variable(0), Cell::Variable(0)})));
+  IgnoreStatus(cd.AddRow(
+      Mapping({Cell::Variable(0, {Value("c0")}), Cell::Variable(1)})));
+  const FreeTable& a = ab.free_table();
+  const FreeTable& b = cd.free_table();
+  for (auto _ : state) {
+    auto product = a.NaturalJoin(b);
+    benchmark::DoNotOptimize(product);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(a.size() * b.size()));
+}
+BENCHMARK(BM_ProductJoin);
 
 void BM_ComposeConstraints(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));

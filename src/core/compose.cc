@@ -53,30 +53,13 @@ Cell ResolveCell(const Cell& cell, VarId offset, Unifier* u,
   return Cell::Variable(it->second, u->MergedExclusionsOf(shifted));
 }
 
-// Registers rows `a` (var ids as is) and `b` (var ids shifted by
-// `offset`) in `u` and unifies their cells at the (a, b) position pairs
-// `shared`; false when the pair admits no common values there.
-bool UnifyShared(const Mapping& a, const Schema& a_schema, const Mapping& b,
-                 const Schema& b_schema,
-                 const std::vector<std::pair<size_t, size_t>>& shared,
-                 VarId offset, Unifier* u) {
-  RegisterOccurrences(a, a_schema, /*offset=*/0, u);
-  RegisterOccurrences(b, b_schema, offset, u);
-  for (const auto& [pi, pj] : shared) {
-    Cell bc = b.cell(pj);
-    if (bc.is_variable()) {
-      bc = Cell::Variable(bc.var() + offset, bc.exclusions_ptr());
-    }
-    u->UnifyCells(a.cell(pi), bc);
-    if (u->failed()) return false;
-  }
-  return u->Satisfiable();
-}
-
-// The failures of a join or a projection past opts.max_result_rows, the
-// same from every path that computes one.
+// The failures of a join, a product or a projection past
+// opts.max_result_rows, the same from every path that computes one.
 Status JoinTooLarge() {
   return Status::InvalidArgument("NaturalJoin: result exceeds max rows");
+}
+Status ProductTooLarge() {
+  return Status::InvalidArgument("CartesianProduct: result exceeds max rows");
 }
 Status ProjectionTooLarge() {
   return Status::InvalidArgument("ProjectOnto: result exceeds max rows");
@@ -182,11 +165,6 @@ Result<JoinIndex> JoinIndex::Build(const FreeTable& build,
       index.probe_private_.push_back(j);
     }
   }
-  if (index.shared_.empty()) {
-    return Status::InvalidArgument(
-        "NaturalJoin: schemas " + build.schema().ToString() + " and " +
-        probe_schema.ToString() + " share no attributes");
-  }
   index.out_schema_ = build.schema();
   if (!index.probe_private_.empty()) {
     HYP_ASSIGN_OR_RETURN(
@@ -215,8 +193,25 @@ Status JoinIndex::CheckProbeSchema(const Schema& probe_schema) const {
   return Status::InvalidArgument(message);
 }
 
-std::vector<JoinIndex::Candidate> JoinIndex::Candidates(
-    std::span<const Mapping> rows) const {
+Result<std::vector<JoinIndex::Candidate>> JoinIndex::Candidates(
+    std::span<const Mapping> rows, const ComposeOptions& opts) const {
+  if (shared_.empty()) {
+    // A product: every row keys on the empty tuple, so each build row
+    // meets every probe row, listed in emission order.  It joins every
+    // pair, so one past the row limit fails before any pair is listed.
+    std::vector<Candidate> candidates;
+    if (rows.empty()) return candidates;
+    if (build_->size() > opts.max_result_rows / rows.size()) {
+      return ProductTooLarge();
+    }
+    candidates.reserve(build_->size() * rows.size());
+    for (uint32_t a = 0; a < build_->size(); ++a) {
+      for (uint32_t pr = 0; pr < rows.size(); ++pr) {
+        candidates.push_back({a, 0, pr});
+      }
+    }
+    return candidates;
+  }
   // Collect the candidate (build row, rank, probe row) pairs, then sort
   // them.  The order is the one a scan of the build rows gives: a build
   // row with ground shared cells meets the probe rows with equal
@@ -244,14 +239,35 @@ std::vector<JoinIndex::Candidate> JoinIndex::Candidates(
   return candidates;
 }
 
+Mapping JoinIndex::Concatenate(const Mapping& a, const Mapping& b) const {
+  const VarId offset = VarSpan(a);
+  Mapping::Builder cells(out_schema_.arity());
+  for (const Cell& c : a.cells()) cells.Append(c);
+  for (size_t pj : probe_private_) {
+    const Cell& c = b.cell(pj);
+    cells.Append(c.is_constant()
+                     ? c
+                     : Cell::Variable(c.var() + offset, c.exclusions_ptr()));
+  }
+  return std::move(cells).Build();
+}
+
 std::optional<Mapping> JoinIndex::JoinPair(const Mapping& a,
                                            const Mapping& b) const {
+  if (shared_.empty()) return Concatenate(a, b);
   const VarId offset = VarSpan(a);
   Unifier u;
-  if (!UnifyShared(a, build_->schema(), b, probe_schema_, shared_, offset,
-                   &u)) {
-    return std::nullopt;
+  RegisterOccurrences(a, build_->schema(), /*offset=*/0, &u);
+  RegisterOccurrences(b, probe_schema_, offset, &u);
+  for (const auto& [pa, pb] : shared_) {
+    Cell bc = b.cell(pb);
+    if (bc.is_variable()) {
+      bc = Cell::Variable(bc.var() + offset, bc.exclusions_ptr());
+    }
+    u.UnifyCells(a.cell(pa), bc);
+    if (u.failed()) return std::nullopt;
   }
+  if (!u.Satisfiable()) return std::nullopt;
   std::unordered_map<VarId, VarId> out_vars;
   Mapping::Builder cells(out_schema_.arity());
   for (size_t i = 0; i < a.arity(); ++i) {
@@ -267,7 +283,8 @@ Result<FreeTable> JoinIndex::Join(const Schema& probe_schema,
                                   std::span<const Mapping> rows,
                                   const ComposeOptions& opts) const {
   HYP_RETURN_IF_ERROR(CheckProbeSchema(probe_schema));
-  const std::vector<Candidate> candidates = Candidates(rows);
+  HYP_ASSIGN_OR_RETURN(const std::vector<Candidate> candidates,
+                       Candidates(rows, opts));
   std::vector<bool> ground_probe(rows.size());
   for (size_t r = 0; r < rows.size(); ++r) {
     ground_probe[r] = rows[r].IsGround();
@@ -278,12 +295,8 @@ Result<FreeTable> JoinIndex::Join(const Schema& probe_schema,
     const Mapping& a = build_->rows()[c.build];
     const Mapping& b = rows[c.probe];
     if (ground_build_[c.build] && ground_probe[c.probe]) {
-      // The index lookup matched their shared constants, so the joined
-      // row is `a` followed by b's private cells, as JoinPair makes it.
-      Mapping::Builder cells(out_schema_.arity());
-      for (const Cell& cell : a.cells()) cells.Append(cell);
-      for (size_t pj : probe_private_) cells.Append(b.cell(pj));
-      out.AddRow(std::move(cells).Build());
+      // The index lookup matched their shared constants.
+      out.AddRow(Concatenate(a, b));
     } else if (std::optional<Mapping> joined = JoinPair(a, b)) {
       out.AddRow(std::move(*joined));
     }
@@ -474,6 +487,8 @@ Result<size_t> JoinIndex::JoinProject(
     const std::vector<std::string>& keep_names, const ComposeOptions& opts,
     std::optional<FreeTable>* emitted, std::vector<Mapping>* fresh) const {
   HYP_RETURN_IF_ERROR(CheckProbeSchema(probe_schema));
+  HYP_ASSIGN_OR_RETURN(const std::vector<Candidate> candidates,
+                       Candidates(rows, opts));
   HYP_ASSIGN_OR_RETURN(const Projection projection,
                        Projection::Of(out_schema_, keep_names));
   // A kept cell of a ground pair is cell `src` of build row ++ probe row.
@@ -532,7 +547,7 @@ Result<size_t> JoinIndex::JoinProject(
   // Join's failure wins over a projection's, which ProjectOnto would
   // only have met after the whole join succeeded.
   Status projection_error;
-  for (const Candidate& c : Candidates(rows)) {
+  for (const Candidate& c : candidates) {
     const Mapping& a = build_->rows()[c.build];
     const Mapping& b = rows[c.probe];
     const Mapping* unified_row = nullptr;
@@ -587,33 +602,6 @@ Result<FreeTable> FreeTable::ProjectOnto(const std::vector<std::string>& names,
   return out;
 }
 
-Result<FreeTable> FreeTable::CartesianProduct(
-    const Schema& other_schema, std::span<const Mapping> other_rows,
-    const ComposeOptions& opts) const {
-  HYP_ASSIGN_OR_RETURN(Schema out_schema, schema_.Concat(other_schema));
-  FreeTable out(std::move(out_schema));
-  for (const Mapping& a : rows_) {
-    VarId offset = VarSpan(a);
-    for (const Mapping& b : other_rows) {
-      if (out.size() >= opts.max_result_rows) {
-        return Status::InvalidArgument(
-            "CartesianProduct: result exceeds max rows");
-      }
-      Mapping::Builder cells(a.arity() + b.arity());
-      for (const Cell& c : a.cells()) cells.Append(c);
-      for (const Cell& c : b.cells()) {
-        if (c.is_constant()) {
-          cells.Append(c);
-        } else {
-          cells.Append(Cell::Variable(c.var() + offset, c.exclusions_ptr()));
-        }
-      }
-      out.AddRow(std::move(cells).Build());
-    }
-  }
-  return out;
-}
-
 Result<std::vector<Tuple>> FreeTable::EnumerateExtension(size_t limit) const {
   std::unordered_set<Tuple, TupleHash> seen;
   std::vector<Tuple> out;
@@ -645,77 +633,19 @@ std::string FreeTable::ToString() const {
   return os.str();
 }
 
-Result<FreeTable> JoinOrProduct(const FreeTable& a, const FreeTable& b,
-                                const ComposeOptions& opts) {
-  if (a.schema().ToSet().Overlaps(b.schema().ToSet())) {
-    return a.NaturalJoin(b, opts);
-  }
-  return a.CartesianProduct(b, opts);
-}
-
-Result<FreeTable> SemiJoinReduce(const FreeTable& table,
-                                 const FreeTable& reducer) {
-  // Shared positions: (position in table, position in reducer).
-  std::vector<std::pair<size_t, size_t>> shared;
-  for (size_t i = 0; i < table.schema().arity(); ++i) {
-    auto j = reducer.schema().IndexOf(table.schema().attr(i).name());
-    if (j) shared.emplace_back(i, *j);
-  }
-  if (shared.empty()) {
-    return Status::InvalidArgument(
-        "SemiJoinReduce: schemas share no attributes");
-  }
-
-  // Whether rows a (of table) and b (of reducer) admit a common value
-  // assignment on the shared attributes.
-  auto unifiable = [&](const Mapping& a, const Mapping& b) {
-    Unifier u;
-    return UnifyShared(a, table.schema(), b, reducer.schema(), shared,
-                       VarSpan(a), &u);
-  };
-
-  // Hash index of the reducer's ground shared projections.
-  std::unordered_set<Tuple, TupleHash> ground_keys;
-  std::vector<const Mapping*> variable_rows;
-  Tuple key;
-  for (const Mapping& b : reducer.rows()) {
-    if (GroundKey<1>(b, shared, &key)) {
-      ground_keys.insert(key);
-    } else {
-      variable_rows.push_back(&b);
-    }
-  }
-
-  FreeTable out(table.schema());
-  for (const Mapping& a : table.rows()) {
-    const bool ground = GroundKey<0>(a, shared, &key);
-    bool keep = false;
-    if (ground) {
-      keep = ground_keys.count(key) > 0;
-      if (!keep) {
-        for (const Mapping* b : variable_rows) {
-          if (unifiable(a, *b)) {
-            keep = true;
-            break;
-          }
-        }
-      }
-    } else {
-      for (const Mapping& b : reducer.rows()) {
-        if (unifiable(a, b)) {
-          keep = true;
-          break;
-        }
-      }
-    }
-    if (keep) out.AddRow(a);
-  }
-  return out;
-}
-
 Result<MappingTable> ComposeConstraints(const MappingConstraint& a,
                                         const MappingConstraint& b,
                                         const ComposeOptions& opts) {
+  const Schema& a_schema = a.table().schema();
+  const Schema& b_schema = b.table().schema();
+  if (!a_schema.ToSet().Overlaps(b_schema.ToSet())) {
+    std::string message = "ComposeConstraints: schemas ";
+    message.append(a_schema.ToString())
+        .append(" and ")
+        .append(b_schema.ToString())
+        .append(" share no attributes");
+    return Status::InvalidArgument(message);
+  }
   HYP_ASSIGN_OR_RETURN(
       FreeTable joined,
       a.table().free_table().NaturalJoin(b.table().free_table(), opts));

@@ -1,8 +1,10 @@
 // The relational algebra of free-tuple tables (free_table.h): natural
-// join, projection and Cartesian product.  These three operations
-// implement the cover computation of §6: the cover of a conjunction of
+// join and projection, through one join kernel, JoinIndex.  The cover
+// computation of §6 is built from them: the cover of a conjunction of
 // mapping constraints is the projection of the natural join of their
-// tables onto the endpoint attributes.
+// tables onto the endpoint attributes, and a join of tables that share
+// no attribute is their Cartesian product, as is the combination of
+// independent partitions' covers.
 //
 // ext(table) = ⋃ over rows of ext(row) (rows are variable-disjoint), and
 // join/projection distribute over that union, so row-pairwise unification
@@ -37,11 +39,17 @@ namespace hyperion {
 /// than with the build table — what a peer needs to join every streamed
 /// batch with its fixed local tables (§6.3).  NaturalJoin itself is a
 /// one-shot index, so there is one join implementation.
+///
+/// When the schemas share no attribute every row keys on the empty
+/// tuple, so each probe row meets every build row and the join is the
+/// Cartesian product, in (build row, probe row) order.  A product past
+/// max_result_rows fails before any pair is made, with the status
+/// "CartesianProduct: result exceeds max rows".
 class JoinIndex {
  public:
   /// \brief Indexes `build`'s rows on the attributes it shares with
-  /// `probe_schema`.  `build` must outlive the index, unchanged.  Fails
-  /// when the schemas share no attribute.
+  /// `probe_schema` (none for a product).  `build` must outlive the
+  /// index, unchanged.
   static Result<JoinIndex> Build(const FreeTable& build,
                                  const Schema& probe_schema);
 
@@ -72,7 +80,7 @@ class JoinIndex {
   ///
   /// A pair of all-constant rows, which the index lookup has already
   /// unified, is projected by copying its kept cells; any other pair is
-  /// unified (JoinPair) and projected exactly (ProjectRow).
+  /// joined (JoinPair) and projected exactly (ProjectRow).
   Result<size_t> JoinProject(const Schema& probe_schema,
                              std::span<const Mapping> rows,
                              const std::vector<std::string>& keep_names,
@@ -101,10 +109,17 @@ class JoinIndex {
 
   Status CheckProbeSchema(const Schema& probe_schema) const;
   // The pairs of build row and probe row to try, in emission order.
-  std::vector<Candidate> Candidates(std::span<const Mapping> rows) const;
-  // The unify-and-resolve kernel: build row `a` joined with probe row
-  // `b` over out_schema_ (not yet normalized), or nullopt when they do
-  // not unify on the shared attributes.
+  // Fails when they are a product's pairs and more than the row limit.
+  Result<std::vector<Candidate>> Candidates(std::span<const Mapping> rows,
+                                            const ComposeOptions& opts) const;
+  // The joined row of a pair that needs no unification (no attribute is
+  // shared, or both rows are all constants and the lookup matched their
+  // shared constants): `a` followed by b's private cells, b's variables
+  // shifted past a's.
+  Mapping Concatenate(const Mapping& a, const Mapping& b) const;
+  // The kernel: build row `a` joined with probe row `b` over out_schema_
+  // (not yet normalized), or nullopt when they do not unify on the
+  // shared attributes; with none shared, their concatenation.
   std::optional<Mapping> JoinPair(const Mapping& a, const Mapping& b) const;
   // For a ground joined row: the pair of ground build and probe rows
   // (among `rows`, indexed lazily in `probe_index`) that joins to it, if
@@ -129,28 +144,13 @@ class JoinIndex {
   std::vector<bool> ground_build_;
 };
 
-/// \brief NaturalJoin when the schemas overlap, CartesianProduct when they
-/// are disjoint.  Convenience for joining the members of a partition in an
-/// arbitrary order.
-Result<FreeTable> JoinOrProduct(const FreeTable& a, const FreeTable& b,
-                                const ComposeOptions& opts = {});
-
-/// \brief Semi-join reduction: the rows of `table` that can unify with at
-/// least one row of `reducer` on their shared attributes — exactly the
-/// rows that can contribute to table ⋈ reducer.  Classic distributed-join
-/// preprocessing: reducing tables before the expensive join (or before
-/// shipping them) never changes the join result, proven by the oracle
-/// tests.  Ground shared-cells probe a hash index of `reducer`; rows with
-/// variables in shared positions fall back to pairwise unification tests.
-Result<FreeTable> SemiJoinReduce(const FreeTable& table,
-                                 const FreeTable& reducer);
-
 /// \brief One step of cover computation: composes a: X --ma--> Y with
 /// b: Y' --mb--> Z into the cover X --m--> Z of {a, b}, joining on every
 /// attribute a's and b's schemas share and projecting onto X ∪ Z.
 ///
-/// Requires a's and b's schemas to overlap (otherwise there is nothing to
-/// compose — use CartesianProduct) and X ∪ Z to be nonempty on both sides.
+/// Fails when a's and b's schemas share no attribute (there is nothing to
+/// compose: their join would be the Cartesian product) and requires
+/// X ∪ Z to be nonempty on both sides.
 Result<MappingTable> ComposeConstraints(const MappingConstraint& a,
                                         const MappingConstraint& b,
                                         const ComposeOptions& opts = {});

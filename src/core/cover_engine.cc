@@ -86,8 +86,7 @@ Result<FreeTable> JoinPartition(
         }
       }
     }
-    HYP_ASSIGN_OR_RETURN(owned,
-                         JoinOrProduct(*acc, *tables[pick], opts.compose));
+    HYP_ASSIGN_OR_RETURN(owned, acc->NaturalJoin(*tables[pick], opts.compose));
     acc = &owned;
     used[pick] = true;
     --remaining;
@@ -238,8 +237,9 @@ Result<MappingTable> CoverEngine::CombinePartitionCovers(
     if (!pc.keep_names.empty() && pc.cover.empty()) return empty_result;
   }
 
-  // Cartesian product of the partition covers that touch the endpoints;
-  // the first is read in place, not copied.
+  // Cartesian product of the partition covers that touch the endpoints,
+  // as joins of tables that share no attribute; the first is read in
+  // place, not copied.
   const FreeTable* acc = nullptr;
   FreeTable product;
   std::set<std::string> covered;
@@ -249,8 +249,7 @@ Result<MappingTable> CoverEngine::CombinePartitionCovers(
     if (acc == nullptr) {
       acc = &pc.cover;
     } else {
-      HYP_ASSIGN_OR_RETURN(product,
-                           acc->CartesianProduct(pc.cover, opts.compose));
+      HYP_ASSIGN_OR_RETURN(product, acc->NaturalJoin(pc.cover, opts.compose));
       acc = &product;
     }
   }
@@ -273,7 +272,7 @@ Result<MappingTable> CoverEngine::CombinePartitionCovers(
       product = std::move(free_table);
     } else {
       HYP_ASSIGN_OR_RETURN(product,
-                           acc->CartesianProduct(free_table, opts.compose));
+                           acc->NaturalJoin(free_table, opts.compose));
     }
     acc = &product;
   }

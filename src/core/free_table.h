@@ -4,16 +4,16 @@
 // only reads a table's rows (the cover engine, a peer's local join side)
 // uses MappingTable::free_table() in place instead of a copy.
 //
-// The relational algebra over free tables (natural join, projection,
-// Cartesian product) is declared here and implemented, with JoinIndex,
-// in compose.cc.
+// The relational algebra over free tables (natural join, which is the
+// Cartesian product when no attribute is shared, and projection) is
+// declared here and implemented, with its one join kernel JoinIndex, in
+// compose.cc.
 
 #ifndef HYPERION_CORE_FREE_TABLE_H_
 #define HYPERION_CORE_FREE_TABLE_H_
 
 #include <cstddef>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,7 +101,10 @@ class FreeTable {
   /// \brief Natural join on attributes shared by name.  The output schema
   /// is this schema followed by `other`'s non-shared attributes.  The two
   /// schemas must agree on shared attributes' domains by name.  Output
-  /// rows follow this table's row order (see JoinIndex).
+  /// rows follow this table's row order (see JoinIndex).  When no
+  /// attribute is shared it is the Cartesian product: each row of this
+  /// table followed by each of `other`'s, with `other`'s variables
+  /// shifted past this row's.
   Result<FreeTable> NaturalJoin(const FreeTable& other,
                                 const ComposeOptions& opts = {}) const;
 
@@ -111,18 +114,6 @@ class FreeTable {
   /// positions are materialized.
   Result<FreeTable> ProjectOnto(const std::vector<std::string>& names,
                                 const ComposeOptions& opts = {}) const;
-
-  /// \brief Cartesian product; schemas must be disjoint.
-  Result<FreeTable> CartesianProduct(const FreeTable& other,
-                                     const ComposeOptions& opts = {}) const {
-    return CartesianProduct(other.schema(), other.rows(), opts);
-  }
-  /// \brief Cartesian product with the rows `other_rows` over
-  /// `other_schema`, read in place (normalized, satisfiable and
-  /// distinct, as a FreeTable's are).
-  Result<FreeTable> CartesianProduct(const Schema& other_schema,
-                                     std::span<const Mapping> other_rows,
-                                     const ComposeOptions& opts = {}) const;
 
   /// \brief Whether ext(table) is nonempty.  Rows are satisfiable by
   /// construction, so this is just non-emptiness.

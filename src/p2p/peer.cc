@@ -622,9 +622,9 @@ void PeerNode::OnComputePlan(const Message& msg) {
     ps.is_starter = (partition.last_hop == my_hop);
     ps.is_terminal = (partition.first_hop == my_hop);
 
-    // Join my member tables (overlap order with Cartesian fallback),
-    // after applying any semi-join prefilters from upstream.  A lone
-    // unfiltered member is read in place.
+    // Join my member tables in order (a Cartesian product where they
+    // share no attribute), after applying any semi-join prefilters from
+    // upstream.  A lone unfiltered member is read in place.
     static const std::map<std::string, ValueFilter> kNoFilters;
     const std::map<std::string, ValueFilter>* filters = &kNoFilters;
     if (spec.semijoin_filters) {
@@ -646,7 +646,7 @@ void PeerNode::OnComputePlan(const Message& msg) {
       const ComposeOptions compose = ComposeOptionsOf(spec);
       for (size_t i = 1; i < members.size(); ++i) {
         auto joined =
-            JoinOrProduct(local, reduced_table(members[i]->table()), compose);
+            local.NaturalJoin(reduced_table(members[i]->table()), compose);
         if (!joined.ok()) {
           FailSession(spec.id, joined.status());
           return;
@@ -725,36 +725,20 @@ Status PeerNode::ProcessBatch(ParticipantState* state, size_t part_idx,
   if (!rows.empty()) {
     const ComposeOptions compose = ComposeOptionsOf(state->spec);
     const bool first_rows = !ps.emitted;
-    // Project onto what is still needed (endpoint attrs + earlier hops).
-    std::vector<std::string> project_to;
-    size_t joined_rows = 0;
-    if (ps.local->schema().ToSet().Overlaps(schema.ToSet())) {
-      if (ps.join_index == nullptr) {
-        HYP_ASSIGN_OR_RETURN(
-            ps.join_index,
-            join_indexes_->Get(ps.local_table, ps.local, schema));
-      }
-      // Join, project and dedup in one pass: each fresh row is built
-      // once, kept in `emitted` and copied on.
-      project_to = NamesIn(ps.needed_names, ps.join_index->out_schema());
-      HYP_ASSIGN_OR_RETURN(joined_rows, ps.join_index->JoinProject(
-                                            schema, rows, project_to,
-                                            compose, &ps.emitted, &fresh));
-    } else {
-      HYP_ASSIGN_OR_RETURN(FreeTable joined,
-                           ps.local->CartesianProduct(schema, rows, compose));
-      project_to = NamesIn(ps.needed_names, joined.schema());
-      joined_rows = joined.size();
-      if (!joined.empty() && !project_to.empty()) {
-        HYP_ASSIGN_OR_RETURN(FreeTable projected,
-                             joined.ProjectOnto(project_to, compose));
-        if (!ps.emitted) ps.emitted.emplace(projected.schema());
-        // Each fresh row is copied once, into `emitted`, and moved on.
-        for (Mapping& row : std::move(projected).TakeRows()) {
-          if (ps.emitted->AddRow(row)) fresh.push_back(std::move(row));
-        }
-      }
+    if (ps.join_index == nullptr) {
+      HYP_ASSIGN_OR_RETURN(
+          ps.join_index, join_indexes_->Get(ps.local_table, ps.local, schema));
     }
+    // Join (a Cartesian product when the batch shares no attribute with
+    // the local side), project onto what is still needed (endpoint attrs
+    // + earlier hops) and dedup in one pass: each fresh row is built
+    // once, kept in `emitted` and copied on.
+    const std::vector<std::string> project_to =
+        NamesIn(ps.needed_names, ps.join_index->out_schema());
+    HYP_ASSIGN_OR_RETURN(
+        const size_t joined_rows,
+        ps.join_index->JoinProject(schema, rows, project_to, compose,
+                                   &ps.emitted, &fresh));
     if (joined_rows > 0) {
       if (project_to.empty()) {
         // Terminal of a middle-only partition: only satisfiability

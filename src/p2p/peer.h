@@ -163,9 +163,10 @@ class PeerNode {
     std::shared_ptr<const FreeTable> local;
     std::string local_table;
     // Index over `local`, fetched from join_indexes_ on the first
-    // non-empty batch that shares attributes with it (kept there across
-    // sessions when `local_table` is set, built for this session
-    // otherwise); every later batch only probes it.
+    // non-empty batch (kept there across sessions when `local_table` is
+    // set, built for this session otherwise); every later batch only
+    // probes it.  It is the one per-batch join: a batch that shares no
+    // attribute with `local` meets every local row (a Cartesian product).
     std::shared_ptr<const JoinIndex> join_index;
     // Dedup of the rows already streamed (not kept by a starter, which
     // streams its projection once).  JoinIndex::JoinProject projects each

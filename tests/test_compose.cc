@@ -161,12 +161,73 @@ TEST(FreeTableJoinTest, GroundEquiJoin) {
       {Value("a1"), Value("b1"), Value("c2")}));
 }
 
-TEST(FreeTableJoinTest, RequiresSharedAttributes) {
-  FreeTable a(Schema::Of({Attribute::String("A")}));
-  FreeTable b(Schema::Of({Attribute::String("B")}));
-  EXPECT_FALSE(a.NaturalJoin(b).ok());
-  auto product = JoinOrProduct(a, b);
-  ASSERT_TRUE(product.ok());  // falls back to Cartesian product
+// The Cartesian product as a nested loop: each row of `a` followed by
+// each of `rows`, their variables shifted past a's, with the limit
+// checked before each pair.  The reference a join on no shared attribute
+// must equal byte for byte.
+Result<FreeTable> NestedLoopProduct(const FreeTable& a, const Schema& schema,
+                                    std::span<const Mapping> rows,
+                                    const ComposeOptions& opts = {}) {
+  HYP_ASSIGN_OR_RETURN(Schema out_schema, a.schema().Concat(schema));
+  FreeTable out(std::move(out_schema));
+  for (const Mapping& ra : a.rows()) {
+    VarId offset = 0;
+    for (const Cell& c : ra.cells()) {
+      if (c.is_variable()) offset = std::max(offset, c.var() + 1);
+    }
+    for (const Mapping& rb : rows) {
+      if (out.size() >= opts.max_result_rows) {
+        return Status::InvalidArgument(
+            "CartesianProduct: result exceeds max rows");
+      }
+      std::vector<Cell> cells(ra.cells().begin(), ra.cells().end());
+      for (const Cell& c : rb.cells()) {
+        cells.push_back(c.is_constant() ? c : Cell::Variable(c.var() + offset,
+                                                             c.exclusions()));
+      }
+      out.AddRow(Mapping(std::move(cells)));
+    }
+  }
+  return out;
+}
+
+// Schemas that share no attribute join as their Cartesian product, row
+// for row: variables shifted, exclusions and finite domains kept, and the
+// same failure one row past max_result_rows.
+TEST(FreeTableJoinTest, DisjointSchemasJoinAsTheNestedLoopProduct) {
+  // B and C range over {a, b, c}.
+  FreeTable ab(Schema::Of({Attribute::String("A"), FiniteAttr("B", 3)}));
+  ab.AddRow(Mapping::FromTuple({Value("a1"), Value("b")}));
+  ab.AddRow(Mapping({Cell::Variable(0), Cell::Variable(0, {Value("c")})}));
+  ab.AddRow(Mapping({Cell::Constant(Value("a2")), Cell::Variable(0)}));
+  FreeTable cd(Schema::Of({FiniteAttr("C", 3), Attribute::String("D")}));
+  cd.AddRow(Mapping({Cell::Variable(0, {Value("a")}), Cell::Variable(1)}));
+  cd.AddRow(Mapping::FromTuple({Value("b"), Value("d1")}));
+  cd.AddRow(Mapping({Cell::Variable(0), Cell::Variable(0, {Value("b")})}));
+  for (const auto& [left, right] : {std::pair{&ab, &cd}, std::pair{&cd, &ab}}) {
+    const size_t pairs = left->size() * right->size();
+    for (size_t max_rows : {pairs - 1, pairs, pairs + 1}) {
+      ComposeOptions opts;
+      opts.max_result_rows = max_rows;
+      auto want = NestedLoopProduct(*left, right->schema(), right->rows(), opts);
+      auto got = left->NaturalJoin(*right, opts);
+      ASSERT_EQ(got.status().ToString(), want.status().ToString())
+          << "max_result_rows " << max_rows;
+      if (!want.ok()) continue;
+      EXPECT_EQ(got.value().schema(), want.value().schema());
+      EXPECT_EQ(got.value().rows(), want.value().rows())
+          << "product:\n" << got.value().ToString() << "nested loop:\n"
+          << want.value().ToString();
+    }
+  }
+  auto product = ab.NaturalJoin(cd);
+  ASSERT_TRUE(product.ok());
+  EXPECT_EQ(product.value().size(), 9u);
+  // (?0, ?0≠c) ++ (?1≠a, ?2): A = B, not tied to C or D.
+  EXPECT_TRUE(product.value().MatchesGround(
+      {Value("b"), Value("b"), Value("c"), Value("x")}));
+  EXPECT_FALSE(product.value().MatchesGround(
+      {Value("c"), Value("c"), Value("b"), Value("x")}));
 }
 
 TEST(FreeTableJoinTest, IdentityComposesWithIdentity) {
@@ -309,36 +370,42 @@ TEST(ComposeConstraintsTest, NamePropagation) {
   EXPECT_TRUE(cover.value().SatisfiesTuple({Value("x"), Value("z")}));
 }
 
-TEST(SemiJoinReduceTest, DropsNonContributingRows) {
-  FreeTable ab(Schema::Of({Attribute::String("A"), Attribute::String("B")}));
-  ab.AddRow(Mapping::FromTuple({Value("a1"), Value("b1")}));
-  ab.AddRow(Mapping::FromTuple({Value("a2"), Value("b9")}));  // dangling
-  FreeTable bc(Schema::Of({Attribute::String("B"), Attribute::String("C")}));
-  bc.AddRow(Mapping::FromTuple({Value("b1"), Value("c1")}));
-  auto reduced = SemiJoinReduce(ab, bc);
-  ASSERT_TRUE(reduced.ok()) << reduced.status();
-  EXPECT_EQ(reduced.value().size(), 1u);
-  EXPECT_TRUE(reduced.value().MatchesGround({Value("a1"), Value("b1")}));
-  // Disjoint schemas are rejected.
-  FreeTable zz(Schema::Of({Attribute::String("Z")}));
-  EXPECT_FALSE(SemiJoinReduce(ab, zz).ok());
+TEST(ComposeConstraintsTest, RefusesConstraintsSharingNoAttribute) {
+  // Their join would be the Cartesian product: nothing links X to Z.
+  MappingTable ab =
+      MappingTable::Create(Schema::Of({Attribute::String("A")}),
+                           Schema::Of({Attribute::String("B")}), "m1")
+          .value();
+  ASSERT_TRUE(ab.AddPair({Value("x")}, {Value("y")}).ok());
+  MappingTable cd =
+      MappingTable::Create(Schema::Of({Attribute::String("C")}),
+                           Schema::Of({Attribute::String("D")}), "m2")
+          .value();
+  ASSERT_TRUE(cd.AddPair({Value("y")}, {Value("z")}).ok());
+  auto cover =
+      ComposeConstraints(MappingConstraint(ab), MappingConstraint(cd));
+  EXPECT_EQ(cover.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(cover.status().ToString().find("share no attributes"),
+            std::string::npos)
+      << cover.status();
 }
 
-TEST(SemiJoinReduceTest, VariableRowsKeepEverythingTheyAdmit) {
-  FreeTable ab(Schema::Of({Attribute::String("A"), Attribute::String("B")}));
-  ab.AddRow(Mapping::FromTuple({Value("a1"), Value("b1")}));
-  ab.AddRow(Mapping({Cell::Variable(0), Cell::Variable(1, {Value("b1")})}));
-  FreeTable bc(Schema::Of({Attribute::String("B"), Attribute::String("C")}));
-  bc.AddRow(Mapping::FromTuple({Value("b1"), Value("c1")}));
-  auto reduced = SemiJoinReduce(ab, bc);
-  ASSERT_TRUE(reduced.ok());
-  // The ground row matches b1; the variable row excludes b1 and the
-  // reducer only offers b1, so it dies.
-  EXPECT_EQ(reduced.value().size(), 1u);
-  EXPECT_TRUE(reduced.value().rows()[0].IsGround());
+// The semi-join of `table` by `reducer`: the rows of `table` that join
+// some row of `reducer`, each row joined alone.
+FreeTable SemiJoin(const FreeTable& table, const FreeTable& reducer) {
+  FreeTable out(table.schema());
+  for (const Mapping& row : table.rows()) {
+    FreeTable one(table.schema());
+    one.AddRow(row);
+    auto joined = one.NaturalJoin(reducer);
+    EXPECT_TRUE(joined.ok()) << joined.status();
+    if (joined.ok() && !joined.value().empty()) out.AddRow(row);
+  }
+  return out;
 }
 
-// Property: reducing either join input never changes the join result.
+// Property: the join distributes over rows, so reducing either input to
+// the rows that join the other alone never changes the join result.
 class SemiJoinOracleTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SemiJoinOracleTest, ReductionPreservesJoin) {
@@ -351,10 +418,9 @@ TEST_P(SemiJoinOracleTest, ReductionPreservesJoin) {
 
   auto baseline = fa.NaturalJoin(fb);
   ASSERT_TRUE(baseline.ok());
-  auto reduced_a = SemiJoinReduce(fa, fb);
-  ASSERT_TRUE(reduced_a.ok());
-  EXPECT_LE(reduced_a.value().size(), fa.size());
-  auto joined = reduced_a.value().NaturalJoin(fb);
+  const FreeTable reduced_a = SemiJoin(fa, fb);
+  EXPECT_LE(reduced_a.size(), fa.size());
+  auto joined = reduced_a.NaturalJoin(fb);
   ASSERT_TRUE(joined.ok());
 
   auto ext_baseline = baseline.value().EnumerateExtension();
@@ -363,9 +429,8 @@ TEST_P(SemiJoinOracleTest, ReductionPreservesJoin) {
   EXPECT_EQ(Canon(ext_joined.value()), Canon(ext_baseline.value()));
 
   // Reduce both sides.
-  auto reduced_b = SemiJoinReduce(fb, reduced_a.value());
-  ASSERT_TRUE(reduced_b.ok());
-  auto joined2 = reduced_a.value().NaturalJoin(reduced_b.value());
+  const FreeTable reduced_b = SemiJoin(fb, reduced_a);
+  auto joined2 = reduced_a.NaturalJoin(reduced_b);
   ASSERT_TRUE(joined2.ok());
   auto ext_joined2 = joined2.value().EnumerateExtension();
   ASSERT_TRUE(ext_joined2.ok());
@@ -400,6 +465,18 @@ TEST_P(JoinOracleTest, JoinMatchesExtensionJoin) {
       JoinExtensions(ext_a.value(), fa.schema(), ext_b.value(), fb.schema(),
                      joined.value().schema());
   EXPECT_EQ(Canon(ext_joined.value()), oracle);
+
+  // With no attribute shared, the join is the product of the extensions.
+  FreeTable fe = FreeTable::FromMappingTable(
+      RandomTable(&rng, {"E"}, {"F"}, 4, domain_size));
+  auto product = fa.NaturalJoin(fe);
+  ASSERT_TRUE(product.ok()) << product.status();
+  auto ext_e = fe.EnumerateExtension();
+  auto ext_product = product.value().EnumerateExtension();
+  ASSERT_TRUE(ext_e.ok() && ext_product.ok());
+  EXPECT_EQ(Canon(ext_product.value()),
+            JoinExtensions(ext_a.value(), fa.schema(), ext_e.value(),
+                           fe.schema(), product.value().schema()));
 }
 
 // A JoinIndex probe must reproduce NaturalJoin exactly: same rows, same
@@ -486,15 +563,23 @@ TEST(JoinIndexTest, CoversGroundAndVariableSharedCellsOnBothSides) {
   FreeTable other(Schema::Of({Attribute::String("C"), Attribute::String("B")}));
   EXPECT_EQ(index.value().Join(other).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_FALSE(
-      JoinIndex::Build(build, Schema::Of({Attribute::String("Z")})).ok());
+  // A probe that shares no attribute meets every build row.
+  FreeTable zs(Schema::Of({Attribute::String("Z")}));
+  zs.AddRow(Mapping({Cell::Variable(0, {Value("z1")})}));
+  zs.AddRow(Mapping::FromTuple({Value("z2")}));
+  ExpectIndexJoinEqualsNaturalJoin(build, zs);
+  ExpectIndexJoinEqualsNaturalJoin(zs, build);
+  auto product = build.NaturalJoin(zs);
+  ASSERT_TRUE(product.ok());
+  EXPECT_EQ(product.value().rows(),
+            NestedLoopProduct(build, zs.schema(), zs.rows()).value().rows());
 }
 
 // A peer probes a decoded batch's rows in place.  Rows that a FreeTable
 // already holds (normalized, satisfiable, distinct, as every streamed row
 // is) give the same table, in the same row order, whether they are
 // probed as a span or as the FreeTable built from them; so does the
-// Cartesian product taken when the schemas are disjoint.
+// Cartesian product a probe that shares no attribute makes.
 TEST(JoinIndexTest, RowSpanProbeEqualsFreeTableProbe) {
   for (int seed = 0; seed < 20; ++seed) {
     Rng rng(7000 + seed);
@@ -506,6 +591,8 @@ TEST(JoinIndexTest, RowSpanProbeEqualsFreeTableProbe) {
         RandomTable(&rng, {"E"}, {"F"}, 4, 3));
     auto index = JoinIndex::Build(fa, fb.schema());
     ASSERT_TRUE(index.ok()) << index.status();
+    auto product_index = JoinIndex::Build(fe, fb.schema());
+    ASSERT_TRUE(product_index.ok()) << product_index.status();
     const std::vector<Mapping> decoded = fb.rows();
     for (size_t start = 0; start <= decoded.size(); start += 3) {
       const size_t end = std::min(decoded.size(), start + 3);
@@ -520,11 +607,14 @@ TEST(JoinIndexTest, RowSpanProbeEqualsFreeTableProbe) {
       EXPECT_EQ(in_place.value().rows(), via_table.value().rows())
           << "seed " << seed << ", rows " << start << ".." << end;
 
-      auto product_in_place = fe.CartesianProduct(fb.schema(), rows);
-      auto product_via_table = fe.CartesianProduct(batch);
-      ASSERT_TRUE(product_in_place.ok() && product_via_table.ok());
-      EXPECT_EQ(product_in_place.value().rows(),
-                product_via_table.value().rows())
+      auto product_in_place = product_index.value().Join(fb.schema(), rows);
+      auto product_via_table = product_index.value().Join(batch);
+      auto nested_loop = NestedLoopProduct(fe, fb.schema(), rows);
+      ASSERT_TRUE(product_in_place.ok() && product_via_table.ok() &&
+                  nested_loop.ok());
+      EXPECT_EQ(product_in_place.value().rows(), nested_loop.value().rows())
+          << "seed " << seed << ", rows " << start << ".." << end;
+      EXPECT_EQ(product_via_table.value().rows(), nested_loop.value().rows())
           << "seed " << seed << ", rows " << start << ".." << end;
     }
     // A span over another schema is refused, as a FreeTable is.
@@ -534,17 +624,23 @@ TEST(JoinIndexTest, RowSpanProbeEqualsFreeTableProbe) {
 }
 
 // The per-batch step a peer ran before JoinIndex::JoinProject: the full
-// join, its projection, then the dedup against the rows already
-// emitted, each pass building its own copy of every row.
-// `projected_rows` is set to the size of the projected table.
+// join (the nested-loop product when the schemas share no attribute),
+// its projection, then the dedup against the rows already emitted, each
+// pass building its own copy of every row.  `projected_rows` is set to
+// the size of the projected table.
 Result<size_t> JoinThenProjectThenDedup(
     const JoinIndex& index, std::span<const Mapping> rows,
     const std::vector<std::string>& keep, const ComposeOptions& opts,
     std::optional<FreeTable>* emitted, std::vector<Mapping>* fresh,
     size_t* projected_rows) {
   *projected_rows = 0;
-  HYP_ASSIGN_OR_RETURN(FreeTable joined,
-                       index.Join(index.probe_schema(), rows, opts));
+  const bool product = !index.build().schema().ToSet().Overlaps(
+      index.probe_schema().ToSet());
+  HYP_ASSIGN_OR_RETURN(
+      FreeTable joined,
+      product ? NestedLoopProduct(index.build(), index.probe_schema(), rows,
+                                  opts)
+              : index.Join(index.probe_schema(), rows, opts));
   if (joined.empty() || keep.empty()) return joined.size();
   HYP_ASSIGN_OR_RETURN(FreeTable projected, joined.ProjectOnto(keep, opts));
   *projected_rows = projected.size();
@@ -631,57 +727,65 @@ FreeTable MixedTable(Rng* rng, const std::vector<std::string>& names,
 
 // JoinProject against the three passes it replaces, over random tables
 // on finite domains: ground pairs, shared variables and exclusion sets,
-// probe rows with a variable in a shared cell (rank 1), dropped
-// positions whose finite domains force materialization, and one
-// `emitted` carried across batches.  Each limit is set at every value
+// probe rows with a variable in a shared cell (rank 1), a probe that
+// shares no attribute (a product), dropped positions whose finite
+// domains force materialization, and one `emitted` carried across
+// batches.  Each limit is set at every value
 // where the stream starts to fail, one below it and one above: every
 // batch's joined and projected row counts for max_result_rows, and 0 to
 // the domain size for materialize_limit.
 TEST(JoinIndexTest, JoinProjectEqualsJoinThenProjectThenDedup) {
   bool join_limit_met = false;
+  bool product_limit_met = false;
   bool materialize_limit_met = false;
   for (int seed = 0; seed < 20; ++seed) {
     Rng rng(11000 + seed);
     const FreeTable build = MixedTable(&rng, {"A", "B", "C"}, 10, 3);
-    const FreeTable probe = MixedTable(&rng, {"B", "C", "D"}, 12, 3);
-    auto index = JoinIndex::Build(build, probe.schema());
-    ASSERT_TRUE(index.ok()) << index.status();
-    for (const std::vector<std::string>& keep :
-         {std::vector<std::string>{"A", "D"},
-          std::vector<std::string>{"D", "B"},
-          std::vector<std::string>{"A", "B", "C", "D"},
-          std::vector<std::string>{}}) {
-      for (size_t batch : {size_t{1}, size_t{4}, size_t{12}}) {
-        const std::string what = "seed " + std::to_string(seed) +
-                                 ", keep " + std::to_string(keep.size()) +
-                                 ", batch " + std::to_string(batch);
-        const StreamEnd free = ExpectJoinProjectStreamsAsThreePasses(
-            index.value(), probe.rows(), batch, keep, {}, what);
-        ASSERT_TRUE(free.ok) << what;
-        std::set<size_t> limits;
-        for (size_t rows : free.row_counts) {
-          limits.insert({rows == 0 ? 0 : rows - 1, rows, rows + 1});
-        }
-        for (size_t max_rows : limits) {
-          ComposeOptions opts;
-          opts.max_result_rows = max_rows;
-          const StreamEnd end = ExpectJoinProjectStreamsAsThreePasses(
-              index.value(), probe.rows(), batch, keep, opts,
-              what + ", max_result_rows " + std::to_string(max_rows));
-          join_limit_met = join_limit_met || !end.ok;
-        }
-        for (size_t limit = 0; limit <= 3; ++limit) {
-          ComposeOptions opts;
-          opts.materialize_limit = limit;
-          const StreamEnd end = ExpectJoinProjectStreamsAsThreePasses(
-              index.value(), probe.rows(), batch, keep, opts,
-              what + ", materialize_limit " + std::to_string(limit));
-          materialize_limit_met = materialize_limit_met || !end.ok;
+    const FreeTable shared = MixedTable(&rng, {"B", "C", "D"}, 12, 3);
+    const FreeTable disjoint = MixedTable(&rng, {"D", "E"}, 6, 3);
+    for (const FreeTable* probe : {&shared, &disjoint}) {
+      auto index = JoinIndex::Build(build, probe->schema());
+      ASSERT_TRUE(index.ok()) << index.status();
+      for (const std::vector<std::string>& keep :
+           {std::vector<std::string>{"A", "D"},
+            std::vector<std::string>{"D", "B"},
+            std::vector<std::string>{"A", "B", "C", "D"},
+            std::vector<std::string>{}}) {
+        for (size_t batch : {size_t{1}, size_t{4}, size_t{12}}) {
+          const std::string what = "seed " + std::to_string(seed) +
+                                   ", probe " + probe->schema().ToString() +
+                                   ", keep " + std::to_string(keep.size()) +
+                                   ", batch " + std::to_string(batch);
+          const StreamEnd free = ExpectJoinProjectStreamsAsThreePasses(
+              index.value(), probe->rows(), batch, keep, {}, what);
+          ASSERT_TRUE(free.ok) << what;
+          std::set<size_t> limits;
+          for (size_t rows : free.row_counts) {
+            limits.insert({rows == 0 ? 0 : rows - 1, rows, rows + 1});
+          }
+          for (size_t max_rows : limits) {
+            ComposeOptions opts;
+            opts.max_result_rows = max_rows;
+            const StreamEnd end = ExpectJoinProjectStreamsAsThreePasses(
+                index.value(), probe->rows(), batch, keep, opts,
+                what + ", max_result_rows " + std::to_string(max_rows));
+            (probe == &shared ? join_limit_met : product_limit_met) |=
+                !end.ok;
+          }
+          for (size_t limit = 0; limit <= 3; ++limit) {
+            ComposeOptions opts;
+            opts.materialize_limit = limit;
+            const StreamEnd end = ExpectJoinProjectStreamsAsThreePasses(
+                index.value(), probe->rows(), batch, keep, opts,
+                what + ", materialize_limit " + std::to_string(limit));
+            materialize_limit_met = materialize_limit_met || !end.ok;
+          }
         }
       }
     }
   }
   EXPECT_TRUE(join_limit_met);
+  EXPECT_TRUE(product_limit_met);
   EXPECT_TRUE(materialize_limit_met);
 }
 

@@ -136,12 +136,22 @@ TEST(JoinIndexStoreTest, PrivateBuildIsNotKept) {
   EXPECT_EQ(store.size(), 0u);
 }
 
-TEST(JoinIndexStoreTest, DisjointProbeFailsLoudly) {
+TEST(JoinIndexStoreTest, DisjointProbeIndexesTheProduct) {
   JoinIndexStore store;
+  auto table = BcTable("c");
   Schema disjoint = Schema::Of({Attribute::String("Z_id")});
-  auto index = store.Get("mBC", InPlace(BcTable("c")), disjoint);
-  EXPECT_FALSE(index.ok());
-  EXPECT_EQ(store.size(), 0u);
+  auto index = store.Get("mBC", InPlace(table), disjoint);
+  ASSERT_TRUE(index.ok()) << index.status();
+  EXPECT_EQ(store.size(), 1u);
+  FreeTable probe(disjoint);
+  probe.AddRow(Mapping::FromTuple({Value("z1")}));
+  probe.AddRow(Mapping({Cell::Variable(0)}));
+  auto product = index.value()->Join(probe);
+  ASSERT_TRUE(product.ok()) << product.status();
+  EXPECT_EQ(product.value().size(), table->size() * probe.size());
+  auto again = store.Get("mBC", InPlace(table), disjoint);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again.value(), index.value());
 }
 
 // ---- starter projections -------------------------------------------------

@@ -232,6 +232,71 @@ TEST(ProtocolTest, LargerCacheMeansFewerMessages) {
   EXPECT_GT(small_cache_messages, 2 * big_cache_messages);
 }
 
+// A partition whose hop-2 table meets the rest only through hop 0: P2's
+// t2 over (E, D) shares E with P0's t0 over (A, B, E), and P1's t1 over
+// (B, C) shares B with t0 alone.  So the batch P2 streams over (D, E)
+// shares no attribute with P1's local side, and P1 joins it as the
+// Cartesian product before P0 joins on B and E.  Variables, exclusions
+// and a variable row on both sides of the product; the cover is the one
+// the product path gave when it was code of its own.
+TEST(ProtocolTest, BatchSharingNoAttributeWithLocalSideJoinsAsProduct) {
+  auto table = [](const char* x, std::vector<std::string> ys,
+                  const char* name, std::vector<Mapping> rows) {
+    std::vector<Attribute> y_attrs;
+    for (const std::string& y : ys) y_attrs.push_back(Attribute::String(y));
+    MappingTable t = MappingTable::Create(Schema::Of({Attribute::String(x)}),
+                                          Schema(y_attrs), name)
+                         .value();
+    for (Mapping& row : rows) EXPECT_TRUE(t.AddRow(std::move(row)).ok());
+    return MappingConstraint(std::move(t));
+  };
+  auto c = [](const char* v) { return Cell::Constant(Value(v)); };
+  const MappingConstraint t0 = table(
+      "A", {"B", "E"}, "t0",
+      {Mapping({c("a1"), c("b1"), c("e1")}),
+       Mapping({c("a2"), c("b2"), c("e2")}),
+       Mapping({c("a3"), Cell::Variable(0), c("e1")}),
+       Mapping({c("a4"), c("b3"), Cell::Variable(0, {Value("e1")})})});
+  const MappingConstraint t1 = table(
+      "B", {"C"}, "t1",
+      {Mapping({c("b1"), c("c1")}), Mapping({c("b2"), c("c2")}),
+       Mapping({Cell::Variable(0, {Value("b1")}), Cell::Variable(0)})});
+  const MappingConstraint t2 = table(
+      "E", {"D"}, "t2",
+      {Mapping({c("e1"), c("d1")}),
+       Mapping({c("e2"), Cell::Variable(0, {Value("d1")})}),
+       Mapping({Cell::Variable(0, {Value("e1")}), c("d3")})});
+
+  SimNetwork net;
+  PeerNode p0("P0", AttributeSet::Of({Attribute::String("A")}));
+  PeerNode p1("P1", AttributeSet::Of({Attribute::String("B"),
+                                      Attribute::String("E")}));
+  PeerNode p2("P2", AttributeSet::Of({Attribute::String("C"),
+                                      Attribute::String("E")}));
+  PeerNode p3("P3", AttributeSet::Of({Attribute::String("D")}));
+  for (PeerNode* p : {&p0, &p1, &p2, &p3}) ASSERT_TRUE(p->Attach(&net).ok());
+  ASSERT_TRUE(p0.AddConstraintTo("P1", t0).ok());
+  ASSERT_TRUE(p1.AddConstraintTo("P2", t1).ok());
+  ASSERT_TRUE(p2.AddConstraintTo("P3", t2).ok());
+
+  const SessionResult* result =
+      RunSession(&net, &p0, {"P0", "P1", "P2", "P3"},
+                 {Attribute::String("A")}, {Attribute::String("D")});
+  ASSERT_NE(result, nullptr);
+  EXPECT_EQ(result->partition_covers.size(), 1u);
+  EXPECT_EQ(result->cover.Serialize(),
+            "# hyperion mapping-table v1\n"
+            "name: cover\n"
+            "x: A:string\n"
+            "y: D:string\n"
+            "a1|d1\n"
+            "a2|?v0-{d1}\n"
+            "a2|d3\n"
+            "a3|d1\n"
+            "a4|?v0-{d1}\n"
+            "a4|d3\n");
+}
+
 TEST(ProtocolTest, StartValidation) {
   BioConfig config;
   config.num_entities = 20;
